@@ -27,6 +27,7 @@
 #include "support/Casting.h"
 #include "support/Source.h"
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,18 +103,15 @@ private:
 class FunctionDecl : public Decl {
 public:
   FunctionDecl(std::string_view Name, SourceLocation Loc,
-               const FunctionType *Ty, std::vector<VarDecl *> Params)
-      : Decl(DeclKind::Function, Name, Loc), Ty(Ty),
-        Params(std::move(Params)) {}
+               const FunctionType *Ty, std::span<VarDecl *const> Params)
+      : Decl(DeclKind::Function, Name, Loc), Ty(Ty), Params(Params) {}
 
   const FunctionType *type() const { return Ty; }
-  const std::vector<VarDecl *> &params() const { return Params; }
+  std::span<VarDecl *const> params() const { return Params; }
   /// Replaces the parameter list (used when a definition follows a
   /// prototype: the same FunctionDecl object is completed in place so
   /// earlier references stay valid).
-  void setParams(std::vector<VarDecl *> NewParams) {
-    Params = std::move(NewParams);
-  }
+  void setParams(std::span<VarDecl *const> NewParams) { Params = NewParams; }
   void setType(const FunctionType *NewTy) { Ty = NewTy; }
   CompoundStmt *body() const { return Body; }
   void setBody(CompoundStmt *B) { Body = B; }
@@ -126,7 +124,7 @@ public:
 
 private:
   const FunctionType *Ty;
-  std::vector<VarDecl *> Params;
+  std::span<VarDecl *const> Params;
   CompoundStmt *Body = nullptr;
   bool Builtin = false;
 };
@@ -359,13 +357,11 @@ private:
 
 class CallExpr : public Expr {
 public:
-  CallExpr(Expr *Callee, std::vector<Expr *> Args, const Type *Ty,
+  CallExpr(Expr *Callee, std::span<Expr *const> Args, const Type *Ty,
            SourceRange R)
-      : Expr(ExprKind::Call, Ty, R, false), Callee(Callee),
-        Args(std::move(Args)) {}
+      : Expr(ExprKind::Call, Ty, R, false), Callee(Callee), Args(Args) {}
   Expr *callee() const { return Callee; }
-  const std::vector<Expr *> &args() const { return Args; }
-  std::vector<Expr *> &args() { return Args; }
+  std::span<Expr *const> args() const { return Args; }
 
   /// Returns the called FunctionDecl when the callee is a direct reference,
   /// else null.
@@ -375,7 +371,7 @@ public:
 
 private:
   Expr *Callee;
-  std::vector<Expr *> Args;
+  std::span<Expr *const> Args;
 };
 
 enum class CastKind : uint8_t {
@@ -468,26 +464,26 @@ private:
 
 class CompoundStmt : public Stmt {
 public:
-  CompoundStmt(std::vector<Stmt *> Body, SourceLocation Loc)
-      : Stmt(StmtKind::Compound, Loc), Body(std::move(Body)) {}
-  const std::vector<Stmt *> &body() const { return Body; }
+  CompoundStmt(std::span<Stmt *const> Body, SourceLocation Loc)
+      : Stmt(StmtKind::Compound, Loc), Body(Body) {}
+  std::span<Stmt *const> body() const { return Body; }
   static bool classof(const Stmt *S) {
     return S->kind() == StmtKind::Compound;
   }
 
 private:
-  std::vector<Stmt *> Body;
+  std::span<Stmt *const> Body;
 };
 
 class DeclStmt : public Stmt {
 public:
-  DeclStmt(std::vector<VarDecl *> Decls, SourceLocation Loc)
-      : Stmt(StmtKind::Decl, Loc), Decls(std::move(Decls)) {}
-  const std::vector<VarDecl *> &decls() const { return Decls; }
+  DeclStmt(std::span<VarDecl *const> Decls, SourceLocation Loc)
+      : Stmt(StmtKind::Decl, Loc), Decls(Decls) {}
+  std::span<VarDecl *const> decls() const { return Decls; }
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Decl; }
 
 private:
-  std::vector<VarDecl *> Decls;
+  std::span<VarDecl *const> Decls;
 };
 
 class ExprStmt : public Stmt {

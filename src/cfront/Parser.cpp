@@ -431,8 +431,8 @@ void Parser::parseExternalDeclaration(TranslationUnit &TU) {
         for (const ParamInfo &P : Chunk.Params)
           ParamDecls.push_back(Actions.arena().create<VarDecl>(
               P.Name, P.Loc, P.Ty, VarDecl::Storage::Param));
-        auto *FD = Actions.arena().create<FunctionDecl>(D.Name, D.NameLoc, FT,
-                                                        std::move(ParamDecls));
+        auto *FD = Actions.arena().create<FunctionDecl>(
+            D.Name, D.NameLoc, FT, Actions.arena().copyArray(ParamDecls));
         Actions.declareFunction(FD);
         TU.Decls.push_back(FD);
       }
@@ -473,10 +473,10 @@ void Parser::parseFunctionDefinition(TranslationUnit &TU, const Type *RetBase,
       Actions.diags().error(D.NameLoc,
                             "redefinition of '" + std::string(D.Name) + "'");
     FD->setType(FT);
-    FD->setParams(std::move(ParamDecls));
+    FD->setParams(Actions.arena().copyArray(ParamDecls));
   } else {
-    FD = Actions.arena().create<FunctionDecl>(D.Name, D.NameLoc, FT,
-                                              std::move(ParamDecls));
+    FD = Actions.arena().create<FunctionDecl>(
+        D.Name, D.NameLoc, FT, Actions.arena().copyArray(ParamDecls));
     Actions.declareFunction(FD);
     TU.Decls.push_back(FD);
   }
@@ -567,7 +567,8 @@ Stmt *Parser::parseLocalDeclaration() {
     } while (tryConsume(TokenKind::Comma));
   }
   expect(TokenKind::Semi, "after declaration");
-  return Actions.arena().create<DeclStmt>(std::move(Vars), DeclLoc);
+  return Actions.arena().create<DeclStmt>(Actions.arena().copyArray(Vars),
+                                          DeclLoc);
 }
 
 CompoundStmt *Parser::parseCompoundStatement() {
@@ -581,7 +582,8 @@ CompoundStmt *Parser::parseCompoundStatement() {
       consume();
   }
   expect(TokenKind::RBrace, "to close block");
-  return Actions.arena().create<CompoundStmt>(std::move(Body), LBraceLoc);
+  return Actions.arena().create<CompoundStmt>(
+      Actions.arena().copyArray(Body), LBraceLoc);
 }
 
 Stmt *Parser::parseStatement() {

@@ -119,8 +119,8 @@ void Sema::declareRuntimeBuiltins(TranslationUnit &TU) {
     for (const Type *PT : FT->params())
       ParamDecls.push_back(NodeArena.create<VarDecl>(
           std::string_view(), SourceLocation(), PT, VarDecl::Storage::Param));
-    auto *FD = NodeArena.create<FunctionDecl>(N, SourceLocation(), FT,
-                                              std::move(ParamDecls));
+    auto *FD = NodeArena.create<FunctionDecl>(
+        N, SourceLocation(), FT, NodeArena.copyArray(ParamDecls));
     FD->setBuiltin(true);
     declareFunction(FD);
     TU.Decls.push_back(FD);
@@ -616,8 +616,8 @@ Expr *Sema::actOnCall(Expr *Callee, std::vector<Expr *> Args, SourceRange R,
         Args[I] = implicitCast(Args[I], integerPromote(Args[I]->type()));
     }
   }
-  return NodeArena.create<CallExpr>(Callee, std::move(Args), FT->returnType(),
-                                    R);
+  return NodeArena.create<CallExpr>(Callee, NodeArena.copyArray(Args),
+                                    FT->returnType(), R);
 }
 
 Expr *Sema::actOnExplicitCast(const Type *To, Expr *Sub, SourceRange R,

@@ -439,6 +439,7 @@ support::Json gcsafe::driver::buildRunReport(const std::string &Input,
     RJ["output"] = Json::string(R.Output);
     RJ["instructions"] = Json::integer(R.InstructionsExecuted);
     RJ["cycles"] = Json::integer(R.Cycles);
+    RJ["vm_ns"] = Json::integer(R.RunNs);
 
     Json Attr = Json::object();
     Attr["user"] = Json::integer(R.userCycles());

@@ -8,8 +8,9 @@
 /// \file
 /// A simple bump-pointer arena used for AST and IR node allocation. Objects
 /// allocated from an arena are never individually freed; the whole arena is
-/// released at once when it is destroyed. Allocated objects must be
-/// trivially destructible or have destructors the caller does not rely on.
+/// released at once when it is destroyed, so no destructor ever runs:
+/// create() only accepts trivially destructible types, and a node that
+/// needs a list holds a copyArray() span instead of a std::vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,8 +41,21 @@ public:
 
   /// Allocates and constructs a \p T with the given constructor arguments.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena objects are never destroyed");
     void *Mem = allocate(sizeof(T), alignof(T));
     return new (Mem) T(std::forward<Args>(CtorArgs)...);
+  }
+
+  /// Copies \p Items into the arena; the span lives as long as the arena.
+  template <typename T> std::span<T *const> copyArray(
+      const std::vector<T *> &Items) {
+    if (Items.empty())
+      return {};
+    auto *Mem = static_cast<T **>(
+        allocate(sizeof(T *) * Items.size(), alignof(T *)));
+    std::memcpy(Mem, Items.data(), sizeof(T *) * Items.size());
+    return {Mem, Items.size()};
   }
 
   /// Copies \p Text into the arena and returns a stable string_view.

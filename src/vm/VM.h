@@ -9,15 +9,35 @@
 /// Executes an ir::Module on a simulated machine whose heap is the
 /// conservative collector from src/gc. The GC-roots are exactly what the
 /// paper lists — "the machine stack, registers, and statically allocated
-/// memory": every frame's register file, the VM stack (frame slots), and
-/// the globals area are scanned conservatively.
+/// memory": the register stack, the VM stack (frame slots), and the
+/// globals area are scanned conservatively.
+///
+/// Each function is decoded on its first call into a flat array of
+/// compact records: opcode, access width, the cycle cost under the
+/// MachineModel, and operands resolved to a register index or a slot of
+/// the function's constant pool. Branch targets are flat positions and
+/// carry the target block's register-pressure spill penalty, so costs and
+/// penalties are fixed at decode time and never re-derived per execution.
+/// Every block ends in a fall-off sentinel. Frames share one contiguous
+/// register stack; the root scanner visits its live prefix [0, RegTop) as
+/// one range, which is word for word what a per-frame register file
+/// would expose.
 ///
 /// Collections can be triggered adversarially: after every allocation
-/// (collector AllocCountTrigger) and/or at a fixed instruction period
-/// (GcInstructionPeriod), modeling the paper's "asynchronously triggered
-/// collector" under which all its transformations must stay safe. Freed
-/// objects are poisoned, and loads from freed heap slots are detected and
-/// reported — this is how premature collection becomes observable.
+/// (collector AllocCountTrigger), at a fixed instruction period
+/// (GcInstructionPeriod) and/or every N calls (GcCallPeriod), modeling the
+/// paper's "asynchronously triggered collector" under which all its
+/// transformations must stay safe. Freed objects are poisoned, and loads
+/// from freed heap slots are detected and reported — this is how
+/// premature collection becomes observable.
+///
+/// The freed-access probe is exact: every load and store whose address
+/// Collector::pointsToFreedObject would report counts, including slots
+/// never allocated and objects freed without any sweep. A fast path may
+/// skip the page-table lookup only where it provably returns false; the
+/// VM skips it for addresses inside its own Stack and Globals buffers,
+/// which are never heap pages. Arming the probe lazily (say, at the first
+/// sweep) would not be behaviour-preserving.
 ///
 /// The VM also accounts cycles under a MachineModel (including a register
 /// pressure penalty) and runs the checked-mode CheckSameObj instruction
@@ -37,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gcsafe {
@@ -149,6 +168,9 @@ struct RunResult {
   /// CollectionEvent records) at the end of the run.
   gc::CollectorStats Gc;
 
+  /// Wall time of VM::run, decoding and collections included.
+  uint64_t RunNs = 0;
+
   /// Cycles not attributed to safety, checking, allocation or modeled
   /// spills — the paper's "user code".
   uint64_t userCycles() const {
@@ -171,25 +193,25 @@ public:
   gc::Collector &collector() { return *C; }
 
 private:
+  struct Code;
+  struct DInst;
+
+  /// One activation. The executing frame is always the last one; its
+  /// registers are Regs[RegBase, RegBase + NumRegs).
   struct Frame {
-    const ir::Function *F = nullptr;
-    std::vector<uint64_t> Regs;
-    uint64_t FrameBase = 0;
-    uint32_t Block = 0;
-    uint32_t IP = 0;
-    uint32_t RetDst = ir::NoReg; ///< Caller register for the return value.
+    const Code *Fn = nullptr;
+    uint32_t RetPC = 0;  ///< Caller's resume position.
+    uint32_t RetDst = 0; ///< Caller register for the return value.
+    uint32_t RegBase = 0;
+    uint64_t FrameBase = 0; ///< Frame slots in Stack.
   };
 
-  uint64_t evalValue(const Frame &Fr, const ir::Value &V) const;
-  void pushFrame(const ir::Function &F, const std::vector<uint64_t> &Args,
-                 uint32_t RetDst);
-  void enterBlock(Frame &Fr, uint32_t Block);
-  unsigned instructionCycles(const ir::Instruction &I) const;
-  const std::vector<unsigned> &pressurePenalties(const ir::Function &F);
-  void runBuiltin(Frame &Fr, const ir::Instruction &I);
-  void tagAllocSite(const Frame &Fr, const ir::Instruction &I,
-                    const char *Kind);
-  void recordCycleSample(const ir::Function *Leaf, const ir::Instruction &I);
+  const Code &decoded(uint32_t FnIndex);
+  bool pushFrame(const Code &Fn, uint32_t RetPC, uint32_t RetDst);
+  void runBuiltin(const Code &Fn, const DInst &I, uint64_t *R);
+  void tagAllocSite(const Code &Fn, const DInst &I, const char *Kind);
+  void recordCycleSample(const ir::Function *Leaf, const ir::Instruction &I,
+                         uint64_t Cycles);
   bool checkMemoryAccess(uint64_t Addr, const char *What);
   void fail(const std::string &Message);
 
@@ -201,22 +223,18 @@ private:
   std::vector<char> Globals;
   std::vector<char> Stack;
   uint64_t StackTop = 0;
+  /// The register stack. Slot RegTop (one past the executing frame) is
+  /// the sink for results nobody reads; it lies outside the scanned range.
+  std::vector<uint64_t> Regs;
+  uint32_t RegTop = 0;
   std::vector<Frame> Frames;
+  /// Indexed like M.Functions; a function is decoded on its first call.
+  std::vector<std::unique_ptr<Code>> Decoded;
 
   RunResult Result;
   bool Halted = false;
   uint64_t Prng = 0x9E3779B97F4A7C15ull;
   uint64_t CallsExecuted = 0;
-
-  std::unordered_map<const ir::Function *, std::vector<unsigned>>
-      PressureCache;
-
-  // Profiling state (unused when Opts.Profile is null). Site ids are
-  // cached per allocation instruction; flat instruction indices come from
-  // per-function block-offset prefix sums, cached like PressureCache.
-  std::unordered_map<const ir::Instruction *, size_t> SiteCache;
-  std::unordered_map<const ir::Function *, std::vector<uint32_t>>
-      BlockOffsetCache;
   uint64_t LastSampleCycles = 0;
 };
 

@@ -202,7 +202,7 @@ def check_run_report(doc):
                 ["ok", "exit_code", "output", "instructions", "cycles",
                  "cycle_attribution", "keep_lives_executed", "kills_executed",
                  "checks", "gc"],
-                optional=["error", "watchdog_timeout"])
+                optional=["error", "watchdog_timeout", "vm_ns"])
     expect(isinstance(run["ok"], bool), "$.run.ok", "expected a bool")
     if "watchdog_timeout" in run:
         expect(isinstance(run["watchdog_timeout"], bool),
@@ -212,6 +212,8 @@ def check_run_report(doc):
     for key in ("instructions", "cycles", "keep_lives_executed",
                 "kills_executed"):
         expect_num(run, "$.run", key, integer=True)
+    if "vm_ns" in run:
+        expect_num(run, "$.run", "vm_ns", integer=True)
 
     attribution = run["cycle_attribution"]
     expect_keys(attribution, "$.run.cycle_attribution", ATTRIBUTION_KEYS)

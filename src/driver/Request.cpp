@@ -3,20 +3,23 @@
 #include "driver/Request.h"
 
 #include "ir/Verify.h"
-#include "opt/Passes.h"
 #include "support/ExitCodes.h"
-#include "support/Hash.h"
 #include "vm/VM.h"
 
 using namespace gcsafe;
 using namespace gcsafe::driver;
 
+namespace gcsafe::driver {
+/// The 32-hex hash of src/, generated at build time (BuildFingerprint.cmake).
+const char *buildContentHash();
+} // namespace gcsafe::driver
+
 const std::string &gcsafe::driver::keyFingerprint() {
-  // "gcsafe-key-v1" names the key format itself (what canonicalFlagString
-  // covers, how source is preprocessed); the roster hash names the
-  // optimizer's behavior. Bump the version on any key-format change.
+  // "gcsafe-key-v2" names the key format itself: the raw source plus
+  // serve::canonicalFlagString. Bump it on any key-format change; the
+  // build hash covers every behavior change.
   static const std::string FP =
-      "gcsafe-key-v1;roster=" + support::contentHash(opt::passRosterString());
+      std::string("gcsafe-key-v2;build=") + buildContentHash();
   return FP;
 }
 
@@ -71,21 +74,6 @@ bool RequestContext::parse(std::string &Error) {
     return true;
   Error = Comp.renderedDiagnostics();
   return false;
-}
-
-std::string RequestContext::preprocessedSource() {
-  switch (Opts.Mode) {
-  case CompileMode::O2Safe:
-  case CompileMode::O2SafePost:
-    return Comp.annotatedSource(annotate::AnnotationMode::GCSafe, Opts.Annot);
-  case CompileMode::DebugChecked:
-    return Comp.annotatedSource(annotate::AnnotationMode::Checked,
-                                Opts.Annot);
-  case CompileMode::O2:
-  case CompileMode::Debug:
-    return Opts.Source;
-  }
-  return Opts.Source;
 }
 
 RequestOutcome RequestContext::execute() {

@@ -110,11 +110,6 @@ public:
   /// Idempotent — execute() reuses the parse.
   bool parse(std::string &Error);
 
-  /// The annotated source for modes that preprocess (safe/safepost/
-  /// checked), the raw source otherwise — the content half of the
-  /// service's cache key (docs/SERVING.md). Requires a successful parse().
-  std::string preprocessedSource();
-
   /// Middle end (+ VM when Opts.Run) with the gcsafe-cc exit-code
   /// contract. Safe to call without parse(); parse errors become an
   /// ExitError outcome.
@@ -134,14 +129,15 @@ private:
   SelfHealReport Heal;
 };
 
-/// The build's cache-key fingerprint: the key-format version plus a hash
-/// of the optimizer pass roster (opt::passRosterString), e.g.
-/// "gcsafe-key-v1;roster=<32hex>". Seeded into every ContentHasher that
+/// The build's cache-key fingerprint: the key-format version plus a
+/// content hash of every file under src/ taken at build time, e.g.
+/// "gcsafe-key-v2;build=<32hex>". Seeded into every ContentHasher that
 /// computes a cache key (serve::CompileService) and stamped into every
-/// serve::Store record, so a binary whose compiled output could differ
-/// from ours keys into a disjoint namespace and can never replay — or be
-/// replayed from — a stale payload. Stable within one build, across
-/// processes and machines.
+/// serve::Store record, so a binary built from any other sources — a
+/// changed annotator, pass, VM cost model, collector or report layout —
+/// keys into a disjoint namespace and can never replay, or be replayed
+/// from, a stale payload. Stable within one build, across processes and
+/// machines.
 const std::string &keyFingerprint();
 
 /// Maps a --mode= value to a CompileMode ("o2", "safe", "safepost",

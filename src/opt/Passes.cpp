@@ -1170,15 +1170,3 @@ PassStats gcsafe::opt::optimizeModule(Module &M,
   }
   return Total;
 }
-
-const std::string &gcsafe::opt::passRosterString() {
-  // Must list every distinct pass the pipeline above can run, in O2
-  // order (Peephole is a subset; insert_kills always runs last). Keep in
-  // lockstep with the RunChecked sequence: changing one without the
-  // other either misses a needed invalidation or forces a spurious one.
-  static const std::string Roster = "simplify,local_cse,reassociate,"
-                                    "strength_reduce,licm,fuse_addressing,"
-                                    "coalesce_copies,postprocess,"
-                                    "insert_kills";
-  return Roster;
-}

@@ -188,13 +188,6 @@ struct OptPipelineOptions {
 /// Runs the configured pipeline over every function.
 PassStats optimizeModule(ir::Module &M, const OptPipelineOptions &Options);
 
-/// The full optimizer pass roster in O2 pipeline order, comma-joined
-/// ("simplify,local_cse,..."). This is the build's behavioral identity
-/// for caching purposes: any change to the pass set or its order changes
-/// this string, which changes driver::keyFingerprint, which invalidates
-/// every cache key computed by older binaries — in memory and on disk.
-const std::string &passRosterString();
-
 } // namespace opt
 } // namespace gcsafe
 

@@ -7,7 +7,7 @@
 using namespace gcsafe;
 using namespace gcsafe::serve;
 
-bool ContentCache::lookup(const std::string &Key, std::string &Out) {
+bool ContentCache::lookup(const std::string &Key, CacheEntryPtr &Out) {
   // The gap between a miss here and the caller's single-flight election
   // is where a duplicate compile would sneak in; the schedule fuzzer
   // widens it on demand (tests/test_race.cpp).
@@ -24,22 +24,36 @@ bool ContentCache::lookup(const std::string &Key, std::string &Out) {
   return true;
 }
 
-void ContentCache::insert(const std::string &Key, std::string Payload) {
+bool ContentCache::lookup(const std::string &Key, std::string &Out) {
+  CacheEntryPtr E;
+  if (!lookup(Key, E))
+    return false;
+  Out = E->Bytes;
+  return true;
+}
+
+void ContentCache::insert(const std::string &Key, CacheEntryPtr E) {
   GCSAFE_INTERLEAVE_POINT("serve.cache.insert");
   support::RankedGuard Lock(Mu);
   if (Map.count(Key))
     return; // content-addressed: an existing entry is already this value
   while (Map.size() >= MaxEntries) {
     Entry &Victim = Lru.back();
-    Bytes -= Victim.second.size();
+    Bytes -= Victim.second->Bytes.size();
     Map.erase(Victim.first);
     Lru.pop_back();
     ++Evictions;
   }
-  Bytes += Payload.size();
-  Lru.emplace_front(Key, std::move(Payload));
+  Bytes += E->Bytes.size();
+  Lru.emplace_front(Key, std::move(E));
   Map[Key] = Lru.begin();
   ++Insertions;
+}
+
+void ContentCache::insert(const std::string &Key, std::string Payload) {
+  auto E = std::make_shared<CacheEntry>();
+  E->Bytes = std::move(Payload);
+  insert(Key, CacheEntryPtr(std::move(E)));
 }
 
 CacheStats ContentCache::stats() const {

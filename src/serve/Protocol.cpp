@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include <cassert>
+
 using namespace gcsafe;
 using namespace gcsafe::serve;
 using support::Json;
@@ -182,10 +184,78 @@ Json responseHead(const std::string &Id, const char *Op, bool Ok) {
   return J;
 }
 
+/// The bytes buildCompileResponse(...).dump(0) puts before "exit_code":
+/// everything a cache entry does not hold.
+std::string compileResponseHead(const std::string &Id, const ServeResult &R) {
+  std::string H = "{\"schema\":\"";
+  H += SchemaName;
+  H += "\",\"id\":\"";
+  H += support::jsonEscape(Id);
+  H += "\",\"op\":\"compile\",\"ok\":";
+  H += R.Ok ? "true" : "false";
+  if (!R.RequestId.empty()) {
+    H += ",\"request_id\":\"";
+    H += support::jsonEscape(R.RequestId);
+    H += '"';
+  }
+  H += ",\"cached\":";
+  H += R.Cached ? "true," : "false,";
+  return H;
+}
+
 } // namespace
 
+std::string gcsafe::serve::renderCompileResponse(const std::string &Id,
+                                                 const ServeResult &R) {
+  if (!R.Rendered)
+    return buildCompileResponse(Id, R).dump(0);
+  std::string Line = compileResponseHead(Id, R);
+  Line += R.Rendered->Bytes;
+  return Line;
+}
+
+CacheEntryPtr gcsafe::serve::renderCacheEntry(const ServeResult &R) {
+  std::string Line = buildCompileResponse("", R).dump(0);
+  std::string Head = compileResponseHead("", R);
+  assert(Line.compare(0, Head.size(), Head) == 0);
+  auto E = std::make_shared<CacheEntry>();
+  E->Bytes = Line.substr(Head.size());
+  E->Ok = R.Ok;
+  E->ExitCode = R.ExitCode;
+  E->Degraded = R.Degraded;
+  return E;
+}
+
+void gcsafe::serve::expandCached(ServeResult &R) {
+  if (!R.Cached || !R.Rendered)
+    return;
+  Json J;
+  std::string Error;
+  ServeResult Full;
+  // The bytes are the tail of a JSON object this process rendered, so
+  // the parse cannot fail short of memory corruption.
+  if (!Json::parse("{" + R.Rendered->Bytes, J, Error))
+    return;
+  J["ok"] = Json::boolean(R.Ok);
+  serveResultFromJson(J, Full);
+  R.Rung = std::move(Full.Rung);
+  R.Quarantined = std::move(Full.Quarantined);
+  R.Status = std::move(Full.Status);
+  R.Error = std::move(Full.Error);
+  R.Report = std::move(Full.Report);
+  R.HasReport = Full.HasReport;
+  R.Lint = std::move(Full.Lint);
+  R.HasLint = Full.HasLint;
+}
+
 Json gcsafe::serve::buildCompileResponse(const std::string &Id,
-                                         const ServeResult &R) {
+                                         const ServeResult &Result) {
+  ServeResult Hit;
+  if (Result.Cached && Result.Rendered) {
+    Hit = Result;
+    expandCached(Hit);
+  }
+  const ServeResult &R = Hit.Rendered ? Hit : Result;
   Json J = responseHead(Id, "compile", R.Ok);
   if (!R.RequestId.empty())
     J["request_id"] = Json::string(R.RequestId);

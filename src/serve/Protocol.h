@@ -57,9 +57,24 @@ struct ServeRequest {
 bool parseRequestLine(const std::string &Line, ServeRequest &Out,
                       std::string &Error);
 
-/// A compile response (Op == Compile).
+/// A compile response (Op == Compile). A cache hit is expanded from its
+/// rendered bytes first; renderCompileResponse is the fast path.
 support::Json buildCompileResponse(const std::string &Id,
                                    const ServeResult &R);
+/// The compile response line, without the newline: for a result carrying
+/// a rendered entry, the head (schema/id/op/ok/request_id/cached) spliced
+/// onto the entry's bytes — no Json tree, no re-serialization; otherwise
+/// buildCompileResponse(Id, R).dump(0). Both give the same bytes.
+std::string renderCompileResponse(const std::string &Id,
+                                  const ServeResult &R);
+/// Renders \p R's response once, as a cache entry: the bytes of
+/// buildCompileResponse(...).dump(0) from "exit_code" to the closing
+/// brace (cache_key included, so R.CacheKey must be set), plus Ok,
+/// ExitCode and Degraded.
+CacheEntryPtr renderCacheEntry(const ServeResult &R);
+/// Fills a cache hit's Rung, Quarantined, Status, Error, Report and Lint
+/// by parsing its rendered bytes; a no-op on any other result.
+void expandCached(ServeResult &R);
 /// A stats response: the serve.* keys nested as a JSON tree.
 support::Json buildStatsResponse(const std::string &Id,
                                  const support::Stats &S);

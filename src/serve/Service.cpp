@@ -3,6 +3,7 @@
 #include "serve/Service.h"
 
 #include "driver/Isolate.h"
+#include "serve/Protocol.h"
 #include "support/ExitCodes.h"
 #include "support/Hash.h"
 #include "support/Interleave.h"
@@ -47,8 +48,14 @@ gcsafe::serve::canonicalFlagString(const driver::RequestOptions &O) {
   return OS.str();
 }
 
-support::Json gcsafe::serve::serveResultToJson(const ServeResult &R) {
+support::Json gcsafe::serve::serveResultToJson(const ServeResult &Result) {
   using support::Json;
+  ServeResult Hit;
+  if (Result.Cached && Result.Rendered) {
+    Hit = Result;
+    expandCached(Hit);
+  }
+  const ServeResult &R = Hit.Rendered ? Hit : Result;
   Json J = Json::object();
   J["ok"] = Json::boolean(R.Ok);
   J["exit_code"] = Json::integer(int64_t(R.ExitCode));
@@ -113,6 +120,30 @@ std::string fsSafeId(const std::string &Rid) {
         C != '_' && C != '-')
       C = '_';
   return Out;
+}
+
+/// The cache key of a request as received (docs/SERVING.md §3): the
+/// build fingerprint, the raw source and the canonical flag string. No
+/// frontend runs — the annotator is a pure function of these, and the
+/// fingerprint covers every source file of the build.
+std::string requestKey(const driver::RequestOptions &R) {
+  support::ContentHasher H(driver::keyFingerprint());
+  H.update(R.Source);
+  H.update(canonicalFlagString(R));
+  return H.hex();
+}
+
+/// A cache hit: the counted fields plus the entry's rendered bytes.
+ServeResult hitResult(const std::string &Key, CacheEntryPtr E) {
+  ServeResult R;
+  R.Ok = E->Ok;
+  R.ExitCode = E->ExitCode;
+  R.Degraded = E->Degraded;
+  R.Rung.clear(); // lives in the rendered bytes (expandCached)
+  R.Cached = true;
+  R.CacheKey = Key;
+  R.Rendered = std::move(E);
+  return R;
 }
 
 /// Lifts a driver outcome into the service's result shape.
@@ -275,14 +306,13 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   std::string Name = Request.Name;
   std::string TraceId = assignRequestId(Request);
   std::string Rid = Request.RequestId;
+  // The raw key costs microseconds, so it is derived here and
+  // single-flight leadership is taken below under the queue lock: in
+  // admission order, the order the FIFO queue hands requests out.
+  std::string Key = requestKey(Request);
+  bool Lead = UseCache && Opts.CacheEnabled;
 
-  std::packaged_task<ServeResult()> Task(
-      [this, Request = std::move(Request), UseCache, DeadlineAtNs, SubmitNs,
-       TraceId]() mutable {
-        return compileAt(Request, UseCache, DeadlineAtNs, SubmitNs, TraceId);
-      });
-  std::future<ServeResult> F = Task.get_future();
-
+  std::future<ServeResult> F;
   const char *Shed = nullptr;
   std::string Why;
   {
@@ -301,6 +331,14 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
       Why = "the submit queue is full (" + std::to_string(Opts.QueueMax) +
             " requests deep)";
     } else {
+      std::packaged_task<ServeResult()> Task(
+          [this, Request = std::move(Request), UseCache, Key,
+           Lease = Lead ? tryLead(Key) : FlightLease(), DeadlineAtNs,
+           SubmitNs, TraceId]() mutable {
+            return compileAt(Request, UseCache, Key, std::move(Lease),
+                             DeadlineAtNs, SubmitNs, TraceId);
+          });
+      F = Task.get_future();
       Queue.push_back(std::move(Task));
       size_t Depth = Queue.size();
       // The gauges shadow Queue under QueueMu; peak's read-modify-write
@@ -317,9 +355,9 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   }
 
   // Shed: resolve the caller's future immediately with a typed result.
-  // The discarded task's future is never observed; the request never
-  // counts as executed (serve.requests counts work, serve.queue.shed
-  // counts refusals).
+  // No task was queued and no lease taken; the request never counts as
+  // executed (serve.requests counts work, serve.queue.shed counts
+  // refusals).
   QueueShed.fetch_add(1, std::memory_order_relaxed);
   traceEmit("queue.shed", 0, 0, TraceId + " " + Name + ": " + Why);
   Flight.record("serve", "queue.shed", TraceId, 0, CurrentWorker);
@@ -329,6 +367,23 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   R.RequestId = Rid;
   P.set_value(std::move(R));
   return P.get_future();
+}
+
+void CompileService::LeaseRelease::operator()(const std::string *Key) const {
+  {
+    support::RankedGuard L(Svc->InFlightMu);
+    Svc->InFlight.erase(*Key);
+  }
+  Svc->InFlightCv.notifyAll();
+  delete Key;
+}
+
+CompileService::FlightLease
+CompileService::tryLead(const std::string &Key) {
+  support::RankedGuard L(InFlightMu);
+  if (!InFlight.insert(Key).second)
+    return FlightLease();
+  return FlightLease(new std::string(Key), LeaseRelease{this});
 }
 
 std::string CompileService::assignRequestId(driver::RequestOptions &Request) {
@@ -359,11 +414,17 @@ ServeResult CompileService::compile(const driver::RequestOptions &Request,
   uint64_t SubmitNs = support::monotonicNowNs();
   uint64_t DeadlineAtNs = Req.DeadlineNs ? SubmitNs + Req.DeadlineNs : 0;
   std::string TraceId = assignRequestId(Req);
-  return compileAt(Req, UseCache, DeadlineAtNs, SubmitNs, TraceId);
+  std::string Key = requestKey(Req);
+  FlightLease Lease =
+      UseCache && Opts.CacheEnabled ? tryLead(Key) : FlightLease();
+  return compileAt(Req, UseCache, Key, std::move(Lease), DeadlineAtNs,
+                   SubmitNs, TraceId);
 }
 
 ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
-                                      bool UseCache, uint64_t DeadlineAtNs,
+                                      bool UseCache, const std::string &Key,
+                                      FlightLease Lease,
+                                      uint64_t DeadlineAtNs,
                                       uint64_t SubmitNs,
                                       const std::string &TraceId) {
   const uint32_t Worker = CurrentWorker;
@@ -410,63 +471,21 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                   0);
   }
 
-  // Request-private state; the only shared pieces are content-keyed.
-  driver::RequestOptions Opts2 = Request;
-  Opts2.Memo = &Memo;
-  clampWatchdogs(Opts2, DeadlineAtNs);
-  driver::RequestContext Ctx(std::move(Opts2));
-
-  ServeResult Result;
-  std::string ParseError;
-  bool Parsed = Ctx.parse(ParseError);
-  if (Parsed) {
-    // The cache key hashes what the compiler will actually consume: the
-    // preprocessed (annotated) source, the mode and the canonical flag
-    // string. Two textually different flag spellings with the same
-    // canonical form share an entry; any outcome-relevant difference
-    // changes the key (docs/SERVING.md "Cache invalidation"). The flag
-    // string is built from the request *as submitted* — the clamped
-    // watchdogs above are wall-clock residue, not request identity. The
-    // hasher is seeded with the build fingerprint (key-format version +
-    // optimizer pass roster), so a binary whose output could differ keys
-    // into a disjoint namespace: an upgrade can never replay a stale
-    // payload, from memory or from the durable store.
-    support::ContentHasher H(driver::keyFingerprint());
-    H.update(Ctx.preprocessedSource());
-    H.update(canonicalFlagString(Request));
-    Result.CacheKey = H.hex();
-  }
-
-  bool WantCache = UseCache && Opts.CacheEnabled && !Result.CacheKey.empty();
-
-  // Releases single-flight leadership on every exit path below.
-  struct FlightGuard {
-    CompileService *S = nullptr;
-    std::string Key;
-    ~FlightGuard() {
-      if (!S)
-        return;
-      {
-        support::RankedGuard L(S->InFlightMu);
-        S->InFlight.erase(Key);
-      }
-      S->InFlightCv.notifyAll();
-    }
-  } Leader;
-
+  bool WantCache = UseCache && Opts.CacheEnabled;
   if (WantCache) {
-    // Lookup / single-flight loop: hit → replay; miss with no one else
-    // compiling this key → become the leader and compile; miss while a
-    // leader is in flight → wait and re-check (the leader's insert turns
-    // the re-check into a hit, so concurrent identical requests cost one
-    // compile, not N). A leader whose result was uncacheable wakes the
-    // waiters into electing the next leader, so progress is guaranteed.
+    // Lookup / single-flight loop: hit → splice the entry; miss while
+    // holding the lease taken at admission → compile; miss while another
+    // request leads this key → wait and re-check (the leader's insert
+    // turns the re-check into a hit, so concurrent identical requests
+    // cost one compile, not N). A leader whose result was uncacheable
+    // wakes the waiters into electing the next leader here, so progress
+    // is guaranteed.
     bool LookupTimed = false;
     bool StoreProbed = false;
     for (;;) {
-      std::string Payload;
+      CacheEntryPtr Entry;
       uint64_t LookupStartNs = support::monotonicNowNs();
-      bool Hit = Cache.lookup(Result.CacheKey, Payload);
+      bool Hit = Cache.lookup(Key, Entry);
       if (!LookupTimed) {
         // Only the first probe counts: re-checks after waiting out a
         // single-flight leader measure the leader, not the cache.
@@ -479,39 +498,35 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         Flight.record("serve", "cache.lookup", TraceId, LookupNs, Worker);
       }
       if (Hit) {
-        support::Json J;
-        std::string JsonError;
-        ServeResult Warm;
-        if (support::Json::parse(Payload, J, JsonError) &&
-            serveResultFromJson(J, Warm)) {
-          Warm.CacheKey = Result.CacheKey;
-          Warm.Cached = true;
-          traceEmit("cache.hit", 0, 0, TraceId + " " + Result.CacheKey);
-          Flight.record("serve", "cache.hit", TraceId, 0, Worker);
-          return Finish(std::move(Warm), 1);
-        }
-        // An unparseable payload cannot happen via insert(); treat it as
-        // a miss and overwrite below.
+        traceEmit("cache.hit", 0, 0, TraceId + " " + Key);
+        Flight.record("serve", "cache.hit", TraceId, 0, Worker);
+        return Finish(hitResult(Key, std::move(Entry)), 1);
       }
       // Memory miss: read through to the durable store (once — a re-loop
       // after a store hit or a single-flight wait consults memory only).
-      // A validated disk entry is promoted into the memory cache and
-      // replayed through the normal hit path above, so a warm-restart
-      // response is byte-identical to the response that was cached.
+      // A validated disk payload is rendered once into a memory entry and
+      // replayed through the hit path above, so a warm-restart response
+      // is byte-identical to the response that was cached.
       if (Disk && !StoreProbed) {
         StoreProbed = true;
-        std::string DiskPayload;
-        if (Disk->lookup(Result.CacheKey, DiskPayload)) {
-          Cache.insert(Result.CacheKey, DiskPayload);
+        std::string Payload;
+        support::Json J;
+        std::string JsonError;
+        ServeResult Stored;
+        if (Disk->lookup(Key, Payload) &&
+            support::Json::parse(Payload, J, JsonError) &&
+            serveResultFromJson(J, Stored)) {
+          Stored.CacheKey = Key;
+          Cache.insert(Key, renderCacheEntry(Stored));
           Flight.record("serve", "store.hit", TraceId, 0, Worker);
           continue;
         }
       }
+      if (Lease)
+        break;
       support::RankedLock L(InFlightMu);
-      if (!InFlight.count(Result.CacheKey)) {
-        InFlight.insert(Result.CacheKey);
-        Leader.S = this;
-        Leader.Key = Result.CacheKey;
+      if (InFlight.insert(Key).second) {
+        Lease = FlightLease(new std::string(Key), LeaseRelease{this});
         break;
       }
       // Counted by the hook while the lock is still held, so "observed
@@ -535,7 +550,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
               typedResult("deadline", support::ExitWatchdogTimeout,
                           "deadline expired while waiting for an "
                           "in-flight identical compile");
-          R.CacheKey = Result.CacheKey;
+          R.CacheKey = Key;
           return Finish(std::move(R), 0);
         }
       } else {
@@ -547,12 +562,21 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // test parks the first leader here and kills it with the
     // serve.worker.crash failpoint below.
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.elect");
-    traceEmit("cache.miss", 0, 0, TraceId + " " + Result.CacheKey);
+    traceEmit("cache.miss", 0, 0, TraceId + " " + Key);
     Flight.record("serve", "cache.miss", TraceId, 0, Worker);
   }
 
+  // A miss: only now does the request get its private state and a
+  // frontend. The only shared pieces are content-keyed.
+  driver::RequestOptions Opts2 = Request;
+  Opts2.Memo = &Memo;
+  clampWatchdogs(Opts2, DeadlineAtNs);
+  driver::RequestContext Ctx(std::move(Opts2));
+
+  ServeResult Result;
+  std::string ParseError;
+  bool Parsed = Ctx.parse(ParseError);
   if (Opts.Isolate) {
-    std::string Key = Result.CacheKey;
     uint64_t IsoStartNs = support::monotonicNowNs();
     Result = isolatedCompile(Request, DeadlineAtNs, TraceId);
     uint64_t IsoNs = support::monotonicNowNs() - IsoStartNs;
@@ -561,7 +585,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
       HistIsolate.record(IsoNs);
     }
     Flight.record("serve", "isolate", TraceId, IsoNs, Worker);
-    Result.CacheKey = Key;
   } else if (injectFault("serve.worker.crash")) {
     // An in-process worker cannot survive a real SIGSEGV, so without
     // Opts.Isolate the crash failpoint models the *disposition* instead:
@@ -575,13 +598,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
       Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
                             fsSafeId(Request.RequestId) + ".json",
                         "crash", Request.RequestId, TraceId, 0);
-    std::string Key = Result.CacheKey;
     Result = typedResult("crashed", support::ExitWorkerCrash,
                          "worker crash injected (serve.worker.crash)");
-    Result.CacheKey = Key;
   } else {
     uint64_t ExecStartNs = support::monotonicNowNs();
-    ServeResult Executed = resultFromOutcome(Ctx.execute());
+    Result = resultFromOutcome(Ctx.execute());
     uint64_t ExecNs = support::monotonicNowNs() - ExecStartNs;
     {
       support::RankedGuard Lock(HistMu);
@@ -595,8 +616,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
       for (const support::TraceEvent &E : Ctx.trace().snapshot())
         Flight.record(E.Category, E.Name, TraceId, E.Value, Worker,
                       E.TimeNs);
-    Executed.CacheKey = Result.CacheKey;
-    Result = std::move(Executed);
   }
 
   // The service-side deadline guard: whatever the request was doing when
@@ -607,32 +626,37 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     traceEmit("request.deadline", uint64_t(Result.ExitCode), 0,
               TraceId + " " + Request.Name);
     Flight.record("serve", "request.deadline", TraceId, 0, Worker);
-    std::string Key = Result.CacheKey;
     Result = typedResult("deadline", support::ExitWatchdogTimeout,
                          "deadline expired during the compile");
-    Result.CacheKey = Key;
   }
+
+  // A source that fails to parse answers with an empty key and is never
+  // cached; its lease (if any) is released on return, so same-key
+  // waiters re-elect and fail the same way on their own.
+  if (Parsed)
+    Result.CacheKey = Key;
 
   // Never cache a service-level disposition (shed/deadline/crash) or a
   // timing-dependent watchdog expiry of a deadline request: cache entries
   // must be pure functions of content, and an expired request must not
   // poison the cache for the identical request asked with more budget.
-  // The cached payload is written before RequestId is stamped on the
-  // result, so warm replays stay byte-identical across requests.
-  bool Cacheable = WantCache && Result.Status.empty() &&
+  // The entry is rendered before RequestId is stamped on the result, so
+  // warm replays stay byte-identical across requests.
+  bool Cacheable = WantCache && Parsed && Result.Status.empty() &&
                    !(DeadlineAtNs &&
                      Result.ExitCode == support::ExitWatchdogTimeout);
   if (Cacheable) {
-    std::string Payload = serveResultToJson(Result).dump(0);
-    Cache.insert(Result.CacheKey, Payload);
-    // Write through to the durable store: the exact bytes the memory
-    // cache replays, so a restart replays them too. Failures are the
-    // store's problem (counted, possibly degrading it) — never this
-    // request's; the response is already committed above.
+    // Rendered once: this cold response and every later hit are spliced
+    // from the same bytes.
+    Result.Rendered = renderCacheEntry(Result);
+    Cache.insert(Key, Result.Rendered);
+    // Write through to the durable store in its own payload format.
+    // Failures are the store's problem (counted, possibly degrading it)
+    // — never this request's; the response is already committed above.
     if (Disk)
-      Disk->insert(Result.CacheKey, Payload);
-    // Between the insert and the FlightGuard's release: a waiter woken
-    // here must still re-check the cache, not assume the key vanished.
+      Disk->insert(Key, serveResultToJson(Result).dump(0));
+    // Between the insert and the lease's release: a waiter woken here
+    // must still re-check the cache, not assume the key vanished.
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.publish");
   }
 

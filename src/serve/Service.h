@@ -13,9 +13,12 @@
 /// (in-process) sit on this class; docs/SERVING.md is the architecture
 /// document.
 ///
-/// Every request gets a fresh RequestContext — fault injector, trace
-/// ring, self-heal ladder and quarantine set are all request-private —
-/// so nothing a request degrades leaks into the next one. The only
+/// Every request is keyed as received — build fingerprint, raw source and
+/// canonical flags — before any frontend work: a cache hit never builds
+/// a RequestContext, it splices the entry's pre-rendered bytes into its
+/// response. Only a miss gets a fresh RequestContext — fault injector,
+/// trace ring, self-heal ladder and quarantine set are all request-private
+/// — so nothing a request degrades leaks into the next one. The only
 /// cross-request state is deliberately shareable: the response cache and
 /// the verify memo, both keyed purely on content.
 ///
@@ -109,23 +112,30 @@ struct ServeResult {
   bool Degraded = false;
   std::string Rung = "full";
   std::vector<std::string> Quarantined;
-  std::string CacheKey; ///< Empty when the request was uncacheable.
+  std::string CacheKey; ///< Empty when the source failed to parse.
   /// The request's service-level identity: the client-supplied id, or one
-  /// the service generated at admission. Like CacheKey it is stamped on
-  /// the result *after* any cache replay — it is never part of the cached
-  /// payload, which keeps warm and cold payloads byte-identical.
+  /// the service generated at admission. It is stamped on the result
+  /// *after* any cache replay and lives in the response head, never in
+  /// the cached bytes, which keeps warm and cold responses byte-identical.
   std::string RequestId;
   /// Service-level disposition, empty for a normally-executed request:
   /// "overloaded" (shed at admission), "draining"/"shutdown" (rejected
   /// by a stopping service), "deadline" (the request's wall-clock budget
   /// expired), "crashed" (an isolated worker died and retries ran out).
-  /// Never set on a cached payload — these results are not cacheable.
+  /// Never set on a cached entry — these results are not cacheable.
   std::string Status;
   std::string Error;
   support::Json Report;
   bool HasReport = false;
   support::Json Lint;
   bool HasLint = false;
+  /// The response rendered once (serve::renderCacheEntry): set on a cache
+  /// hit and on the cold result that inserted the entry. A hit carries
+  /// only Ok/ExitCode/Degraded/CacheKey/RequestId besides it — Rung,
+  /// Quarantined, Status, Error, Report and Lint stay empty; the response
+  /// line is spliced from these bytes (serve::renderCompileResponse), and
+  /// an in-process reader parses them on demand (serve::expandCached).
+  CacheEntryPtr Rendered;
 };
 
 /// A point-in-time readiness snapshot (the protocol's "health" op).
@@ -144,9 +154,8 @@ struct ServiceHealth {
 /// (docs/SERVING.md documents the invalidation rules this implies).
 std::string canonicalFlagString(const driver::RequestOptions &Opts);
 
-/// Serialization of a ServeResult as the cached payload (and back). The
-/// payload is the single source of a warm response, which is what makes
-/// warm and cold responses byte-identical.
+/// Serialization of a ServeResult as the durable store's payload (and
+/// back); a cache hit is expanded from its rendered bytes first.
 support::Json serveResultToJson(const ServeResult &R);
 bool serveResultFromJson(const support::Json &J, ServeResult &Out);
 
@@ -220,12 +229,29 @@ private:
   void workerLoop() GCSAFE_EXCLUDES(QueueMu);
   void traceEmit(const char *Name, uint64_t Value, uint64_t Aux,
                  std::string Detail) GCSAFE_EXCLUDES(TraceMu);
-  /// The compile body shared by compile() and the pool: cache lookup,
-  /// deadline bookkeeping, in-process or sandboxed execution, cache
-  /// insert. DeadlineAtNs is the absolute monotonic expiry (0 = none);
-  /// SubmitNs is when the request was admitted — the queue-wait and
-  /// end-to-end histograms measure from it.
+  /// Single-flight leadership of one cache key (membership in
+  /// InFlight): destroying a held lease erases the key and wakes its
+  /// waiters, so every exit path of the request holding it releases —
+  /// a typed early return, a crash, an uncacheable result, or a queued
+  /// task destroyed unrun.
+  struct LeaseRelease {
+    CompileService *Svc = nullptr;
+    void operator()(const std::string *Key) const;
+  };
+  using FlightLease = std::unique_ptr<const std::string, LeaseRelease>;
+
+  /// Leadership of \p Key when no request holds it; an empty lease
+  /// otherwise.
+  FlightLease tryLead(const std::string &Key) GCSAFE_EXCLUDES(InFlightMu);
+
+  /// The compile body shared by compile() and the pool: cache lookup
+  /// (as \p Lease's holder or a waiter behind one), deadline bookkeeping,
+  /// then — on a miss only — the frontend, in-process or sandboxed
+  /// execution, and the cache insert. DeadlineAtNs is the absolute
+  /// monotonic expiry (0 = none); SubmitNs is when the request was
+  /// admitted — the queue-wait and end-to-end histograms measure from it.
   ServeResult compileAt(const driver::RequestOptions &Request, bool UseCache,
+                        const std::string &Key, FlightLease Lease,
                         uint64_t DeadlineAtNs, uint64_t SubmitNs,
                         const std::string &TraceId);
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
@@ -281,13 +307,14 @@ private:
   std::atomic<uint64_t> IsolateRequests{0}, IsolateCrashes{0},
       IsolateRetries{0}, IsolateTimeouts{0};
 
-  /// Single-flight: cache keys a request is currently compiling. A
-  /// concurrent same-key miss waits for the leader and replays its
-  /// cached payload instead of duplicating the compile — this is what
-  /// makes "cold then warm" deterministic even when both requests are
-  /// in flight together, and it keeps a thundering herd of identical
-  /// requests from multiplying load under overload. A leader whose
-  /// result turned out uncacheable wakes the waiters into re-electing
+  /// Single-flight: cache keys a request leads. Leadership is taken at
+  /// admission, in queue order (submit() holds QueueMu while it calls
+  /// tryLead), so a waiter is never dequeued before its leader and
+  /// pipelined "cold then warm" is deterministic. A same-key miss waits
+  /// for the leader and replays its entry instead of duplicating the
+  /// compile, which also keeps a thundering herd of identical requests
+  /// from multiplying load under overload. A leader whose result turned
+  /// out uncacheable wakes the waiters into re-electing at execution
   /// (tests/test_race.cpp forces that schedule deterministically).
   support::RankedMutex InFlightMu{support::LockRank::ServeInFlight,
                                   "serve.singleflight"};

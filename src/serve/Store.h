@@ -24,8 +24,8 @@
 ///
 /// Each record is a self-validating envelope: a magic line, a format
 /// version, the entry's cache key, the writer's build fingerprint
-/// (driver::keyFingerprint — format version + optimizer pass roster
-/// hash, also folded into the key itself), the payload length, and a
+/// (driver::keyFingerprint — format version + build-time hash of src/,
+/// also folded into the key itself), the payload length, and a
 /// 128-bit content checksum over the serialized response. Writes go
 /// temp-file + fsync + atomic rename, so a reader (or a crash) never
 /// observes a half-written record under its final name.

@@ -38,9 +38,9 @@ public:
   /// Seeds the digest with a build fingerprint before any content bytes.
   /// Two hashers with different fingerprints can never agree on identical
   /// content, which is what makes a fingerprinted cache key upgrade-safe:
-  /// a binary whose output could differ (new format version, different
-  /// optimizer pass roster — see driver::keyFingerprint) computes keys in
-  /// a disjoint namespace and can never replay a stale payload.
+  /// a binary whose output could differ (new key format, any changed
+  /// source file — see driver::keyFingerprint) computes keys in a
+  /// disjoint namespace and can never replay a stale payload.
   explicit ContentHasher(const std::string &Fingerprint) {
     update(Fingerprint);
   }

@@ -1,12 +1,13 @@
 //===- tests/test_serve.cpp - Compile-service correctness ----------------===//
 //
 // The serving architecture's cache-correctness contract (docs/SERVING.md):
-// a warm response is byte-identical to its cold twin, any outcome-relevant
-// flag or mode change misses the cache, formatting-only source changes
-// still hit (the key hashes the preprocessed source), and nothing a
-// degraded request quarantines leaks into the next request. Plus the
-// worker pool, the shared verification memo, and the gcsafe-serve-v1
-// protocol round trip.
+// a warm response is byte-identical to its cold twin — a hit splices its
+// own head onto the cold response's rendered bytes — any outcome-relevant
+// flag or mode change misses the cache, so does any source byte (the key
+// hashes the raw source, comments included), a source that fails to
+// parse is never cached, and nothing a degraded request quarantines leaks
+// into the next request. Plus the worker pool, the shared verification
+// memo, and the gcsafe-serve-v1 protocol round trip.
 //
 //===----------------------------------------------------------------------===//
 
@@ -796,6 +797,192 @@ TEST(ServeStore, RestartReplaysFromDiskByteIdentically) {
   support::Stats S = Svc.statsSnapshot();
   EXPECT_GE(S.get("serve.store.hits"), 1u);
   EXPECT_EQ(S.get("serve.store.quarantined"), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The hit path (docs/SERVING.md §3): keyed on the request as received,
+// answered by splicing the request's head onto the rendered cold bytes.
+//===----------------------------------------------------------------------===//
+
+/// The line a hit must produce: the cold result rendered field by field
+/// by buildCompileResponse, with only the head's cached and request_id
+/// changed.
+std::string expectedWarmLine(const std::string &Id, ServeResult Cold,
+                             const std::string &Rid) {
+  Cold.Cached = true;
+  Cold.RequestId = Rid;
+  Cold.Rendered.reset(); // from the fields, not from the entry
+  return buildCompileResponse(Id, Cold).dump(0);
+}
+
+/// Compiles \p Req cold then warm and holds the warm line to the cold
+/// result's bytes under ids that need escaping and an absent request_id.
+void expectSpliceIsExact(const driver::RequestOptions &Req,
+                         const std::string &Shape) {
+  CompileService Svc;
+  ServeResult Cold = Svc.compile(Req);
+  ASSERT_FALSE(Cold.Cached) << Shape;
+  ASSERT_FALSE(Cold.CacheKey.empty()) << Shape;
+  ServeResult Warm = Svc.compile(Req);
+  ASSERT_TRUE(Warm.Cached) << Shape;
+  ASSERT_TRUE(Warm.Rendered) << Shape;
+  EXPECT_EQ(Warm.Ok, Cold.Ok) << Shape;
+  EXPECT_EQ(Warm.ExitCode, Cold.ExitCode) << Shape;
+  EXPECT_EQ(Warm.Degraded, Cold.Degraded) << Shape;
+
+  const std::pair<std::string, std::string> Heads[] = {
+      {"plain", "rid-1"},
+      {"q\"uote\\back\nline\x01", "r\"id\t\\x"},
+      {"no-request-id", ""},
+  };
+  for (const auto &[Id, Rid] : Heads) {
+    ServeResult W = Warm;
+    W.RequestId = Rid;
+    EXPECT_EQ(renderCompileResponse(Id, W), expectedWarmLine(Id, Cold, Rid))
+        << Shape << " id=" << Id;
+    // The slow path a Json-tree caller takes agrees byte for byte.
+    EXPECT_EQ(buildCompileResponse(Id, W).dump(0),
+              expectedWarmLine(Id, Cold, Rid))
+        << Shape << " id=" << Id;
+  }
+  // The cold line is spliced from the same entry.
+  ServeResult Fields = Cold;
+  Fields.Rendered.reset();
+  EXPECT_EQ(renderCompileResponse("c", Cold),
+            buildCompileResponse("c", Fields).dump(0))
+      << Shape;
+  // In-process readers get the hit's outcome parsed on demand.
+  expandCached(Warm);
+  EXPECT_EQ(Warm.Rung, Cold.Rung) << Shape;
+  EXPECT_EQ(Warm.Quarantined, Cold.Quarantined) << Shape;
+  EXPECT_EQ(Warm.Error, Cold.Error) << Shape;
+  EXPECT_EQ(Warm.HasReport, Cold.HasReport) << Shape;
+  EXPECT_EQ(Warm.HasLint, Cold.HasLint) << Shape;
+  EXPECT_EQ(serveResultToJson(Warm).dump(0), serveResultToJson(Cold).dump(0))
+      << Shape;
+}
+
+TEST(ServeHitPath, SpliceIsByteExactForEveryOutcomeShape) {
+  expectSpliceIsExact(listRequest(), "run report");
+
+  driver::RequestOptions Lint = listRequest();
+  Lint.Run = false;
+  Lint.Verify = driver::SafetyVerify::Final;
+  expectSpliceIsExact(Lint, "lint report");
+
+  driver::RequestOptions Degraded = listRequest();
+  Degraded.SelfHeal = true;
+  Degraded.FailInjectSpec = "7:opt.pass.corrupt@always";
+  {
+    CompileService Probe;
+    ServeResult R = Probe.compile(Degraded);
+    ASSERT_TRUE(R.Degraded);
+    ASSERT_FALSE(R.Quarantined.empty());
+  }
+  expectSpliceIsExact(Degraded, "degraded with a quarantined list");
+
+  // The spec parser echoes the bad entry, so the cached error text holds
+  // a quote, a backslash and a newline.
+  driver::RequestOptions Escapes = listRequest();
+  Escapes.FailInjectSpec = "say \"hi\"\\\nthere";
+  {
+    CompileService Probe;
+    ServeResult R = Probe.compile(Escapes);
+    ASSERT_FALSE(R.Ok);
+    ASSERT_NE(R.Error.find('"'), std::string::npos) << R.Error;
+    ASSERT_NE(R.Error.find('\\'), std::string::npos) << R.Error;
+    ASSERT_NE(R.Error.find('\n'), std::string::npos) << R.Error;
+  }
+  expectSpliceIsExact(Escapes, "error text needing escapes");
+}
+
+// A source that fails to parse answers with an empty key and inserts
+// nothing, however often it is asked — also when identical requests queue
+// up behind one another's single-flight leases.
+TEST(ServeHitPath, ParseFailureIsNeverCached) {
+  ServiceOptions SO;
+  SO.Workers = 4;
+  CompileService Svc(SO);
+  driver::RequestOptions R = listRequest();
+  R.Source = "int main(void) { return 0;";
+  for (int I = 0; I < 2; ++I) {
+    ServeResult Res = Svc.compile(R);
+    EXPECT_FALSE(Res.Ok);
+    EXPECT_EQ(Res.ExitCode, support::ExitError);
+    EXPECT_FALSE(Res.Cached);
+    EXPECT_TRUE(Res.CacheKey.empty());
+    EXPECT_NE(renderCompileResponse("p", Res).find("\"cache_key\":\"\""),
+              std::string::npos);
+  }
+  std::vector<std::future<ServeResult>> Futures;
+  for (int I = 0; I < 4; ++I)
+    Futures.push_back(Svc.submit(R));
+  for (std::future<ServeResult> &F : Futures) {
+    ServeResult Res = F.get();
+    EXPECT_FALSE(Res.Cached);
+    EXPECT_TRUE(Res.CacheKey.empty());
+  }
+  CacheStats C = Svc.cache().stats();
+  EXPECT_EQ(C.Insertions, 0u);
+  EXPECT_EQ(C.Entries, 0u);
+}
+
+// The key is the source as received: a comment-only change compiles to
+// the same thing but is a different key, so it misses (docs/SERVING.md
+// "Invalidation rules").
+TEST(ServeHitPath, CommentOnlyChangeMisses) {
+  CompileService Svc;
+  ServeResult A = Svc.compile(listRequest());
+  driver::RequestOptions R = listRequest();
+  R.Source += "/* a comment: same program, different key */\n";
+  ServeResult B = Svc.compile(R);
+  EXPECT_FALSE(B.Cached);
+  EXPECT_NE(B.CacheKey, A.CacheKey);
+  EXPECT_TRUE(Svc.compile(R).Cached);
+}
+
+// Leadership is taken at admission, so twins submitted back to back
+// resolve cold-then-warm every time, never inverted.
+TEST(ServeHitPath, PipelinedColdThenWarmIsDeterministic) {
+  for (int Run = 0; Run < 20; ++Run) {
+    ServiceOptions SO;
+    SO.Workers = 4;
+    CompileService Svc(SO);
+    std::future<ServeResult> Cold = Svc.submit(listRequest());
+    std::future<ServeResult> Warm = Svc.submit(listRequest());
+    EXPECT_FALSE(Cold.get().Cached) << "run " << Run;
+    EXPECT_TRUE(Warm.get().Cached) << "run " << Run;
+  }
+}
+
+// A store hit is rendered once when promoted into memory; the replayed
+// line is the cold response's bytes.
+TEST(ServeStore, RestartReplaysTheColdLineBytes) {
+  std::string Template = ::testing::TempDir() + "serve_line_XXXXXX";
+  std::vector<char> Buf(Template.begin(), Template.end());
+  Buf.push_back('\0');
+  ASSERT_NE(::mkdtemp(Buf.data()), nullptr);
+  ServiceOptions SO;
+  SO.StoreDir = Buf.data();
+
+  ServeResult Cold;
+  {
+    CompileService Svc(SO);
+    Cold = Svc.compile(listRequest());
+    ASSERT_TRUE(Cold.Ok);
+  }
+  CompileService Svc(SO);
+  driver::RequestOptions R = listRequest();
+  R.RequestId = "after-restart";
+  ServeResult Warm = Svc.compile(R);
+  ASSERT_TRUE(Warm.Cached);
+  EXPECT_GE(Svc.store()->stats().Hits, 1u);
+  EXPECT_EQ(renderCompileResponse("w", Warm),
+            expectedWarmLine("w", Cold, "after-restart"));
+  // The promoted entry serves the next hit from memory, same bytes.
+  ServeResult Again = Svc.compile(R);
+  EXPECT_EQ(renderCompileResponse("w", Again),
+            renderCompileResponse("w", Warm));
 }
 
 } // namespace

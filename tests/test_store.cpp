@@ -302,12 +302,16 @@ TEST(Fingerprint, DistinctFingerprintsNeverCollideOnIdenticalContent) {
   }
 }
 
-TEST(Fingerprint, BuildFingerprintNamesTheKeySchemaAndRoster) {
+TEST(Fingerprint, BuildFingerprintNamesTheKeySchemaAndBuildHash) {
   const std::string &FP = driver::keyFingerprint();
-  EXPECT_EQ(FP.find("gcsafe-key-v1;roster="), 0u);
-  // The roster digest is a 32-hex content hash; a new pass or a reorder
-  // changes it, which retires every existing cache entry at once.
-  EXPECT_EQ(FP.size(), std::strlen("gcsafe-key-v1;roster=") + 32);
+  const char *Prefix = "gcsafe-key-v2;build=";
+  EXPECT_EQ(FP.find(Prefix), 0u);
+  // The build hash is 32 lowercase hex digits over every file under
+  // src/; any source change retires every existing cache entry at once.
+  ASSERT_EQ(FP.size(), std::strlen(Prefix) + 32);
+  EXPECT_EQ(FP.find_first_not_of("0123456789abcdef", std::strlen(Prefix)),
+            std::string::npos)
+      << FP;
   EXPECT_EQ(FP, driver::keyFingerprint()) << "must be stable in-process";
 }
 

@@ -23,7 +23,7 @@
 #include "driver/Isolate.h"
 #include "driver/Pipeline.h"
 #include "driver/SelfHeal.h"
-#include "serve/Service.h"
+#include "serve/Protocol.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Stats.h"
@@ -410,6 +410,7 @@ int main(int argc, char **argv) {
         A.Detail = ReadErrors[I];
       } else {
         serve::ServeResult R = Futures[I].get();
+        serve::expandCached(R); // a hit's rung/quarantine/error
         A.DurationMs =
             (support::monotonicNowNs() - StartNs[I]) / 1000000ull;
         A.ExitCode = R.ExitCode;

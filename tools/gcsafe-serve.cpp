@@ -171,13 +171,13 @@ serve::ServeResult waitForResult(serve::CompileService &Svc,
   return F.get();
 }
 
-/// Handles one already-parsed request against the service. Compile
-/// requests run through the worker pool; the rest answer inline.
-/// Sets \p Shutdown on a shutdown op, \p Drain on a drain op.
-support::Json handleRequest(serve::CompileService &Svc,
-                            const serve::ServeRequest &Req,
-                            uint64_t ActiveConns, bool &Shutdown,
-                            bool &Drain) {
+/// Handles one already-parsed request against the service and returns
+/// its response line. Compile requests run through the worker pool; the
+/// rest answer inline. Sets \p Shutdown on a shutdown op, \p Drain on a
+/// drain op.
+std::string handleRequest(serve::CompileService &Svc,
+                          const serve::ServeRequest &Req,
+                          uint64_t ActiveConns, bool &Shutdown, bool &Drain) {
   switch (Req.Op) {
   case serve::ServeOp::Compile: {
     uint64_t DeadlineNs = Req.Compile.DeadlineNs;
@@ -187,27 +187,28 @@ support::Json handleRequest(serve::CompileService &Svc,
     // echoed id is whatever the client sent (possibly nothing).
     if (R.RequestId.empty())
       R.RequestId = Req.Compile.RequestId;
-    return serve::buildCompileResponse(Req.Id, R);
+    return serve::renderCompileResponse(Req.Id, R);
   }
   case serve::ServeOp::Stats:
-    return serve::buildStatsResponse(Req.Id, Svc.statsSnapshot());
+    return serve::buildStatsResponse(Req.Id, Svc.statsSnapshot()).dump(0);
   case serve::ServeOp::Metrics:
-    return serve::buildMetricsResponse(Req.Id, Svc.metricsSnapshot());
+    return serve::buildMetricsResponse(Req.Id, Svc.metricsSnapshot()).dump(0);
   case serve::ServeOp::Ping:
-    return serve::buildAckResponse(Req.Id, "ping");
+    return serve::buildAckResponse(Req.Id, "ping").dump(0);
   case serve::ServeOp::Health:
-    return serve::buildHealthResponse(Req.Id, Svc.health(), ActiveConns);
+    return serve::buildHealthResponse(Req.Id, Svc.health(), ActiveConns)
+        .dump(0);
   case serve::ServeOp::Drain:
     // Stop admitting first, then ack: a compile racing the drain gets a
     // typed "draining" result, never silently-dropped work.
     Svc.drain();
     Drain = true;
-    return serve::buildAckResponse(Req.Id, "drain");
+    return serve::buildAckResponse(Req.Id, "drain").dump(0);
   case serve::ServeOp::Shutdown:
     Shutdown = true;
-    return serve::buildAckResponse(Req.Id, "shutdown");
+    return serve::buildAckResponse(Req.Id, "shutdown").dump(0);
   }
-  return serve::buildErrorResponse(Req.Id, "unreachable");
+  return serve::buildErrorResponse(Req.Id, "unreachable").dump(0);
 }
 
 /// --once: pipeline compile requests through the pool, then write every
@@ -216,7 +217,7 @@ support::Json handleRequest(serve::CompileService &Svc,
 int runOnce(serve::CompileService &Svc) {
   struct Pending {
     bool Ready = false;
-    support::Json Response;           ///< Valid when Ready.
+    std::string Response;              ///< Valid when Ready.
     std::future<serve::ServeResult> F; ///< Valid when !Ready && IsCompile.
     bool IsCompile = false;
     uint64_t DeadlineNs = 0;
@@ -235,12 +236,12 @@ int runOnce(serve::CompileService &Svc) {
     Pending P;
     if (!serve::parseRequestLine(Line, Req, Error)) {
       P.Ready = true;
-      P.Response = serve::buildErrorResponse(Req.Id, Error);
+      P.Response = serve::buildErrorResponse(Req.Id, Error).dump(0);
     } else if (Req.Op == serve::ServeOp::Health) {
       // Readiness is a point-in-time property: answer with the state at
       // read time, not after the whole batch resolved.
       P.Ready = true;
-      P.Response = serve::buildHealthResponse(Req.Id, Svc.health(), 0);
+      P.Response = serve::buildHealthResponse(Req.Id, Svc.health(), 0).dump(0);
     } else if (Req.Op == serve::ServeOp::Compile) {
       P.IsCompile = true;
       P.Id = Req.Id;
@@ -259,27 +260,29 @@ int runOnce(serve::CompileService &Svc) {
     Order.push_back(std::move(P));
   }
   for (Pending &P : Order) {
-    support::Json Response;
+    std::string Response;
     if (P.Ready)
       Response = std::move(P.Response);
     else if (P.IsCompile) {
       serve::ServeResult R = waitForResult(Svc, P.F, P.DeadlineNs);
       if (R.RequestId.empty())
         R.RequestId = P.Rid;
-      Response = serve::buildCompileResponse(P.Id, R);
+      Response = serve::renderCompileResponse(P.Id, R);
     } else if (P.Op == serve::ServeOp::Stats)
-      Response = serve::buildStatsResponse(P.Id, Svc.statsSnapshot());
+      Response = serve::buildStatsResponse(P.Id, Svc.statsSnapshot()).dump(0);
     else if (P.Op == serve::ServeOp::Metrics)
       // Like stats: a metrics request observes every compile that
       // preceded it in the input.
-      Response = serve::buildMetricsResponse(P.Id, Svc.metricsSnapshot());
+      Response =
+          serve::buildMetricsResponse(P.Id, Svc.metricsSnapshot()).dump(0);
     else
       Response = serve::buildAckResponse(
-          P.Id, P.Op == serve::ServeOp::Shutdown ? "shutdown"
-                : P.Op == serve::ServeOp::Drain  ? "drain"
-                                                 : "ping");
-    std::fputs(Response.dump(0).c_str(), stdout);
-    std::fputc('\n', stdout);
+                     P.Id, P.Op == serve::ServeOp::Shutdown ? "shutdown"
+                           : P.Op == serve::ServeOp::Drain  ? "drain"
+                                                            : "ping")
+                     .dump(0);
+    Response.push_back('\n');
+    std::fwrite(Response.data(), 1, Response.size(), stdout);
   }
   std::fflush(stdout);
   return support::ExitSuccess;
@@ -360,14 +363,14 @@ void serveConnection(serve::CompileService &Svc, int Fd,
       continue;
     serve::ServeRequest Req;
     std::string Error;
-    support::Json Response;
+    std::string Response;
     bool Shutdown = false, Drain = false;
     if (!serve::parseRequestLine(Line, Req, Error))
-      Response = serve::buildErrorResponse(Req.Id, Error);
+      Response = serve::buildErrorResponse(Req.Id, Error).dump(0);
     else
       Response = handleRequest(Svc, Req, State.ActiveConns.load(), Shutdown,
                                Drain);
-    bool Wrote = writeResponse(Svc, Fd, Response.dump(0));
+    bool Wrote = writeResponse(Svc, Fd, std::move(Response));
     if (Shutdown || Drain) {
       if (Drain)
         State.Drain.store(true);

@@ -10,8 +10,12 @@ metrics, shutdown — through either transport:
 
 and asserts the serving contract (docs/SERVING.md): the warm response is
 served from the cache, byte-identical to the cold response apart from the
-"cached", "id", and "request_id" fields, each compile echoes its client
-request_id, and the stats op reports the hit. In socket mode
+"cached", "id", and "request_id" values, each compile echoes its client
+request_id, and the stats op reports the hit. --once pipelines the cold
+and warm twins into the worker pool together, so the cold one must be
+the one that compiles by construction (single-flight leadership is taken
+in admission order); --repeat N runs that session N times and fails on
+the first cold/warm inversion. In socket mode
 the cold and warm compiles arrive on *different connections*, proving the
 cache is shared across clients, and the daemon must exit 0 after the
 shutdown op. Every response line is written to --out so the ctest wiring
@@ -161,6 +165,20 @@ def check_session(responses):
     if stages["compile"]["count"] < 1:
         fail("metrics reports no compile-stage samples")
     return 0
+
+
+def check_warm_bytes(lines):
+    """The raw warm line is the cold line with only the head's id,
+    request_id and cached values changed: a hit splices its own head onto
+    the cold response's bytes."""
+    by_id = {json.loads(l).get("id"): l for l in lines}
+    cold, warm = by_id["cold-1"], by_id["warm-1"]
+    expect = (cold.replace('"id":"cold-1"', '"id":"warm-1"', 1)
+              .replace('"request_id":"rid-cold"', '"request_id":"rid-warm"', 1)
+              .replace('"cached":false', '"cached":true', 1))
+    if warm != expect:
+        fail(f"warm line is not the cold line's bytes:\n  cold {cold}\n"
+             f"  warm {warm}")
 
 
 def run_once(args, requests):
@@ -342,7 +360,13 @@ def main():
     parser.add_argument("--out", required=True,
                         help="write the raw response lines here (for "
                              "check_bench_json.py --serve)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="--once only: run the session this many "
+                             "times, failing on the first one whose cold "
+                             "and warm twins come back inverted")
     args = parser.parse_args()
+    if args.repeat < 1 or (args.repeat > 1 and not args.once):
+        parser.error("--repeat takes a positive count, with --once only")
 
     if args.hygiene:
         lines = run_hygiene(args, None)
@@ -353,20 +377,25 @@ def main():
 
     source = Path(args.source).read_text()
     requests = build_requests(source)
-    lines = run_once(args, requests) if args.once else run_socket(args,
-                                                                  requests)
-    Path(args.out).write_text("".join(l + "\n" for l in lines))
+    for run in range(1, args.repeat + 1):
+        lines = (run_once(args, requests) if args.once
+                 else run_socket(args, requests))
+        Path(args.out).write_text("".join(l + "\n" for l in lines))
 
-    responses = []
-    for n, line in enumerate(lines, 1):
-        try:
-            responses.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            fail(f"response line {n} is not JSON: {exc}")
-    check_session(responses)
+        responses = []
+        for n, line in enumerate(lines, 1):
+            try:
+                responses.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                fail(f"response line {n} is not JSON: {exc}")
+        if args.repeat > 1:
+            print(f"serve_client_test: session {run}/{args.repeat}")
+        check_session(responses)
+        check_warm_bytes(lines)
     transport_name = "--once" if args.once else "--socket"
-    print(f"serve_client_test: ok ({transport_name}, "
-          f"{len(responses)} responses, warm hit verified)")
+    print(f"serve_client_test: ok ({transport_name}, {args.repeat} "
+          f"session(s), {len(responses)} responses each, warm hit "
+          "verified)")
     return 0
 
 

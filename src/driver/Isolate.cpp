@@ -42,27 +42,6 @@ const char *gcsafe::driver::outcomeForExit(int ExitCode) {
   }
 }
 
-WaitClassification gcsafe::driver::classifyWaitStatus(int Status,
-                                                      bool TimedOut) {
-  WaitClassification C;
-  if (TimedOut) {
-    C.Outcome = "timeout";
-    C.Signal = SIGKILL;
-    C.DefaultDetail = "killed by the driver: attempt timeout";
-    return C;
-  }
-  if (WIFSIGNALED(Status)) {
-    C.Outcome = "signal";
-    C.Signal = WTERMSIG(Status);
-    C.DefaultDetail =
-        std::string("killed by signal ") + std::to_string(WTERMSIG(Status));
-    return C;
-  }
-  C.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  C.Outcome = outcomeForExit(C.ExitCode);
-  return C;
-}
-
 SandboxOutcome
 gcsafe::driver::runInSandbox(const std::function<int(int PayloadFd)> &Child,
                              uint64_t TimeoutMs) {

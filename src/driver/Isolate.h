@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-isolation primitives shared by gcsafe-batch (fork workers)
-/// and gcsafe-serve --isolate (forked compile sandboxes): run a callback
-/// in a child process under a parent-enforced SIGKILL deadline, classify
-/// the reaped wait status, and step the degradation ladder for a
-/// crash/timeout retry (docs/ROBUSTNESS.md §6, §8).
+/// The crash-isolation primitives behind serve::CompileService's Isolate
+/// mode, the one isolation and retry path that gcsafe-serve --isolate and
+/// gcsafe-batch both use: run a callback in a child process under a
+/// parent-enforced SIGKILL deadline, step the degradation ladder for a
+/// crash retry, and name a child's exit code (docs/ROBUSTNESS.md §6, §8).
 ///
 /// The contract that makes one SIGSEGV cost one request instead of the
 /// process: the child takes everything it needs by value, writes its
@@ -58,7 +58,7 @@ struct SandboxOutcome {
 SandboxOutcome runInSandbox(const std::function<int(int PayloadFd)> &Child,
                             uint64_t TimeoutMs);
 
-/// One step down the degradation ladder for a crash/timeout retry: a
+/// One step down the degradation ladder for a crash retry: a
 /// failure at full optimization often clears at a simpler rung.
 /// Quarantined re-enters at PeepholeOnly; Unoptimized is the floor.
 OptRung lowerRung(OptRung R);
@@ -67,16 +67,6 @@ OptRung lowerRung(OptRung R);
 /// token: "ok", "degraded", "usage", "safety", "timeout", "overloaded",
 /// "crashed", or "error".
 const char *outcomeForExit(int ExitCode);
-
-/// One reaped wait status, classified. "timeout" covers both the parent's
-/// SIGKILL-on-deadline and the worker's own watchdog exit.
-struct WaitClassification {
-  const char *Outcome = "error"; ///< "timeout", "signal", or exit token.
-  int ExitCode = 0;              ///< Valid when the child exited.
-  int Signal = 0;                ///< Valid for "timeout" / "signal".
-  std::string DefaultDetail;     ///< Human text when the worker wrote none.
-};
-WaitClassification classifyWaitStatus(int Status, bool TimedOut);
 
 } // namespace driver
 } // namespace gcsafe

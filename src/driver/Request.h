@@ -12,7 +12,7 @@
 /// and its quarantine set — so any number of requests can run concurrently
 /// in one process without sharing anything but an (optional, thread-safe)
 /// VerifyMemo. gcsafe-serve runs one context per request on its worker
-/// pool; gcsafe-batch --service does the same in-process.
+/// pool; gcsafe-batch does the same, one forked sandbox per context.
 ///
 /// The exit-code mapping is the gcsafe-cc contract (support/ExitCodes.h):
 /// parse/compile/run errors are 1, safety violations 3, degraded success

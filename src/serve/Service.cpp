@@ -189,17 +189,14 @@ void clampWatchdogs(driver::RequestOptions &O, uint64_t DeadlineAtNs) {
 
 CompileService::CompileService(ServiceOptions O)
     : Opts(O), Cache(O.CacheMaxEntries), StartNs(support::monotonicNowNs()),
-      Trace(O.TraceCapacity ? O.TraceCapacity : 4096),
       Flight(O.FlightCapacity ? O.FlightCapacity : 2048) {
   if (!Opts.StoreDir.empty()) {
     Store::Options SO;
     SO.Dir = Opts.StoreDir;
     SO.Fingerprint = driver::keyFingerprint();
     SO.Inject = [this](const std::string &Site) { return injectFault(Site); };
-    SO.Trace = [this](const char *Name, uint64_t Value, uint64_t Aux,
-                      std::string Detail) {
-      support::RankedGuard Lock(TraceMu);
-      Trace.emit("store", Name, Value, Aux, std::move(Detail));
+    SO.Event = [this](const char *Stage, uint64_t Value) {
+      Flight.record("store", Stage, "", Value, CurrentWorker);
     };
     Disk.reset(new Store(std::move(SO)));
     // Scrub before the first worker can read: nothing unvalidated is
@@ -236,7 +233,7 @@ void CompileService::drain() {
       return;
     Draining.store(true, std::memory_order_release);
   }
-  traceEmit("service.drain", 0, 0, "");
+  Flight.record("serve", "service.drain", "", 0, CurrentWorker);
 }
 
 void CompileService::waitIdle() {
@@ -303,7 +300,6 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   uint64_t SubmitNs = support::monotonicNowNs();
   uint64_t DeadlineAtNs = Request.DeadlineNs ? SubmitNs + Request.DeadlineNs : 0;
   bool Injected = injectFault("serve.queue.full");
-  std::string Name = Request.Name;
   std::string TraceId = assignRequestId(Request);
   std::string Rid = Request.RequestId;
   // The raw key costs microseconds, so it is derived here and
@@ -359,7 +355,6 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   // executed (serve.requests counts work, serve.queue.shed counts
   // refusals).
   QueueShed.fetch_add(1, std::memory_order_relaxed);
-  traceEmit("queue.shed", 0, 0, TraceId + " " + Name + ": " + Why);
   Flight.record("serve", "queue.shed", TraceId, 0, CurrentWorker);
   std::promise<ServeResult> P;
   ServeResult R =
@@ -393,12 +388,6 @@ std::string CompileService::assignRequestId(driver::RequestOptions &Request) {
   return Request.RequestId + "#" + std::to_string(Seq);
 }
 
-void CompileService::traceEmit(const char *Name, uint64_t Value,
-                               uint64_t Aux, std::string Detail) {
-  support::RankedGuard Lock(TraceMu);
-  Trace.emit("serve", Name, Value, Aux, std::move(Detail));
-}
-
 void CompileService::countResult(const ServeResult &R) {
   if (R.Ok)
     ResponsesOk.fetch_add(1, std::memory_order_relaxed);
@@ -430,7 +419,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   const uint32_t Worker = CurrentWorker;
   uint64_t BeginNs = support::monotonicNowNs();
   Requests.fetch_add(1, std::memory_order_relaxed);
-  traceEmit("request.begin", 0, 0, TraceId + " " + Request.Name);
   Flight.record("serve", "request.begin", TraceId, 0, Worker);
 
   uint64_t QueueWaitNs = BeginNs > SubmitNs ? BeginNs - SubmitNs : 0;
@@ -444,7 +432,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   // the response counters, the end-to-end histogram (its count therefore
   // equals serve.requests exactly — the chaos harness asserts this), and
   // the request.end markers.
-  auto Finish = [&](ServeResult R, uint64_t CachedAux) {
+  auto Finish = [&](ServeResult R) {
     R.RequestId = Request.RequestId;
     countResult(R);
     uint64_t E2ENs = support::monotonicNowNs() - SubmitNs;
@@ -453,8 +441,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
       HistE2E.record(E2ENs);
     }
     Flight.record("serve", "e2e", TraceId, E2ENs, Worker);
-    traceEmit("request.end", uint64_t(R.ExitCode), CachedAux,
-              TraceId + " " + Request.Name);
     Flight.record("serve", "request.end", TraceId, uint64_t(R.ExitCode),
                   Worker);
     return R;
@@ -464,11 +450,9 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   // chance to insert anything into the cache or the memo.
   if (DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs) {
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    traceEmit("request.deadline", 0, 0, TraceId + " " + Request.Name);
     Flight.record("serve", "request.deadline", TraceId, 0, Worker);
     return Finish(typedResult("deadline", support::ExitWatchdogTimeout,
-                              "deadline expired before the compile started"),
-                  0);
+                              "deadline expired before the compile started"));
   }
 
   bool WantCache = UseCache && Opts.CacheEnabled;
@@ -498,9 +482,8 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         Flight.record("serve", "cache.lookup", TraceId, LookupNs, Worker);
       }
       if (Hit) {
-        traceEmit("cache.hit", 0, 0, TraceId + " " + Key);
         Flight.record("serve", "cache.hit", TraceId, 0, Worker);
-        return Finish(hitResult(Key, std::move(Entry)), 1);
+        return Finish(hitResult(Key, std::move(Entry)));
       }
       // Memory miss: read through to the durable store (once — a re-loop
       // after a store hit or a single-flight wait consults memory only).
@@ -544,14 +527,13 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
           // typed expiry as a deadline that fired anywhere else.
           L.unlock();
           DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-          traceEmit("request.deadline", 0, 0, TraceId + " " + Request.Name);
           Flight.record("serve", "request.deadline", TraceId, 0, Worker);
           ServeResult R =
               typedResult("deadline", support::ExitWatchdogTimeout,
                           "deadline expired while waiting for an "
                           "in-flight identical compile");
           R.CacheKey = Key;
-          return Finish(std::move(R), 0);
+          return Finish(std::move(R));
         }
       } else {
         InFlightCv.wait(L);
@@ -562,7 +544,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // test parks the first leader here and kills it with the
     // serve.worker.crash failpoint below.
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.elect");
-    traceEmit("cache.miss", 0, 0, TraceId + " " + Key);
     Flight.record("serve", "cache.miss", TraceId, 0, Worker);
   }
 
@@ -592,7 +573,6 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // crash whose retries ran out. The payoff is determinism — a leader
     // can be killed between its election and its publish without a fork,
     // which is how tests/test_race.cpp drives single-flight re-election.
-    traceEmit("worker.crash", 0, 0, TraceId + " " + Request.Name);
     Flight.record("serve", "worker.crash", TraceId, 0, Worker);
     if (!Opts.FlightDir.empty())
       Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
@@ -623,11 +603,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   bool Expired = DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs;
   if (Expired && Result.Status.empty()) {
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    traceEmit("request.deadline", uint64_t(Result.ExitCode), 0,
-              TraceId + " " + Request.Name);
     Flight.record("serve", "request.deadline", TraceId, 0, Worker);
+    std::vector<SandboxAttempt> Attempts = std::move(Result.Attempts);
     Result = typedResult("deadline", support::ExitWatchdogTimeout,
                          "deadline expired during the compile");
+    Result.Attempts = std::move(Attempts);
   }
 
   // A source that fails to parse answers with an empty key and is never
@@ -660,7 +640,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.publish");
   }
 
-  return Finish(std::move(Result), 0);
+  return Finish(std::move(Result));
 }
 
 ServeResult
@@ -668,17 +648,23 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
                                 uint64_t DeadlineAtNs,
                                 const std::string &TraceId) {
   driver::OptRung Rung = Request.StartRung;
-  bool Descended = false;
-  // Terminal "crashed" results dump the flight ring next to the response
+  std::vector<SandboxAttempt> Attempts;
+  // Every return below carries the sandbox record. Terminal "crashed"
+  // results also dump the flight ring next to the response
   // (gcsafe-flightrec-v1): the post-mortem names the victim request and
   // carries its last events. The dump runs in the parent, outside signal
   // context, but reuses the same async-signal-safe writer.
-  auto DumpCrash = [&](int Signal) {
-    if (Opts.FlightDir.empty())
-      return;
-    Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
-                          fsSafeId(Request.RequestId) + ".json",
-                      "crash", Request.RequestId, TraceId, Signal);
+  auto Done = [&](ServeResult R) {
+    R.Attempts = std::move(Attempts);
+    return R;
+  };
+  auto Crashed = [&](int Signal, std::string Error) {
+    if (!Opts.FlightDir.empty())
+      Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
+                            fsSafeId(Request.RequestId) + ".json",
+                        "crash", Request.RequestId, TraceId, Signal);
+    return Done(
+        typedResult("crashed", support::ExitWorkerCrash, std::move(Error)));
   };
   for (unsigned Attempt = 0;; ++Attempt) {
     IsolateRequests.fetch_add(1, std::memory_order_relaxed);
@@ -701,7 +687,7 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
     // and its updates would die with it anyway.
     ChildOpts.Memo = nullptr;
     clampWatchdogs(ChildOpts, DeadlineAtNs);
-    if (Descended) {
+    if (Attempt) {
       ChildOpts.SelfHeal = true;
       ChildOpts.StartRung = Rung;
     }
@@ -724,48 +710,50 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
         },
         TimeoutMs);
 
+    SandboxAttempt A;
+    A.Rung = driver::optRungName(Rung);
+    A.ExitCode = Out.ExitCode;
+    A.Signal = Out.Signal;
+    A.DurationMs = Out.DurationMs;
     switch (Out.St) {
     case driver::SandboxOutcome::Status::SpawnError:
-      DumpCrash(0);
-      return typedResult("crashed", support::ExitWorkerCrash,
-                         "could not spawn an isolated worker");
+      A.Outcome = "crashed";
+      Attempts.push_back(std::move(A));
+      return Crashed(0, "could not spawn an isolated worker");
     case driver::SandboxOutcome::Status::TimedOut: {
       IsolateTimeouts.fetch_add(1, std::memory_order_relaxed);
-      traceEmit("worker.timeout", Out.DurationMs, Attempt,
-                TraceId + " " + Request.Name);
       Flight.record("serve", "worker.timeout", TraceId, Out.DurationMs,
                     CurrentWorker);
+      A.Outcome = "timeout";
+      Attempts.push_back(std::move(A));
       bool RequestDeadline =
           DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs;
-      return typedResult(
+      return Done(typedResult(
           "deadline", support::ExitWatchdogTimeout,
           RequestDeadline
               ? "isolated worker killed at the request deadline"
               : "isolated worker killed after " +
-                    std::to_string(Out.DurationMs) + "ms (--isolate-timeout)");
+                    std::to_string(Out.DurationMs) + "ms (--isolate-timeout)"));
     }
     case driver::SandboxOutcome::Status::Signaled: {
       IsolateCrashes.fetch_add(1, std::memory_order_relaxed);
-      traceEmit("worker.crash", uint64_t(Out.Signal), Attempt,
-                TraceId + " " + Request.Name);
       Flight.record("serve", "worker.crash", TraceId, uint64_t(Out.Signal),
                     CurrentWorker);
+      A.Outcome = "signal";
+      Attempts.push_back(std::move(A));
       bool Expired = DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs;
       if (Attempt < Opts.IsolateRetries && !Expired) {
-        // The batch driver's recovery move, per request: re-enter the
-        // degradation ladder one rung lower — a crash at full
+        // Re-enter the degradation ladder one rung lower: a crash at full
         // optimization often clears at a simpler one.
         IsolateRetries.fetch_add(1, std::memory_order_relaxed);
         Rung = driver::lowerRung(Rung);
-        Descended = true;
         continue;
       }
-      DumpCrash(Out.Signal);
-      return typedResult(
-          "crashed", support::ExitWorkerCrash,
-          "isolated worker killed by signal " + std::to_string(Out.Signal) +
-              " on attempt " + std::to_string(Attempt + 1) + " at rung " +
-              driver::optRungName(Descended ? Rung : Request.StartRung));
+      return Crashed(Out.Signal,
+                     "isolated worker killed by signal " +
+                         std::to_string(Out.Signal) + " on attempt " +
+                         std::to_string(Attempt + 1) + " at rung " +
+                         driver::optRungName(Rung));
     }
     case driver::SandboxOutcome::Status::Exited:
       break;
@@ -776,13 +764,16 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
     ServeResult R;
     if (!support::Json::parse(Out.Payload, J, JsonError) ||
         !serveResultFromJson(J, R)) {
-      DumpCrash(0);
-      return typedResult("crashed", support::ExitWorkerCrash,
-                         "isolated worker exited (status " +
-                             std::to_string(Out.ExitCode) +
-                             ") without a result payload");
+      A.Outcome = "crashed";
+      Attempts.push_back(std::move(A));
+      return Crashed(0, "isolated worker exited (status " +
+                            std::to_string(Out.ExitCode) +
+                            ") without a result payload");
     }
-    return R;
+    A.Outcome = driver::outcomeForExit(R.ExitCode);
+    A.ExitCode = R.ExitCode;
+    Attempts.push_back(std::move(A));
+    return Done(std::move(R));
   }
 }
 
@@ -837,11 +828,6 @@ support::Stats CompileService::statsSnapshot() const {
   S.set("serve.store.io_errors", D.IoErrors);
   S.setFloat("serve.store.degraded", D.Degraded ? 1.0 : 0.0);
   return S;
-}
-
-std::vector<support::TraceEvent> CompileService::traceSnapshot() const {
-  support::RankedGuard Lock(TraceMu);
-  return Trace.snapshot();
 }
 
 support::Json CompileService::metricsSnapshot() const {

@@ -9,9 +9,9 @@
 /// CompileService: a thread pool of compile workers in front of the
 /// re-entrant driver (driver/Request.h), a content-addressed response
 /// cache (serve/Cache.h) and a shared per-function verification memo.
-/// Both gcsafe-serve (over a unix socket) and gcsafe-batch --service
-/// (in-process) sit on this class; docs/SERVING.md is the architecture
-/// document.
+/// Both gcsafe-serve (over a unix socket) and gcsafe-batch (in-process,
+/// always under Isolate) sit on this class; docs/SERVING.md is the
+/// architecture document.
 ///
 /// Every request is keyed as received — build fingerprint, raw source and
 /// canonical flags — before any frontend work: a cache hit never builds
@@ -61,15 +61,14 @@ struct ServiceOptions {
   unsigned Workers = 4;
   size_t CacheMaxEntries = 1024;
   bool CacheEnabled = true;
-  /// Capacity of the service-level cat="serve" trace ring.
-  size_t TraceCapacity = 4096;
   /// Admission control: submit() sheds (typed "overloaded" result) once
-  /// this many requests are queued. 0 = unbounded (the pre-hardening
-  /// behavior, kept for benchmarking the difference).
+  /// this many requests are queued. 0 = unbounded: gcsafe-batch admits
+  /// its whole batch this way.
   size_t QueueMax = 256;
   /// Run each cache-missing compile in a forked sandbox: a SIGSEGV in
   /// the compiler costs that one request, and crashes retry one ladder
-  /// rung lower (driver/Isolate.h).
+  /// rung lower (driver/Isolate.h). The only isolation and retry path:
+  /// gcsafe-serve --isolate and every gcsafe-batch run use it.
   bool Isolate = false;
   /// Per-sandbox wall timeout under Isolate (SIGKILL past it; 0 = none).
   uint64_t IsolateTimeoutMs = 30000;
@@ -90,9 +89,9 @@ struct ServiceOptions {
   /// Re-emit each in-process compile's driver trace events (cat
   /// "phase"/"pass"/"gc"/"vm") into the flight ring stamped with the
   /// request's trace id, so the Chrome export nests compiler internals
-  /// under the request span. Off by default: the service trace ring stays
-  /// pure cat="serve" and high-volume VM events stay out of the flight
-  /// ring unless an operator asks (gcsafe-serve --trace-chrome).
+  /// under the request span. Off by default: high-volume VM events stay
+  /// out of the flight ring unless an operator asks (gcsafe-serve
+  /// --trace-chrome).
   bool StitchTraces = false;
   /// When non-empty, a crash-safe on-disk response store (serve/Store.h)
   /// backs the in-memory cache under DIR/gcsafe-store-v1/: validated
@@ -101,6 +100,18 @@ struct ServiceOptions {
   /// memory-only without affecting service availability. Empty = memory
   /// cache only (the pre-durability behavior).
   std::string StoreDir;
+};
+
+/// One forked sandbox run under ServiceOptions::Isolate.
+struct SandboxAttempt {
+  std::string Rung; ///< The ladder rung the sandbox started at.
+  /// "signal", "timeout" (SIGKILLed at the deadline), "crashed" (no
+  /// result payload or no sandbox), or driver::outcomeForExit of the
+  /// result the child reported.
+  std::string Outcome;
+  int ExitCode = 0;
+  int Signal = 0;
+  uint64_t DurationMs = 0;
 };
 
 /// One request's result as the service reports it: the driver outcome
@@ -136,6 +147,10 @@ struct ServeResult {
   /// line is spliced from these bytes (serve::renderCompileResponse), and
   /// an in-process reader parses them on demand (serve::expandCached).
   CacheEntryPtr Rendered;
+  /// One record per forked sandbox, in order; filled only under
+  /// ServiceOptions::Isolate (empty for a hit, a shed or an in-process
+  /// compile). Never rendered into a response, the cache or the store.
+  std::vector<SandboxAttempt> Attempts;
 };
 
 /// A point-in-time readiness snapshot (the protocol's "health" op).
@@ -209,10 +224,6 @@ public:
   /// cache_lookup, compile, isolate, e2e) with p50/p90/p99/max.
   support::Json metricsSnapshot() const;
 
-  /// Snapshot of the service-level cat="serve" trace ring.
-  std::vector<support::TraceEvent> traceSnapshot() const
-      GCSAFE_EXCLUDES(TraceMu);
-
   /// The daemon-wide lock-free telemetry ring (serve/Telemetry.h).
   const FlightRecorder &flightRecorder() const { return Flight; }
 
@@ -227,8 +238,6 @@ public:
 
 private:
   void workerLoop() GCSAFE_EXCLUDES(QueueMu);
-  void traceEmit(const char *Name, uint64_t Value, uint64_t Aux,
-                 std::string Detail) GCSAFE_EXCLUDES(TraceMu);
   /// Single-flight leadership of one cache key (membership in
   /// InFlight): destroying a held lease erases the key and wakes its
   /// waiters, so every exit path of the request holding it releases —
@@ -255,8 +264,9 @@ private:
                         uint64_t DeadlineAtNs, uint64_t SubmitNs,
                         const std::string &TraceId);
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
-  /// SIGKILL deadline, crash retries one rung lower. TraceId stamps the
-  /// crash telemetry; a final "crashed" result dumps the flight ring.
+  /// SIGKILL deadline, crash retries one rung lower, one Attempts record
+  /// per sandbox. TraceId stamps the crash telemetry; a final "crashed"
+  /// result dumps the flight ring.
   ServeResult isolatedCompile(const driver::RequestOptions &Request,
                               uint64_t DeadlineAtNs,
                               const std::string &TraceId);
@@ -278,11 +288,8 @@ private:
   driver::VerifyMemo Memo;
   const uint64_t StartNs; ///< Service birth; uptime/rate baseline.
 
-  mutable support::RankedMutex TraceMu{support::LockRank::ServeTrace,
-                                       "serve.trace"};
-  support::TraceBuffer Trace GCSAFE_GUARDED_BY(TraceMu);
-
-  /// Lock-free; safe to record from any worker and dump from a signal.
+  /// The service's one event ring: lock-free, safe to record from any
+  /// worker and dump from a signal.
   FlightRecorder Flight;
 
   /// Per-stage latency histograms (support::Histogram is not

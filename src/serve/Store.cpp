@@ -170,10 +170,9 @@ bool Store::inject(const char *Site) const {
   return Opts.Inject && Opts.Inject(Site);
 }
 
-void Store::emit(const char *Name, uint64_t Value, uint64_t Aux,
-                 std::string Detail) const {
-  if (Opts.Trace)
-    Opts.Trace(Name, Value, Aux, std::move(Detail));
+void Store::emit(const char *Stage, uint64_t Value) const {
+  if (Opts.Event)
+    Opts.Event(Stage, Value);
 }
 
 void Store::ioError(const char *Op, const std::string &Detail) {
@@ -188,14 +187,14 @@ void Store::ioError(const char *Op, const std::string &Detail) {
       DegradedNow = true;
     }
   }
-  emit("store.io_error", Consecutive, 0, std::string(Op) + ": " + Detail);
+  emit("store.io_error", Consecutive);
   if (DegradedNow) {
     std::fprintf(stderr,
                  "gcsafe-store: degraded to memory-only mode after %llu "
                  "consecutive io errors (last: %s %s)\n",
                  static_cast<unsigned long long>(Consecutive), Op,
                  Detail.c_str());
-    emit("store.degraded", Consecutive, 0, std::string(Op) + ": " + Detail);
+    emit("store.degraded", Consecutive);
   }
 }
 
@@ -321,7 +320,7 @@ void Store::quarantine(const std::string &File, const std::string &Reason) {
     support::RankedGuard Lock(Mu);
     ++Counters.Quarantined;
   }
-  emit("store.quarantine", 0, 0, File + ": " + Reason);
+  emit("store.quarantine", 0);
 }
 
 bool Store::readAndValidate(const std::string &File, const std::string &Key,
@@ -366,9 +365,9 @@ bool Store::lookup(const std::string &Key, std::string &PayloadOut) {
       ++Counters.Misses;
   }
   if (Ok)
-    emit("store.hit", PayloadOut.size(), 0, Key);
+    emit("store.hit", PayloadOut.size());
   else
-    emit("store.miss", 0, 0, Key + (Reason.empty() ? "" : ": " + Reason));
+    emit("store.miss", 0);
   return Ok;
 }
 
@@ -429,7 +428,7 @@ bool Store::insert(const std::string &Key, const std::string &Payload) {
     ++Counters.Writes;
   }
   ioSuccess();
-  emit("store.write", Payload.size(), 0, Key);
+  emit("store.write", Payload.size());
   return true;
 }
 
@@ -481,7 +480,7 @@ support::Json Store::scrub() {
     support::RankedGuard Lock(Mu);
     Counters.Scrubbed += Scanned;
   }
-  emit("store.scrub", Scanned, Quarantined, "");
+  emit("store.scrub", Scanned);
   if (Ready) {
     // The report itself is written with the same atomic discipline.
     std::string Text = Report.dump(2);

@@ -82,10 +82,10 @@ public:
     /// Failpoint consult for the four store.* sites; null = never fire.
     /// Called outside every Store lock (the callback may take its own).
     std::function<bool(const std::string &Site)> Inject;
-    /// cat="store" trace sink (name, value, aux, detail); may be null.
-    std::function<void(const char *Name, uint64_t Value, uint64_t Aux,
-                       std::string Detail)>
-        Trace;
+    /// cat="store" event sink (stage, value); may be null. The stage is
+    /// a string literal ("store.hit", ...), so the sink may keep it by
+    /// pointer — the service records it in its flight ring.
+    std::function<void(const char *Stage, uint64_t Value)> Event;
     /// Consecutive IO errors before degrading to memory-only mode.
     unsigned IoErrorLimit = 3;
   };
@@ -135,8 +135,7 @@ private:
   void quarantine(const std::string &File, const std::string &Reason)
       GCSAFE_EXCLUDES(Mu);
   bool inject(const char *Site) const;
-  void emit(const char *Name, uint64_t Value, uint64_t Aux,
-            std::string Detail) const;
+  void emit(const char *Stage, uint64_t Value) const;
   /// Counts one IO error and degrades past the consecutive-error limit.
   void ioError(const char *Op, const std::string &Detail)
       GCSAFE_EXCLUDES(Mu);

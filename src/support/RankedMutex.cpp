@@ -20,8 +20,6 @@ const char *gcsafe::support::lockRankName(LockRank R) {
     return "serve.singleflight";
   case LockRank::ServeFault:
     return "serve.faults";
-  case LockRank::ServeTrace:
-    return "serve.trace";
   case LockRank::ServeHist:
     return "serve.hist";
   case LockRank::ServeCache:

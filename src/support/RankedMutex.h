@@ -65,7 +65,6 @@ enum class LockRank : uint8_t {
   ServeQueue = 0,  ///< serve::CompileService queue + worker pool state.
   ServeInFlight,   ///< serve::CompileService single-flight table.
   ServeFault,      ///< serve::CompileService service-wide failpoint consults.
-  ServeTrace,      ///< serve::CompileService cat="serve" trace ring.
   ServeHist,       ///< serve::CompileService latency histograms.
   ServeCache,      ///< serve::ContentCache LRU + stats.
   ServeStore,      ///< serve::Store durable-cache counters (never held

@@ -316,7 +316,7 @@ TEST(RankLint, SameRankReacquisitionIsCaught) {
 
 TEST(RankLint, SeededDroppedLockIsCaught) {
   RecordPolicyScope Policy;
-  support::RankedMutex Mu(LockRank::ServeTrace, "serve.trace");
+  support::RankedMutex Mu(LockRank::ServeFault, "serve.faults");
   uint64_t Before = support::lockLintCounters().DroppedLocks;
   Mu.assertHeld(); // not held: the dynamic dropped-lock detector fires
   EXPECT_EQ(support::lockLintCounters().DroppedLocks, Before + 1);

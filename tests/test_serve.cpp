@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -75,6 +76,15 @@ driver::RequestOptions listRequest() {
   return R;
 }
 
+/// Events of one category and stage in the service's flight ring.
+unsigned flightCount(const CompileService &Svc, const std::string &Cat,
+                     const std::string &Stage) {
+  unsigned N = 0;
+  for (const FlightEvent &E : Svc.flightRecorder().snapshot())
+    N += Cat == E.Cat && Stage == E.Stage;
+  return N;
+}
+
 TEST(ServeCache, WarmIsByteIdenticalToCold) {
   CompileService Svc;
   ServeResult Cold = Svc.compile(listRequest());
@@ -82,6 +92,8 @@ TEST(ServeCache, WarmIsByteIdenticalToCold) {
   EXPECT_FALSE(Cold.Cached);
   EXPECT_FALSE(Cold.CacheKey.empty());
   EXPECT_EQ(Cold.ExitCode, support::ExitSuccess);
+  // Sandbox attempt records exist only under Isolate.
+  EXPECT_TRUE(Cold.Attempts.empty());
 
   ServeResult Warm = Svc.compile(listRequest());
   EXPECT_TRUE(Warm.Cached);
@@ -263,19 +275,10 @@ TEST(ServeService, TraceRecordsCacheVerdicts) {
   CompileService Svc;
   Svc.compile(listRequest());
   Svc.compile(listRequest());
-  unsigned Begin = 0, Hit = 0, Miss = 0, End = 0;
-  for (const support::TraceEvent &E : Svc.traceSnapshot()) {
-    ASSERT_STREQ(E.Category, "serve");
-    std::string Name = E.Name;
-    Begin += Name == "request.begin";
-    Hit += Name == "cache.hit";
-    Miss += Name == "cache.miss";
-    End += Name == "request.end";
-  }
-  EXPECT_EQ(Begin, 2u);
-  EXPECT_EQ(Miss, 1u);
-  EXPECT_EQ(Hit, 1u);
-  EXPECT_EQ(End, 2u);
+  EXPECT_EQ(flightCount(Svc, "serve", "request.begin"), 2u);
+  EXPECT_EQ(flightCount(Svc, "serve", "cache.miss"), 1u);
+  EXPECT_EQ(flightCount(Svc, "serve", "cache.hit"), 1u);
+  EXPECT_EQ(flightCount(Svc, "serve", "request.end"), 2u);
 }
 
 TEST(ServeProtocol, CompileRequestRoundTrip) {
@@ -351,6 +354,7 @@ TEST(ServeOverload, DrainShedsNewWorkAndHealthReflectsIt) {
   EXPECT_FALSE(Before.Draining);
 
   Svc.drain();
+  EXPECT_EQ(flightCount(Svc, "serve", "service.drain"), 1u);
   ServiceHealth After = Svc.health();
   EXPECT_FALSE(After.Ready);
   EXPECT_TRUE(After.Draining);
@@ -386,10 +390,7 @@ TEST(ServeOverload, QueueFullFailpointShedsTyped) {
   support::Stats S = Svc.statsSnapshot();
   EXPECT_EQ(S.get("serve.queue.shed"), 1u);
   EXPECT_EQ(S.get("serve.requests"), 1u);
-  unsigned ShedEvents = 0;
-  for (const support::TraceEvent &E : Svc.traceSnapshot())
-    ShedEvents += std::string(E.Name) == "queue.shed";
-  EXPECT_EQ(ShedEvents, 1u);
+  EXPECT_EQ(flightCount(Svc, "serve", "queue.shed"), 1u);
 }
 
 TEST(ServeDeadline, ExpiredBeforeStartNeverPoisonsCache) {
@@ -464,6 +465,10 @@ TEST(ServeIsolate, CrashIsAttributedToTheRequest) {
   EXPECT_EQ(R.Status, "crashed");
   EXPECT_EQ(R.ExitCode, support::ExitWorkerCrash);
   EXPECT_NE(R.Error.find("signal"), std::string::npos) << R.Error;
+  ASSERT_EQ(R.Attempts.size(), 1u);
+  EXPECT_EQ(R.Attempts[0].Outcome, "signal");
+  EXPECT_EQ(R.Attempts[0].Signal, SIGSEGV);
+  EXPECT_EQ(R.Attempts[0].Rung, "full");
 
   support::Stats S = Svc.statsSnapshot();
   EXPECT_EQ(S.get("serve.isolate.crashes"), 1u);
@@ -492,6 +497,11 @@ TEST(ServeIsolate, CrashRetriesOneRungLowerAndRecovers) {
   EXPECT_TRUE(R.Degraded);
   EXPECT_EQ(R.ExitCode, support::ExitDegradedSuccess);
   EXPECT_NE(R.Rung, "full");
+  ASSERT_EQ(R.Attempts.size(), 2u);
+  EXPECT_EQ(R.Attempts[0].Rung, "full");
+  EXPECT_EQ(R.Attempts[0].Outcome, "signal");
+  EXPECT_EQ(R.Attempts[1].Rung, "peephole");
+  EXPECT_EQ(R.Attempts[1].Outcome, "degraded");
 
   support::Stats S = Svc.statsSnapshot();
   EXPECT_EQ(S.get("serve.isolate.crashes"), 1u);
@@ -506,9 +516,17 @@ TEST(ServeIsolate, WarmIsByteIdenticalToColdUnderIsolation) {
   ServeResult Cold = Svc.compile(listRequest());
   ASSERT_TRUE(Cold.Ok) << Cold.Error;
   EXPECT_FALSE(Cold.Cached);
+  ASSERT_EQ(Cold.Attempts.size(), 1u);
+  EXPECT_EQ(Cold.Attempts[0].Outcome, "ok");
 
   ServeResult Warm = Svc.compile(listRequest());
   EXPECT_TRUE(Warm.Cached);
+  // A hit runs no sandbox, and the cold attempt record never reached
+  // the cached bytes: rendering the cold result without it matches.
+  EXPECT_TRUE(Warm.Attempts.empty());
+  ServeResult Bare = Cold;
+  Bare.Attempts.clear();
+  EXPECT_EQ(Warm.Rendered->Bytes, renderCacheEntry(Bare)->Bytes);
   // The sandboxed cold path must serialize exactly what the in-process
   // path would have: the byte-identity contract survives --isolate.
   EXPECT_EQ(serveResultToJson(Warm).dump(0), serveResultToJson(Cold).dump(0));
@@ -794,6 +812,9 @@ TEST(ServeStore, RestartReplaysFromDiskByteIdentically) {
   EXPECT_EQ(Warm.CacheKey, ColdKey);
   EXPECT_EQ(serveResultToJson(Warm).dump(0), ColdPayload);
   EXPECT_GE(Svc.store()->stats().Hits, 1u);
+  // The store's events land in the service's one event ring.
+  EXPECT_EQ(flightCount(Svc, "store", "store.scrub"), 1u);
+  EXPECT_GE(flightCount(Svc, "store", "store.hit"), 1u);
   support::Stats S = Svc.statsSnapshot();
   EXPECT_GE(S.get("serve.store.hits"), 1u);
   EXPECT_EQ(S.get("serve.store.quarantined"), 0u);

@@ -259,12 +259,11 @@ BATCH_RUNGS = {"full", "quarantined", "peephole", "unoptimized"}
 
 
 def check_batch(doc):
-    # "service" appears when the summary came from gcsafe-batch --service:
-    # the in-process compile service's serve.* counters (docs/SERVING.md).
+    # "service": the serve.* counters of the isolated compile service
+    # every batch runs through (docs/SERVING.md).
     expect_keys(doc, "$", ["schema", "mode", "jobs", "timeout_ms", "retries",
-                           "inputs", "totals"], optional=["service"])
-    if "service" in doc:
-        check_serve_stats(doc["service"], "$.service")
+                           "inputs", "totals", "service"])
+    check_serve_stats(doc["service"], "$.service")
     expect_str(doc, "$", "mode")
     for key in ("jobs", "timeout_ms", "retries"):
         expect_num(doc, "$", key, integer=True)
@@ -272,6 +271,7 @@ def check_batch(doc):
     expect(isinstance(inputs, list), "$.inputs", "expected an array")
     expect(inputs, "$.inputs", "a batch report must contain inputs")
     counts = {"ok": 0, "degraded": 0, "failed": 0}
+    outcomes = {"timeout": 0, "signal": 0}
     attempts_total = 0
     for i, entry in enumerate(inputs):
         path = f"$.inputs[{i}]"
@@ -296,6 +296,8 @@ def check_batch(doc):
                    f"unknown rung {att['rung']!r}")
             expect(att["outcome"] in BATCH_OUTCOMES, f"{apath}.outcome",
                    f"unknown outcome {att['outcome']!r}")
+            if att["outcome"] in outcomes:
+                outcomes[att["outcome"]] += 1
             for key in ("exit_code", "signal", "duration_ms"):
                 expect_num(att, apath, key, integer=True)
             if "detail" in att:
@@ -326,6 +328,10 @@ def check_batch(doc):
            "$.totals.retries",
            f"totals.retries is {totals['retries']}, attempts minus inputs "
            f"is {attempts_total - len(inputs)}")
+    for key, outcome in (("timeouts", "timeout"), ("signals", "signal")):
+        expect(totals[key] == outcomes[outcome], f"$.totals.{key}",
+               f"totals.{key} is {totals[key]}, counted "
+               f"{outcomes[outcome]} {outcome!r} attempts")
 
 
 # --- gcsafe-serve-v1 --------------------------------------------------------

@@ -27,9 +27,9 @@ TOOLS = [
      "The compiler driver: one input, every mode, every report. The exit "
      "code is the contract in the table above."),
     ("gcsafe-batch",
-     "The crash-isolated batch driver (fork workers, timeouts, retries "
-     "down the degradation ladder) — or, with `--service`, a thin client "
-     "of the in-process compile service ([SERVING.md](SERVING.md))."),
+     "The crash-isolated batch driver: a thin client of the isolated "
+     "compile service ([SERVING.md](SERVING.md)) — forked sandboxes, "
+     "timeouts, crash retries down the degradation ladder."),
     ("gcsafe-serve",
      "The persistent compile service: line-delimited gcsafe-serve-v1 JSON "
      "over a unix socket, or a one-shot stdin/stdout batch. Protocol and "

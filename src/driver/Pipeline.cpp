@@ -89,7 +89,7 @@ bool Compilation::parse() {
   if (Parsed)
     return ParseOk;
   Parsed = true;
-  uint64_t StartNs = support::monotonicNowNs();
+  ParseStartNs = support::monotonicNowNs();
   Actions->declareRuntimeBuiltins(TU);
   cfront::Lexer Lex(Buffer, Diags);
   cfront::Parser P(Lex.lexAll(), *Actions);
@@ -97,7 +97,7 @@ bool Compilation::parse() {
   ParseOk = !Diags.hasErrors();
   if (ParseOk)
     annotate::runSourceChecks(TU, Diags); // hidden-pointer hazard warnings
-  ParseNs = support::monotonicNowNs() - StartNs;
+  ParseNs = support::monotonicNowNs() - ParseStartNs;
   return ParseOk;
 }
 
@@ -116,17 +116,22 @@ Compilation::annotatedSource(annotate::AnnotationMode Mode,
 
 CompileResult Compilation::compile(const CompileOptions &Options) {
   CompileResult Result;
-  auto Phase = [&](const char *Name, uint64_t Ns) {
+  auto Phase = [&](const char *Name, uint64_t StartNs) {
+    uint64_t Ns = support::monotonicNowNs() - StartNs;
     Result.Stats.add(std::string("phase.") + Name + "_ns", Ns);
     if (Options.Trace)
-      Options.Trace->emit("phase", Name, Ns);
+      Options.Trace->span("phase", Name, StartNs, Ns);
   };
 
   if (!parse()) {
     Result.Errors = renderedDiagnostics();
     return Result;
   }
-  Phase("parse", ParseNs);
+  Result.Stats.add("phase.parse_ns", ParseNs);
+  if (Options.Trace && !ParseTraced) { // A later compile reuses the parse.
+    ParseTraced = true;
+    Options.Trace->span("phase", "parse", ParseStartNs, ParseNs);
+  }
 
   annotate::AnnotationMap Map;
   bool NeedsAnnotations = Options.Mode == CompileMode::O2Safe ||
@@ -136,7 +141,7 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
     uint64_t StartNs = support::monotonicNowNs();
     Map = annotate::annotateTranslationUnit(TU, Options.Annot);
     Result.AnnotStats = Map.stats();
-    Phase("annotate", support::monotonicNowNs() - StartNs);
+    Phase("annotate", StartNs);
   }
 
   ir::LowerOptions LO;
@@ -160,7 +165,7 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
 
   uint64_t LowerStartNs = support::monotonicNowNs();
   Result.Module = ir::lowerTranslationUnit(TU, LO, Diags);
-  Phase("lower", support::monotonicNowNs() - LowerStartNs);
+  Phase("lower", LowerStartNs);
   if (Diags.hasErrors()) {
     Result.Errors = renderedDiagnostics();
     return Result;
@@ -185,8 +190,8 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
     SafetyNs += ElapsedNs;
     ++SafetyRuns;
     if (Options.Trace && Result.SafetyDiags.size() != Before)
-      Options.Trace->emit("analysis", Pass, ElapsedNs,
-                          unsigned(Result.SafetyDiags.size() - Before),
+      Options.Trace->span("analysis", Pass, StartNs, ElapsedNs,
+                          unsigned(Result.SafetyDiags.size() - Before), 0,
                           F.Name);
   };
 
@@ -313,7 +318,7 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
   }
   uint64_t OptStartNs = support::monotonicNowNs();
   Result.OptStats = opt::optimizeModule(Result.Module, PO);
-  Phase("optimize", support::monotonicNowNs() - OptStartNs);
+  Phase("optimize", OptStartNs);
   if (Options.Txn) {
     Result.Stats.set("robust.quarantined", Options.Txn->Quarantine.size());
     for (const std::string &Q : Options.Txn->Quarantine)
@@ -340,7 +345,7 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
     uint64_t VerifyStartNs = support::monotonicNowNs();
     std::vector<std::string> VerifyErrors;
     bool Verified = ir::verifyModule(Result.Module, VerifyErrors);
-    Phase("verify", support::monotonicNowNs() - VerifyStartNs);
+    Phase("verify", VerifyStartNs);
     assert(Verified && "optimized module failed IR verification");
     (void)Verified;
   }
@@ -354,28 +359,6 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
   return Result;
 }
 
-namespace {
-
-support::Json collectionEventToJson(const gc::CollectionEvent &E) {
-  using support::Json;
-  Json J = Json::object();
-  J["index"] = Json::integer(E.Index);
-  J["mark_ns"] = Json::integer(E.MarkNs);
-  J["sweep_ns"] = Json::integer(E.SweepNs);
-  J["pages_scanned"] = Json::integer(E.PagesScanned);
-  J["words_scanned"] = Json::integer(E.WordsScanned);
-  J["pointer_hits"] = Json::integer(E.PointerHits);
-  J["marked_objects"] = Json::integer(E.MarkedObjects);
-  J["freed_objects"] = Json::integer(E.FreedObjects);
-  J["live_bytes"] = Json::integer(E.LiveBytes);
-  J["interior_hits"] = Json::integer(E.InteriorHits);
-  J["false_retention_candidates"] =
-      Json::integer(E.FalseRetentionCandidates);
-  return J;
-}
-
-} // namespace
-
 support::Json gcsafe::driver::buildRunReport(const std::string &Input,
                                              CompileMode Mode,
                                              const std::string &Machine,
@@ -383,7 +366,7 @@ support::Json gcsafe::driver::buildRunReport(const std::string &Input,
                                              const vm::RunResult *Run) {
   using support::Json;
   Json Root = Json::object();
-  Root["schema"] = Json::string("gcsafe-run-report-v1");
+  Root["schema"] = Json::string("gcsafe-run-report-v2");
   Root["input"] = Json::string(Input);
   Root["mode"] = Json::string(compileModeName(Mode));
   Root["machine"] = Json::string(Machine);
@@ -490,11 +473,6 @@ support::Json gcsafe::driver::buildRunReport(const std::string &Input,
     Audit["violations"] = Json::integer(G.AuditViolations);
     GJ["audit"] = std::move(Audit);
     GJ["deadline_exceeded"] = Json::integer(G.GcDeadlineExceeded);
-
-    Json Events = Json::array();
-    for (const gc::CollectionEvent &E : G.Events)
-      Events.push(collectionEventToJson(E));
-    GJ["events"] = std::move(Events);
     RJ["gc"] = std::move(GJ);
 
     Root["run"] = std::move(RJ);

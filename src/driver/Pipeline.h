@@ -139,7 +139,7 @@ bool verifyFunctionSafetyMemo(VerifyMemo *Memo, const ir::Function &F,
 struct CompileOptions {
   CompileMode Mode = CompileMode::O2;
   annotate::AnnotatorOptions Annot;
-  /// Optional event sink: phase and pass events are emitted here.
+  /// Optional event sink: phase, pass and analysis spans are recorded here.
   support::TraceBuffer *Trace = nullptr;
   /// Static GC-safety verification (gcsafe-cc --verify-safety).
   SafetyVerify Verify = SafetyVerify::None;
@@ -221,7 +221,9 @@ private:
   cfront::TranslationUnit TU;
   bool Parsed = false;
   bool ParseOk = false;
+  uint64_t ParseStartNs = 0;
   uint64_t ParseNs = 0; ///< Wall time of the (single) frontend pass.
+  bool ParseTraced = false; ///< The parse span is in a ring already.
 };
 
 /// Convenience: parse, compile in \p Mode, run under \p VMOpts. On frontend
@@ -252,11 +254,11 @@ RoundTripResult roundTripChecked(const std::string &Name,
                                  const annotate::AnnotatorOptions &Annot = {});
 
 /// Serializes one compilation (and optionally its execution) into the
-/// gcsafe-run-report-v1 JSON schema documented in docs/OBSERVABILITY.md:
+/// gcsafe-run-report-v2 JSON schema documented in docs/OBSERVABILITY.md:
 /// per-pass optimizer counters, phase wall times, annotator statistics,
 /// and — when \p Run is non-null — VM cycle attribution plus the
-/// collector's per-collection event records. This is the document behind
-/// gcsafe-cc --stats-json.
+/// collector's cumulative counters (per-collection timing lives in the
+/// trace's gc spans). This is the document behind gcsafe-cc --stats-json.
 support::Json buildRunReport(const std::string &Input, CompileMode Mode,
                              const std::string &Machine,
                              const CompileResult &CR,

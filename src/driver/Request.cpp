@@ -55,9 +55,8 @@ bool gcsafe::driver::knownMachineName(const std::string &Name) {
   return Name == "sparc2" || Name == "sparc10" || Name == "pentium90";
 }
 
-RequestContext::RequestContext(RequestOptions O)
-    : Opts(std::move(O)), Comp(Opts.Name, Opts.Source),
-      Trace(Opts.TraceCapacity ? Opts.TraceCapacity : 4096) {
+RequestContext::RequestContext(RequestOptions O, support::TraceBuffer *Trace)
+    : Opts(std::move(O)), Comp(Opts.Name, Opts.Source), Trace(Trace) {
   if (!Opts.FailInjectSpec.empty()) {
     if (support::FaultInjector::parse(Opts.FailInjectSpec, Faults,
                                       FaultParseError))
@@ -107,7 +106,7 @@ RequestOutcome RequestContext::execute() {
   CompileOptions CO;
   CO.Mode = Opts.Mode;
   CO.Annot = Opts.Annot;
-  CO.Trace = &Trace;
+  CO.Trace = Trace;
   CO.Verify = Opts.Verify;
   CO.VerifyIREachPass = Opts.VerifyIREachPass;
   CO.Memo = Opts.Memo;
@@ -183,7 +182,7 @@ RequestOutcome RequestContext::execute() {
   VO.GcCallPeriod = Opts.GcCallPeriod;
   VO.GcDeadlineNs = Opts.GcDeadlineNs;
   VO.VmDeadlineNs = Opts.VmDeadlineNs;
-  VO.Trace = &Trace;
+  VO.Trace = Trace;
   if (UseFaults)
     VO.Faults = &Faults;
   vm::VM Machine(CR.Module, VO);

@@ -8,10 +8,10 @@
 /// \file
 /// The re-entrant request surface of the driver (docs/SERVING.md). A
 /// RequestContext owns every piece of state one compilation touches — the
-/// Compilation, the fault injector, the trace ring, the self-heal ladder
-/// and its quarantine set — so any number of requests can run concurrently
-/// in one process without sharing anything but an (optional, thread-safe)
-/// VerifyMemo. gcsafe-serve runs one context per request on its worker
+/// Compilation, the fault injector, the self-heal ladder and its
+/// quarantine set — so any number of requests can run concurrently in one
+/// process without sharing anything but an (optional, thread-safe)
+/// VerifyMemo and, when traced, the lock-free event ring. gcsafe-serve runs one context per request on its worker
 /// pool; gcsafe-batch does the same, one forked sandbox per context.
 ///
 /// The exit-code mapping is the gcsafe-cc contract (support/ExitCodes.h):
@@ -73,6 +73,8 @@ struct RequestOptions {
   /// above and refuses to start (or to cache) a request past its deadline;
   /// 0 = no deadline. Relative to submission, not to execution start.
   uint64_t DeadlineNs = 0;
+  /// Ring size for a harness that traces one request into its own ring
+  /// (perfbench/TraceRun.cpp reads it; the driver and the service do not).
   size_t TraceCapacity = 4096;
   /// Shared cross-request verification memo (may be null).
   VerifyMemo *Memo = nullptr;
@@ -90,7 +92,7 @@ struct RequestOutcome {
   std::string Rung = "full";
   std::vector<std::string> Quarantined;
   std::string Error;
-  /// gcsafe-run-report-v1 (always present on a compile that got that far).
+  /// gcsafe-run-report-v2 (always present on a compile that got that far).
   support::Json Report;
   bool HasReport = false;
   /// gcsafe-lint-v1 (present when Verify was requested).
@@ -101,7 +103,11 @@ struct RequestOutcome {
 /// One request's private state. Not copyable; not shared across threads.
 class RequestContext {
 public:
-  explicit RequestContext(RequestOptions Opts);
+  /// \p Trace, when non-null, receives the compile's and the run's
+  /// events (the service's ring when it stitches traces); null traces
+  /// nothing.
+  explicit RequestContext(RequestOptions Opts,
+                          support::TraceBuffer *Trace = nullptr);
   RequestContext(const RequestContext &) = delete;
   RequestContext &operator=(const RequestContext &) = delete;
   ~RequestContext();
@@ -116,7 +122,6 @@ public:
   RequestOutcome execute();
 
   const RequestOptions &options() const { return Opts; }
-  support::TraceBuffer &trace() { return Trace; }
   const SelfHealReport &healReport() const { return Heal; }
 
 private:
@@ -125,7 +130,7 @@ private:
   support::FaultInjector Faults;
   bool UseFaults = false;
   std::string FaultParseError;
-  support::TraceBuffer Trace;
+  support::TraceBuffer *Trace;
   SelfHealReport Heal;
 };
 

@@ -42,7 +42,7 @@ namespace gcsafe {
 namespace driver {
 
 /// Rungs of the degradation ladder, best first. Numeric values are stable
-/// (gcsafe-run-report-v1 "robust.ladder.rung").
+/// (gcsafe-run-report-v2 "robust.ladder.rung").
 enum class OptRung : uint8_t {
   Full = 0,
   Quarantined = 1,

@@ -540,6 +540,12 @@ void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
     MarkStack.push_back({Base, Size});
 }
 
+// A conservative scan reads whole frames, ASan redzones included (bdwgc's
+// stack scanner opts out the same way). Only in ASan builds: GCC will not
+// inline a function across a sanitizer-attribute mismatch.
+#if defined(__SANITIZE_ADDRESS__) || defined(__clang__)
+__attribute__((no_sanitize_address))
+#endif
 void Collector::markRange(const char *Begin, const char *End, bool FromHeap) {
   uintptr_t B = reinterpret_cast<uintptr_t>(Begin);
   uintptr_t E = reinterpret_cast<uintptr_t>(End);
@@ -580,9 +586,6 @@ void Collector::collect() {
 
   CurEvent = CollectionEvent();
   CurEvent.Index = Stats.Collections;
-  if (Config.Trace)
-    Config.Trace->emit("gc", "collect.begin", CurEvent.Index,
-                       Stats.HeapPages);
   uint64_t MarkStartNs = support::monotonicNowNs();
 
   for (PageDescriptor *Desc : AllPages)
@@ -599,20 +602,21 @@ void Collector::collect() {
 
   CurEvent.MarkNs = support::monotonicNowNs() - MarkStartNs;
   if (Config.Trace)
-    Config.Trace->emit("gc", "mark.end", CurEvent.MarkNs,
-                       CurEvent.MarkedObjects);
+    Config.Trace->span("gc", "mark", MarkStartNs, CurEvent.MarkNs,
+                       CurEvent.MarkedObjects, CurEvent.WordsScanned);
   uint64_t SweepStartNs = support::monotonicNowNs();
 
   sweep();
 
-  CurEvent.SweepNs = support::monotonicNowNs() - SweepStartNs;
+  uint64_t EndNs = support::monotonicNowNs();
+  CurEvent.SweepNs = EndNs - SweepStartNs;
   CurEvent.FreedObjects = Stats.FreedObjectsLastGC;
   CurEvent.LiveBytes = Stats.LiveBytesAfterLastGC;
   if (Config.Trace) {
-    Config.Trace->emit("gc", "sweep.end", CurEvent.SweepNs,
-                       CurEvent.FreedObjects);
-    Config.Trace->emit("gc", "collect.end", CurEvent.MarkNs + CurEvent.SweepNs,
-                       CurEvent.LiveBytes);
+    Config.Trace->span("gc", "sweep", SweepStartNs, CurEvent.SweepNs,
+                       CurEvent.FreedObjects, CurEvent.LiveBytes);
+    Config.Trace->span("gc", "collect", MarkStartNs, EndNs - MarkStartNs,
+                       CurEvent.Index, Stats.HeapPages);
   }
 
   if (Config.CollectDeadlineNs &&
@@ -633,7 +637,7 @@ void Collector::collect() {
   Stats.FalseRetentionCandidates += CurEvent.FalseRetentionCandidates;
   if (Config.EventLimit) {
     if (Stats.Events.size() >= Config.EventLimit)
-      Stats.Events.erase(Stats.Events.begin());
+      Stats.Events.pop_front();
     Stats.Events.push_back(CurEvent);
   }
 

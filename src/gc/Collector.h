@@ -39,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -136,9 +137,9 @@ struct CollectorConfig {
   /// collections (0 disables recording; cumulative counters still update).
   size_t EventLimit = 256;
 
-  /// Optional event sink: every collection emits cat="gc" trace events
-  /// (collect.begin, mark.end, sweep.end, collect.end), and the OOM ladder
-  /// and heap audits emit oom.* / audit.* events.
+  /// Optional event sink: every collection records cat="gc" spans
+  /// (mark, sweep, collect), and the OOM ladder and heap audits record
+  /// oom.* / audit.* events.
   support::TraceBuffer *Trace = nullptr;
 
   /// What allocation does when the heap is exhausted. See OomPolicy.
@@ -237,7 +238,7 @@ struct CollectorStats {
   /// Collections whose mark+sweep blew CollectorConfig::CollectDeadlineNs.
   uint64_t GcDeadlineExceeded = 0;
 
-  std::vector<CollectionEvent> Events;
+  std::deque<CollectionEvent> Events;
 };
 
 /// Passed to registered root scanners; report pointer-holding memory

@@ -1061,7 +1061,7 @@ PassStats gcsafe::opt::optimizeModule(Module &M,
 
     // Records one committed pass invocation: counter deltas into the
     // function-local stats and — when a registry is attached — under
-    // "opt.<name>.*", with a trace event per changing invocation.
+    // "opt.<name>.*".
     auto Commit = [&](const char *Name, const PassStats &Delta,
                       uint64_t ElapsedNs) {
       S.accumulate(Delta);
@@ -1073,8 +1073,6 @@ PassStats gcsafe::opt::optimizeModule(Module &M,
           if (E.second)
             Reg->add(Prefix + E.first, E.second);
       }
-      if (Options.Trace && Delta.total())
-        Options.Trace->emit("pass", Name, ElapsedNs, Delta.total(), F.Name);
     };
 
     // Runs one named pass over F: the test mutator, then — in
@@ -1099,6 +1097,11 @@ PassStats gcsafe::opt::optimizeModule(Module &M,
       uint64_t StartNs = Timed ? support::monotonicNowNs() : 0;
       Pass(F, Delta);
       uint64_t ElapsedNs = Timed ? support::monotonicNowNs() - StartNs : 0;
+      // One span per changing invocation, recorded as the pass closes; a
+      // rollback below follows it as its own event.
+      if (Options.Trace && Delta.total())
+        Options.Trace->span("pass", Name, StartNs, ElapsedNs, Delta.total(),
+                            0, F.Name);
       if (Options.PassMutator)
         Options.PassMutator(Name, F);
       bool Committed = true;

@@ -160,7 +160,6 @@ bool gcsafe::serve::parseRequestLine(const std::string &Line,
   R.GcInstructionPeriod = getUInt(J, "gc_period");
   R.GcAllocTrigger = getUInt(J, "gc_alloc_trigger");
   R.GcCallPeriod = getUInt(J, "gc_call_period");
-  R.TraceCapacity = getUInt(J, "trace_capacity", 4096);
   if (getBool(J, "no_opt1"))
     R.Annot.SkipCopies = false;
   if (getBool(J, "no_opt2"))

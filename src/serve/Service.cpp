@@ -106,11 +106,6 @@ bool gcsafe::serve::serveResultFromJson(const support::Json &J,
 
 namespace {
 
-/// Pool worker index of the current thread (0 = a caller thread, e.g.
-/// compile() or a test): stamps flight-recorder events so the Chrome
-/// export gets one track per worker.
-thread_local uint32_t CurrentWorker = 0;
-
 /// A request id reduced to filename-safe characters for the flight-dump
 /// path (the client controls the id; it must not traverse directories).
 std::string fsSafeId(const std::string &Rid) {
@@ -196,7 +191,7 @@ CompileService::CompileService(ServiceOptions O)
     SO.Fingerprint = driver::keyFingerprint();
     SO.Inject = [this](const std::string &Site) { return injectFault(Site); };
     SO.Event = [this](const char *Stage, uint64_t Value) {
-      Flight.record("store", Stage, "", Value, CurrentWorker);
+      Flight.emit("store", Stage, Value);
     };
     Disk.reset(new Store(std::move(SO)));
     // Scrub before the first worker can read: nothing unvalidated is
@@ -207,7 +202,7 @@ CompileService::CompileService(ServiceOptions O)
   Pool.reserve(N);
   for (unsigned I = 0; I < N; ++I)
     Pool.emplace_back([this, I] {
-      CurrentWorker = I + 1; // 0 is reserved for caller threads.
+      support::setTraceWorker(I + 1); // 0 is reserved for caller threads.
       workerLoop();
     });
 }
@@ -233,7 +228,7 @@ void CompileService::drain() {
       return;
     Draining.store(true, std::memory_order_release);
   }
-  Flight.record("serve", "service.drain", "", 0, CurrentWorker);
+  Flight.emit("serve", "service.drain");
 }
 
 void CompileService::waitIdle() {
@@ -355,7 +350,10 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   // executed (serve.requests counts work, serve.queue.shed counts
   // refusals).
   QueueShed.fetch_add(1, std::memory_order_relaxed);
-  Flight.record("serve", "queue.shed", TraceId, 0, CurrentWorker);
+  {
+    support::TraceScope Scope(TraceId);
+    Flight.emit("serve", "queue.shed");
+  }
   std::promise<ServeResult> P;
   ServeResult R =
       typedResult(Shed, support::ExitOverloaded, "request shed: " + Why);
@@ -388,6 +386,15 @@ std::string CompileService::assignRequestId(driver::RequestOptions &Request) {
   return Request.RequestId + "#" + std::to_string(Seq);
 }
 
+void CompileService::stage(support::Histogram &H, const char *Name,
+                           uint64_t StartNs, uint64_t EndNs) {
+  {
+    support::RankedGuard Lock(HistMu);
+    H.record(EndNs - StartNs);
+  }
+  Flight.span("serve", Name, StartNs, EndNs - StartNs);
+}
+
 void CompileService::countResult(const ServeResult &R) {
   if (R.Ok)
     ResponsesOk.fetch_add(1, std::memory_order_relaxed);
@@ -416,17 +423,13 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                                       uint64_t DeadlineAtNs,
                                       uint64_t SubmitNs,
                                       const std::string &TraceId) {
-  const uint32_t Worker = CurrentWorker;
+  // Every event this thread records until return — the service's and,
+  // when stitched, the compiler's — carries the request's trace id.
+  support::TraceScope Scope(TraceId);
   uint64_t BeginNs = support::monotonicNowNs();
   Requests.fetch_add(1, std::memory_order_relaxed);
-  Flight.record("serve", "request.begin", TraceId, 0, Worker);
-
-  uint64_t QueueWaitNs = BeginNs > SubmitNs ? BeginNs - SubmitNs : 0;
-  {
-    support::RankedGuard Lock(HistMu);
-    HistQueueWait.record(QueueWaitNs);
-  }
-  Flight.record("serve", "queue.wait", TraceId, QueueWaitNs, Worker);
+  stage(HistQueueWait, "queue.wait", std::min(SubmitNs, BeginNs), BeginNs);
+  Flight.emit("serve", "request.begin");
 
   // Every exit path below funnels through this: the echoed request id,
   // the response counters, the end-to-end histogram (its count therefore
@@ -435,14 +438,8 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   auto Finish = [&](ServeResult R) {
     R.RequestId = Request.RequestId;
     countResult(R);
-    uint64_t E2ENs = support::monotonicNowNs() - SubmitNs;
-    {
-      support::RankedGuard Lock(HistMu);
-      HistE2E.record(E2ENs);
-    }
-    Flight.record("serve", "e2e", TraceId, E2ENs, Worker);
-    Flight.record("serve", "request.end", TraceId, uint64_t(R.ExitCode),
-                  Worker);
+    stage(HistE2E, "e2e", SubmitNs, support::monotonicNowNs());
+    Flight.emit("serve", "request.end", uint64_t(R.ExitCode));
     return R;
   };
 
@@ -450,7 +447,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   // chance to insert anything into the cache or the memo.
   if (DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs) {
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    Flight.record("serve", "request.deadline", TraceId, 0, Worker);
+    Flight.emit("serve", "request.deadline");
     return Finish(typedResult("deadline", support::ExitWatchdogTimeout,
                               "deadline expired before the compile started"));
   }
@@ -474,15 +471,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         // Only the first probe counts: re-checks after waiting out a
         // single-flight leader measure the leader, not the cache.
         LookupTimed = true;
-        uint64_t LookupNs = support::monotonicNowNs() - LookupStartNs;
-        {
-          support::RankedGuard Lock(HistMu);
-          HistCacheLookup.record(LookupNs);
-        }
-        Flight.record("serve", "cache.lookup", TraceId, LookupNs, Worker);
+        stage(HistCacheLookup, "cache.lookup", LookupStartNs,
+              support::monotonicNowNs());
       }
       if (Hit) {
-        Flight.record("serve", "cache.hit", TraceId, 0, Worker);
+        Flight.emit("serve", "cache.hit");
         return Finish(hitResult(Key, std::move(Entry)));
       }
       // Memory miss: read through to the durable store (once — a re-loop
@@ -501,7 +494,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
             serveResultFromJson(J, Stored)) {
           Stored.CacheKey = Key;
           Cache.insert(Key, renderCacheEntry(Stored));
-          Flight.record("serve", "store.hit", TraceId, 0, Worker);
+          Flight.emit("serve", "store.hit");
           continue;
         }
       }
@@ -527,7 +520,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
           // typed expiry as a deadline that fired anywhere else.
           L.unlock();
           DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-          Flight.record("serve", "request.deadline", TraceId, 0, Worker);
+          Flight.emit("serve", "request.deadline");
           ServeResult R =
               typedResult("deadline", support::ExitWatchdogTimeout,
                           "deadline expired while waiting for an "
@@ -544,7 +537,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // test parks the first leader here and kills it with the
     // serve.worker.crash failpoint below.
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.elect");
-    Flight.record("serve", "cache.miss", TraceId, 0, Worker);
+    Flight.emit("serve", "cache.miss");
   }
 
   // A miss: only now does the request get its private state and a
@@ -552,7 +545,8 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   driver::RequestOptions Opts2 = Request;
   Opts2.Memo = &Memo;
   clampWatchdogs(Opts2, DeadlineAtNs);
-  driver::RequestContext Ctx(std::move(Opts2));
+  driver::RequestContext Ctx(std::move(Opts2),
+                             Opts.StitchTraces ? &Flight : nullptr);
 
   ServeResult Result;
   std::string ParseError;
@@ -560,12 +554,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   if (Opts.Isolate) {
     uint64_t IsoStartNs = support::monotonicNowNs();
     Result = isolatedCompile(Request, DeadlineAtNs, TraceId);
-    uint64_t IsoNs = support::monotonicNowNs() - IsoStartNs;
-    {
-      support::RankedGuard Lock(HistMu);
-      HistIsolate.record(IsoNs);
-    }
-    Flight.record("serve", "isolate", TraceId, IsoNs, Worker);
+    stage(HistIsolate, "isolate", IsoStartNs, support::monotonicNowNs());
   } else if (injectFault("serve.worker.crash")) {
     // An in-process worker cannot survive a real SIGSEGV, so without
     // Opts.Isolate the crash failpoint models the *disposition* instead:
@@ -573,7 +562,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // crash whose retries ran out. The payoff is determinism — a leader
     // can be killed between its election and its publish without a fork,
     // which is how tests/test_race.cpp drives single-flight re-election.
-    Flight.record("serve", "worker.crash", TraceId, 0, Worker);
+    Flight.emit("serve", "worker.crash");
     if (!Opts.FlightDir.empty())
       Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
                             fsSafeId(Request.RequestId) + ".json",
@@ -583,19 +572,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   } else {
     uint64_t ExecStartNs = support::monotonicNowNs();
     Result = resultFromOutcome(Ctx.execute());
-    uint64_t ExecNs = support::monotonicNowNs() - ExecStartNs;
-    {
-      support::RankedGuard Lock(HistMu);
-      HistCompile.record(ExecNs);
-    }
-    Flight.record("serve", "compile", TraceId, ExecNs, Worker);
-    if (Opts.StitchTraces)
-      // Nest the compiler's own spans under this request in the Chrome
-      // export. The driver ring's categories/names are string literals,
-      // so storing them by pointer in the flight ring is safe.
-      for (const support::TraceEvent &E : Ctx.trace().snapshot())
-        Flight.record(E.Category, E.Name, TraceId, E.Value, Worker,
-                      E.TimeNs);
+    stage(HistCompile, "compile", ExecStartNs, support::monotonicNowNs());
   }
 
   // The service-side deadline guard: whatever the request was doing when
@@ -603,7 +580,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   bool Expired = DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs;
   if (Expired && Result.Status.empty()) {
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    Flight.record("serve", "request.deadline", TraceId, 0, Worker);
+    Flight.emit("serve", "request.deadline");
     std::vector<SandboxAttempt> Attempts = std::move(Result.Attempts);
     Result = typedResult("deadline", support::ExitWatchdogTimeout,
                          "deadline expired during the compile");
@@ -650,7 +627,7 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
   driver::OptRung Rung = Request.StartRung;
   std::vector<SandboxAttempt> Attempts;
   // Every return below carries the sandbox record. Terminal "crashed"
-  // results also dump the flight ring next to the response
+  // results also dump the event ring next to the response
   // (gcsafe-flightrec-v1): the post-mortem names the victim request and
   // carries its last events. The dump runs in the parent, outside signal
   // context, but reuses the same async-signal-safe writer.
@@ -722,8 +699,7 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
       return Crashed(0, "could not spawn an isolated worker");
     case driver::SandboxOutcome::Status::TimedOut: {
       IsolateTimeouts.fetch_add(1, std::memory_order_relaxed);
-      Flight.record("serve", "worker.timeout", TraceId, Out.DurationMs,
-                    CurrentWorker);
+      Flight.emit("serve", "worker.timeout", Out.DurationMs);
       A.Outcome = "timeout";
       Attempts.push_back(std::move(A));
       bool RequestDeadline =
@@ -737,8 +713,7 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
     }
     case driver::SandboxOutcome::Status::Signaled: {
       IsolateCrashes.fetch_add(1, std::memory_order_relaxed);
-      Flight.record("serve", "worker.crash", TraceId, uint64_t(Out.Signal),
-                    CurrentWorker);
+      Flight.emit("serve", "worker.crash", uint64_t(Out.Signal));
       A.Outcome = "signal";
       Attempts.push_back(std::move(A));
       bool Expired = DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs;

@@ -17,8 +17,8 @@
 /// canonical flags — before any frontend work: a cache hit never builds
 /// a RequestContext, it splices the entry's pre-rendered bytes into its
 /// response. Only a miss gets a fresh RequestContext — fault injector,
-/// trace ring, self-heal ladder and quarantine set are all request-private
-/// — so nothing a request degrades leaks into the next one. The only
+/// self-heal ladder and quarantine set are all request-private — so
+/// nothing a request degrades leaks into the next one. The only
 /// cross-request state is deliberately shareable: the response cache and
 /// the verify memo, both keyed purely on content.
 ///
@@ -42,6 +42,7 @@
 #include "serve/Cache.h"
 #include "serve/Store.h"
 #include "serve/Telemetry.h"
+#include "support/Trace.h"
 #include "support/RankedMutex.h"
 
 #include <atomic>
@@ -79,19 +80,18 @@ struct ServiceOptions {
   /// injectors it is shared across threads; the service serializes every
   /// consult behind a mutex. Must outlive the service. May be null.
   support::FaultInjector *Faults = nullptr;
-  /// Capacity of the lock-free flight-recorder ring (serve/Telemetry.h).
+  /// Capacity of the service's lock-free event ring (support/Trace.h).
   size_t FlightCapacity = 2048;
-  /// When non-empty, every request that ends "crashed" dumps the flight
+  /// When non-empty, every request that ends "crashed" dumps the event
   /// ring to DIR/flightrec-<request_id>.json (gcsafe-flightrec-v1), so a
   /// post-mortem can read the victim's last events. The directory must
   /// exist. Empty = no dumps (the ring still records).
   std::string FlightDir;
-  /// Re-emit each in-process compile's driver trace events (cat
-  /// "phase"/"pass"/"gc"/"vm") into the flight ring stamped with the
-  /// request's trace id, so the Chrome export nests compiler internals
-  /// under the request span. Off by default: high-volume VM events stay
-  /// out of the flight ring unless an operator asks (gcsafe-serve
-  /// --trace-chrome).
+  /// Let each in-process compile record its driver spans (cat
+  /// "phase"/"pass"/"gc"/"vm") straight into the service ring, stamped
+  /// with the request's trace id, so the Chrome export nests compiler
+  /// internals under the request span. Off by default: an untraced
+  /// compile records nothing (gcsafe-serve --trace-chrome turns it on).
   bool StitchTraces = false;
   /// When non-empty, a crash-safe on-disk response store (serve/Store.h)
   /// backs the in-memory cache under DIR/gcsafe-store-v1/: validated
@@ -224,8 +224,8 @@ public:
   /// cache_lookup, compile, isolate, e2e) with p50/p90/p99/max.
   support::Json metricsSnapshot() const;
 
-  /// The daemon-wide lock-free telemetry ring (serve/Telemetry.h).
-  const FlightRecorder &flightRecorder() const { return Flight; }
+  /// The daemon-wide lock-free event ring (support/Trace.h).
+  const support::TraceBuffer &ring() const { return Flight; }
 
   const ServiceOptions &options() const { return Opts; }
   driver::VerifyMemo &verifyMemo() { return Memo; }
@@ -266,11 +266,15 @@ private:
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
   /// SIGKILL deadline, crash retries one rung lower, one Attempts record
   /// per sandbox. TraceId stamps the crash telemetry; a final "crashed"
-  /// result dumps the flight ring.
+  /// result dumps the event ring.
   ServeResult isolatedCompile(const driver::RequestOptions &Request,
                               uint64_t DeadlineAtNs,
                               const std::string &TraceId);
   void countResult(const ServeResult &R);
+  /// One serving stage from StartNs to EndNs: its histogram sample and
+  /// its span in the ring.
+  void stage(support::Histogram &H, const char *Name, uint64_t StartNs,
+             uint64_t EndNs) GCSAFE_EXCLUDES(HistMu);
   /// Assigns Request.RequestId (when the client sent none) and returns
   /// the request's unique trace id: "<request_id>#<seq>". The sequence
   /// suffix is what keeps duplicate client-supplied ids distinguishable
@@ -290,7 +294,7 @@ private:
 
   /// The service's one event ring: lock-free, safe to record from any
   /// worker and dump from a signal.
-  FlightRecorder Flight;
+  support::TraceBuffer Flight;
 
   /// Per-stage latency histograms (support::Histogram is not
   /// thread-safe; every record/read goes through HistMu).

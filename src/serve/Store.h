@@ -84,7 +84,7 @@ public:
     std::function<bool(const std::string &Site)> Inject;
     /// cat="store" event sink (stage, value); may be null. The stage is
     /// a string literal ("store.hit", ...), so the sink may keep it by
-    /// pointer — the service records it in its flight ring.
+    /// pointer — the service records it in its event ring.
     std::function<void(const char *Stage, uint64_t Value)> Event;
     /// Consecutive IO errors before degrading to memory-only mode.
     unsigned IoErrorLimit = 3;

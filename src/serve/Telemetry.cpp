@@ -3,368 +3,9 @@
 #include "serve/Telemetry.h"
 
 #include <algorithm>
-#include <csignal>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace gcsafe;
 using namespace gcsafe::serve;
-
-//===----------------------------------------------------------------------===//
-// FlightRecorder
-//===----------------------------------------------------------------------===//
-
-static_assert(sizeof(FlightEvent) % sizeof(uint64_t) == 0,
-              "FlightEvent must be word-copyable into a seqlock slot");
-static_assert(std::is_trivially_copyable<FlightEvent>::value,
-              "FlightEvent is copied as raw words");
-
-FlightRecorder::FlightRecorder(size_t Capacity)
-    : Slots(Capacity ? Capacity : 1) {}
-
-namespace {
-
-/// The reader half of the seqlock protocol: copies one slot's payload
-/// into \p Out iff the ticket was \p WantTicket (even, nonzero) and
-/// stayed that value across the word copy. Relaxed word loads bracketed
-/// by an acquire load and an acquire fence — Boehm's seqlock-with-atomics
-/// recipe, safe from any thread and from signal context.
-template <typename SlotT>
-bool readSlot(const SlotT &S, uint64_t WantTicket, FlightEvent &Out) {
-  if (!WantTicket || (WantTicket & 1))
-    return false;
-  uint64_t W[SlotT::Words];
-  for (size_t I = 0; I < SlotT::Words; ++I)
-    W[I] = S.Data[I].load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (S.Ticket.load(std::memory_order_relaxed) != WantTicket)
-    return false; // Torn: a writer claimed the slot mid-copy.
-  std::memcpy(&Out, W, sizeof(Out));
-  return true;
-}
-
-} // namespace
-
-void FlightRecorder::record(const char *Cat, const char *Stage,
-                            const std::string &Rid, uint64_t Value,
-                            uint32_t Worker, uint64_t TimeNs) {
-  uint64_t Seq = Head.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot &S = Slots[(Seq - 1) % Slots.size()];
-
-  // Build the event on the stack first: the slot only ever holds either
-  // a complete payload or an odd ticket.
-  FlightEvent E;
-  E.Seq = Seq;
-  E.TimeNs = TimeNs ? TimeNs : support::monotonicNowNs();
-  E.Value = Value;
-  E.Worker = Worker;
-  E.Cat = Cat;
-  E.Stage = Stage;
-  size_t N = std::min(Rid.size(), sizeof(E.Rid) - 1);
-  for (size_t I = 0; I < N; ++I) {
-    // Scrub to JSON-safe printable ASCII so the signal-context dumper can
-    // emit the id verbatim, without an escaper.
-    char C = Rid[I];
-    E.Rid[I] = (C < 0x20 || C > 0x7e || C == '"' || C == '\\') ? '_' : C;
-  }
-  E.Rid[N] = '\0';
-  uint64_t W[Slot::Words];
-  std::memcpy(W, &E, sizeof(E));
-
-  // Claim the slot: even (or never-written) -> odd. Losing the CAS means
-  // a writer one full ring lap away is still mid-write; dropping this
-  // event beats tearing that one.
-  uint64_t Cur = S.Ticket.load(std::memory_order_relaxed);
-  if ((Cur & 1) ||
-      !S.Ticket.compare_exchange_strong(Cur, Seq * 2 - 1,
-                                        std::memory_order_relaxed))
-    return;
-  // Release fence: the odd ticket is visible before any payload word, so
-  // a reader can never pair fresh words with the stale even ticket.
-  std::atomic_thread_fence(std::memory_order_release);
-  for (size_t I = 0; I < Slot::Words; ++I)
-    S.Data[I].store(W[I], std::memory_order_relaxed);
-  S.Ticket.store(Seq * 2, std::memory_order_release);
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::vector<FlightEvent> Out;
-  Out.reserve(Slots.size());
-  for (const Slot &S : Slots) {
-    FlightEvent E;
-    if (readSlot(S, S.Ticket.load(std::memory_order_acquire), E))
-      Out.push_back(E);
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const FlightEvent &A, const FlightEvent &B) {
-              return A.Seq < B.Seq;
-            });
-  return Out;
-}
-
-namespace {
-
-/// A buffered, async-signal-safe JSON emitter: fixed stack buffer,
-/// write(2) on flush, no allocation and no locale-dependent formatting.
-struct SafeWriter {
-  int Fd;
-  char Buf[4096];
-  size_t Len = 0;
-
-  explicit SafeWriter(int Fd) : Fd(Fd) {}
-
-  void flush() {
-    size_t Off = 0;
-    while (Off < Len) {
-      ssize_t W = ::write(Fd, Buf + Off, Len - Off);
-      if (W <= 0)
-        break;
-      Off += static_cast<size_t>(W);
-    }
-    Len = 0;
-  }
-  void putc(char C) {
-    if (Len == sizeof(Buf))
-      flush();
-    Buf[Len++] = C;
-  }
-  void put(const char *S) {
-    for (; S && *S; ++S)
-      putc(*S);
-  }
-  /// Strings in FlightEvent are pre-sanitized literals/ids, but scrub
-  /// anyway: this also runs on the caller-supplied reason/rid arguments.
-  void putJsonStr(const char *S) {
-    putc('"');
-    for (; S && *S; ++S) {
-      char C = *S;
-      putc((C < 0x20 || C > 0x7e || C == '"' || C == '\\') ? '_' : C);
-    }
-    putc('"');
-  }
-  void putU64(uint64_t V) {
-    char Tmp[24];
-    size_t N = 0;
-    do {
-      Tmp[N++] = char('0' + V % 10);
-      V /= 10;
-    } while (V);
-    while (N)
-      putc(Tmp[--N]);
-  }
-};
-
-} // namespace
-
-void FlightRecorder::dumpTo(int Fd, const char *Reason,
-                            const char *RequestId, const char *TraceId,
-                            int Signal) const {
-  SafeWriter W(Fd);
-  W.put("{\"schema\":\"gcsafe-flightrec-v1\",\"reason\":");
-  W.putJsonStr(Reason ? Reason : "");
-  W.put(",\"signal\":");
-  W.putU64(Signal < 0 ? 0 : uint64_t(Signal));
-  W.put(",\"request_id\":");
-  W.putJsonStr(RequestId ? RequestId : "");
-  W.put(",\"trace_id\":");
-  W.putJsonStr(TraceId ? TraceId : "");
-  W.put(",\"recorded\":");
-  W.putU64(Head.load(std::memory_order_acquire));
-  W.put(",\"events\":[");
-
-  // Oldest-first without sorting (no heap in signal context): walk the
-  // ring twice by sequence threshold. Events before the head-capacity
-  // watermark were overwritten; everything live is within one lap.
-  uint64_t Recorded = Head.load(std::memory_order_acquire);
-  uint64_t Oldest =
-      Recorded > Slots.size() ? Recorded - Slots.size() + 1 : 1;
-  bool First = true;
-  for (uint64_t Seq = Oldest; Seq <= Recorded; ++Seq) {
-    const Slot &S = Slots[(Seq - 1) % Slots.size()];
-    uint64_t T1 = S.Ticket.load(std::memory_order_acquire);
-    if (T1 != Seq * 2)
-      continue; // Empty, torn, or already overwritten by a racing writer.
-    FlightEvent E;
-    if (!readSlot(S, T1, E))
-      continue;
-    if (!First)
-      W.putc(',');
-    First = false;
-    W.put("{\"seq\":");
-    W.putU64(E.Seq);
-    W.put(",\"t_ns\":");
-    W.putU64(E.TimeNs);
-    W.put(",\"worker\":");
-    W.putU64(E.Worker);
-    W.put(",\"cat\":");
-    W.putJsonStr(E.Cat);
-    W.put(",\"stage\":");
-    W.putJsonStr(E.Stage);
-    W.put(",\"request_id\":");
-    W.putJsonStr(E.Rid);
-    W.put(",\"value\":");
-    W.putU64(E.Value);
-    W.putc('}');
-  }
-  W.put("]}\n");
-  W.flush();
-}
-
-bool FlightRecorder::dumpToFile(const std::string &Path, const char *Reason,
-                                const std::string &RequestId,
-                                const std::string &TraceId,
-                                int Signal) const {
-  int Fd = ::open(Path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (Fd < 0)
-    return false;
-  dumpTo(Fd, Reason, RequestId.c_str(), TraceId.c_str(), Signal);
-  ::close(Fd);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Fatal-signal dump
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-const FlightRecorder *FatalRecorder = nullptr;
-char FatalPath[512] = {0};
-
-void fatalDumpHandler(int Sig) {
-  // SA_RESETHAND restored the default disposition before we got here;
-  // everything below is async-signal-safe (open/write/close only).
-  if (FatalRecorder && FatalPath[0]) {
-    int Fd = ::open(FatalPath, O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (Fd >= 0) {
-      FatalRecorder->dumpTo(Fd, "signal", "", "", Sig);
-      ::close(Fd);
-    }
-  }
-  raise(Sig);
-}
-
-} // namespace
-
-void gcsafe::serve::installFlightDump(const FlightRecorder &R,
-                                      const std::string &Path) {
-  FatalRecorder = &R;
-  size_t N = std::min(Path.size(), sizeof(FatalPath) - 1);
-  std::memcpy(FatalPath, Path.data(), N);
-  FatalPath[N] = '\0';
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = fatalDumpHandler;
-  SA.sa_flags = SA_RESETHAND;
-  sigemptyset(&SA.sa_mask);
-  const int Fatal[] = {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT};
-  for (int Sig : Fatal)
-    sigaction(Sig, &SA, nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// Chrome trace_event export
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Stages recorded with a duration payload (span stamped at its end, the
-/// same convention Profile.cpp's traceToChromeJson uses for the driver
-/// rings): the serve timing stages, the compiler's phase/pass spans, and
-/// the GC's *.end events.
-bool isDurationStage(const FlightEvent &E) {
-  std::string Cat = E.Cat;
-  if (Cat == "phase" || Cat == "pass")
-    return true;
-  if (Cat == "gc") {
-    std::string Stage = E.Stage;
-    return Stage == "mark.end" || Stage == "sweep.end" ||
-           Stage == "collect.end";
-  }
-  if (Cat != "serve")
-    return false;
-  std::string Stage = E.Stage;
-  return Stage == "queue.wait" || Stage == "cache.lookup" ||
-         Stage == "compile" || Stage == "isolate" || Stage == "e2e";
-}
-
-support::Json metadataEvent(uint32_t Tid, const std::string &Label) {
-  using support::Json;
-  Json M = Json::object();
-  M["name"] = Json::string("thread_name");
-  M["ph"] = Json::string("M");
-  M["pid"] = Json::integer(int64_t(1));
-  M["tid"] = Json::integer(uint64_t(Tid));
-  Json Args = Json::object();
-  Args["name"] = Json::string(Label);
-  M["args"] = std::move(Args);
-  return M;
-}
-
-} // namespace
-
-support::Json
-gcsafe::serve::flightToChromeJson(const std::vector<FlightEvent> &Events) {
-  using support::Json;
-  std::vector<Json> Out;
-  std::vector<uint32_t> Workers;
-  for (const FlightEvent &E : Events) {
-    if (std::find(Workers.begin(), Workers.end(), E.Worker) == Workers.end())
-      Workers.push_back(E.Worker);
-
-    std::string Cat = E.Cat;
-    std::string Stage = E.Stage;
-    Json J = Json::object();
-    J["name"] = Json::string(Cat + "." + Stage);
-    J["cat"] = Json::string(Cat);
-    double EndUs = static_cast<double>(E.TimeNs) / 1000.0;
-    if (Cat == "serve" &&
-        (Stage == "request.begin" || Stage == "request.end")) {
-      // Async begin/end pair keyed by trace id: Chrome/Perfetto nests
-      // every stage between them under one per-request span tree.
-      J["name"] = Json::string("request");
-      J["ph"] = Json::string(Stage == "request.begin" ? "b" : "e");
-      J["id"] = Json::string(E.Rid);
-      J["ts"] = Json::number(EndUs);
-    } else if (isDurationStage(E)) {
-      double DurUs = static_cast<double>(E.Value) / 1000.0;
-      J["ph"] = Json::string("X");
-      J["ts"] = Json::number(EndUs - DurUs);
-      J["dur"] = Json::number(DurUs);
-    } else {
-      J["ph"] = Json::string("i");
-      J["ts"] = Json::number(EndUs);
-      J["s"] = Json::string("t");
-    }
-    J["pid"] = Json::integer(int64_t(1));
-    J["tid"] = Json::integer(uint64_t(E.Worker));
-    Json Args = Json::object();
-    Args["request_id"] = Json::string(E.Rid);
-    Args["value"] = Json::integer(E.Value);
-    Args["seq"] = Json::integer(E.Seq);
-    J["args"] = std::move(Args);
-    Out.push_back(std::move(J));
-  }
-
-  std::stable_sort(Out.begin(), Out.end(), [](const Json &A, const Json &B) {
-    return A.get("ts")->asDouble() < B.get("ts")->asDouble();
-  });
-
-  Json Arr = Json::array();
-  std::sort(Workers.begin(), Workers.end());
-  for (uint32_t W : Workers)
-    Arr.push(metadataEvent(
-        W, W ? "worker " + std::to_string(W) : "service caller"));
-  for (Json &J : Out)
-    Arr.push(std::move(J));
-
-  Json Root = Json::object();
-  Root["traceEvents"] = std::move(Arr);
-  Root["displayTimeUnit"] = Json::string("ms");
-  return Root;
-}
 
 //===----------------------------------------------------------------------===//
 // Prometheus text exposition

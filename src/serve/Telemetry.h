@@ -1,4 +1,4 @@
-//===- serve/Telemetry.h - Flight recorder and telemetry export -*- C++ -*-===//
+//===- serve/Telemetry.h - Metrics text exposition -------------*- C++ -*-===//
 //
 // Part of the gcsafe project, a reproduction of Boehm, "Simple
 // Garbage-Collector-Safety" (PLDI 1996).
@@ -6,24 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Request-level telemetry for the compile service
-/// (docs/OBSERVABILITY.md §8):
-///
-///  - FlightRecorder: a lock-free, daemon-wide ring of recent telemetry
-///    events. Workers append without taking a lock; a fatal-signal
-///    handler (or the isolate-crash path) can dump the ring as a
-///    gcsafe-flightrec-v1 JSON file using only async-signal-safe calls,
-///    so every "crashed" response is accompanied by the victim request's
-///    last events.
-///
-///  - flightToChromeJson: exports a flight snapshot as Chrome
-///    trace_event JSON — one track per worker, per-request span trees
-///    stitched by request_id (async "b"/"e" events), duration stages as
-///    "X" spans.
-///
-///  - metricsToPrometheus: text exposition of a gcsafe-metrics-v1
-///    snapshot (CompileService::metricsSnapshot) for scrape-style
-///    consumers.
+/// metricsToPrometheus: text exposition of a gcsafe-metrics-v1 snapshot
+/// (CompileService::metricsSnapshot) for scrape-style consumers
+/// (docs/OBSERVABILITY.md §8). The service's event ring is
+/// support::TraceBuffer (support/Trace.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,103 +18,10 @@
 
 #include "support/Stats.h"
 
-#include <atomic>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace gcsafe {
 namespace serve {
-
-/// One telemetry event in the flight ring. Fixed-size and heap-free:
-/// slots are written lock-free from any thread and read from a
-/// fatal-signal handler, so nothing here may own memory.
-struct FlightEvent {
-  uint64_t Seq = 0;    ///< Global record order (1-based); 0 = empty slot.
-  uint64_t TimeNs = 0; ///< support::monotonicNowNs() at record time.
-  uint64_t Value = 0;  ///< Stage payload: duration ns, signal, exit code.
-  uint32_t Worker = 0; ///< Pool worker index (0 = the calling thread).
-  const char *Cat = "";   ///< Static-literal category ("serve", "gc", ...).
-  const char *Stage = ""; ///< Static-literal stage name ("compile", ...).
-  char Rid[48] = {0};     ///< Trace id, sanitized + truncated, NUL-padded.
-};
-
-/// The daemon-wide ring. record() is lock-free (one fetch_add, one CAS to
-/// claim the slot, relaxed word stores); readers use a per-slot sequence
-/// word to detect and discard torn slots instead of blocking writers.
-///
-/// Memory ordering is the atomic seqlock recipe from Boehm, "Can Seqlocks
-/// Get Along With Programming Language Memory Models?" (MSPC 2012) — a
-/// fitting citation for this repo: slot payloads are relaxed atomic words
-/// bracketed by a release-fenced odd/even ticket, so the ring is
-/// TSan-clean with zero suppressions rather than "benignly" racy
-/// (docs/ANALYSIS.md §"Concurrency checking"). A reader accepts a slot
-/// only when the ticket is even and unchanged across the word copy; a
-/// writer that laps a straggling writer on the same slot loses the claim
-/// CAS and drops its event instead of tearing the payload.
-class FlightRecorder {
-public:
-  explicit FlightRecorder(size_t Capacity = 2048);
-  FlightRecorder(const FlightRecorder &) = delete;
-  FlightRecorder &operator=(const FlightRecorder &) = delete;
-
-  /// Appends one event. \p Cat and \p Stage MUST be string literals (they
-  /// are stored by pointer — a signal-context reader cannot copy heap
-  /// strings). \p Rid is truncated to the slot and scrubbed to JSON-safe
-  /// characters at record time, so the dumper never needs to escape.
-  /// \p TimeNs overrides the event timestamp (0 = now) — used when
-  /// re-emitting driver trace events that carry their own times.
-  void record(const char *Cat, const char *Stage, const std::string &Rid,
-              uint64_t Value = 0, uint32_t Worker = 0, uint64_t TimeNs = 0);
-
-  size_t capacity() const { return Slots.size(); }
-  /// Total events ever recorded (>= capacity() means the ring wrapped).
-  uint64_t recorded() const { return Head.load(std::memory_order_acquire); }
-
-  /// Torn-write-tolerant copy of the ring, oldest first. Not for signal
-  /// context (allocates).
-  std::vector<FlightEvent> snapshot() const;
-
-  /// Async-signal-safe dump of the ring as one gcsafe-flightrec-v1 JSON
-  /// document: only write(2) and stack buffers. \p Reason is "crash"
-  /// (isolate path) or "signal" (fatal handler); \p RequestId /
-  /// \p TraceId name the attributed victim (may be empty); \p Signal is
-  /// the killing signal (0 = none).
-  void dumpTo(int Fd, const char *Reason, const char *RequestId,
-              const char *TraceId, int Signal) const;
-
-  /// open + dumpTo + close, for the non-signal crash path. Returns false
-  /// when the file cannot be created.
-  bool dumpToFile(const std::string &Path, const char *Reason,
-                  const std::string &RequestId, const std::string &TraceId,
-                  int Signal) const;
-
-private:
-  struct Slot {
-    /// 0 = never written; odd = write in progress; even = Seq * 2.
-    std::atomic<uint64_t> Ticket{0};
-    /// The FlightEvent payload as relaxed atomic words (the event struct
-    /// is trivially copyable and 8-byte-aligned; asserted in the .cpp).
-    static constexpr size_t Words = sizeof(FlightEvent) / sizeof(uint64_t);
-    std::atomic<uint64_t> Data[Words];
-  };
-  std::vector<Slot> Slots;
-  std::atomic<uint64_t> Head{0};
-};
-
-/// Installs a fatal-signal handler (SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT)
-/// that dumps \p R to \p Path (reason "signal") and then re-raises with
-/// the default disposition. The recorder pointer and path are stored in
-/// globals: call at most once per process, with a recorder that outlives
-/// every thread (gcsafe-serve --flightrec-dir does this at startup).
-void installFlightDump(const FlightRecorder &R, const std::string &Path);
-
-/// Chrome trace_event export of a flight snapshot: pid 1, one track per
-/// worker (tid = worker index), duration stages as "X" complete events
-/// (their Value is the span length in ns, stamped at span end), request
-/// begin/end as async "b"/"e" events keyed by trace id so each request
-/// reads as one span tree, everything else as "i" instants.
-support::Json flightToChromeJson(const std::vector<FlightEvent> &Events);
 
 /// Prometheus-style text exposition of a gcsafe-metrics-v1 snapshot
 /// (gcsafe-serve --metrics-text): counters/gauges as gcsafe_serve_*

@@ -211,106 +211,3 @@ Json Profiler::toJson(const std::string &Input, const std::string &Mode,
   Root["cycles"] = Cycles.toJson();
   return Root;
 }
-
-//===----------------------------------------------------------------------===//
-// Chrome trace export
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Events whose Value payload is a duration in nanoseconds ending at
-/// TimeNs (docs/OBSERVABILITY.md event tables). Everything else is a
-/// point-in-time event.
-bool isDurationEvent(const TraceEvent &E) {
-  std::string Cat = E.Category;
-  if (Cat == "phase" || Cat == "pass")
-    return true;
-  if (Cat == "gc") {
-    std::string Name = E.Name;
-    return Name == "mark.end" || Name == "sweep.end" || Name == "collect.end";
-  }
-  return false;
-}
-
-/// One track per producer category so Perfetto shows compile / gc / vm
-/// lanes separately.
-int64_t trackFor(const TraceEvent &E) {
-  std::string Cat = E.Category;
-  if (Cat == "phase" || Cat == "pass")
-    return 1; // compile
-  if (Cat == "gc")
-    return 2;
-  return 3; // vm and anything future
-}
-
-Json metadataEvent(int64_t Tid, const char *Label) {
-  Json M = Json::object();
-  M["name"] = Json::string("thread_name");
-  M["ph"] = Json::string("M");
-  M["pid"] = Json::integer(int64_t(1));
-  M["tid"] = Json::integer(Tid);
-  Json Args = Json::object();
-  Args["name"] = Json::string(Label);
-  M["args"] = std::move(Args);
-  return M;
-}
-
-} // namespace
-
-Json support::traceToChromeJson(const TraceBuffer &Trace) {
-  struct ChromeEvent {
-    double TsUs;
-    Json J;
-  };
-  std::vector<ChromeEvent> Out;
-  for (const TraceEvent &E : Trace.snapshot()) {
-    Json J = Json::object();
-    std::string Name = E.Category;
-    Name += '.';
-    Name += E.Name;
-    if (!E.Detail.empty()) {
-      Name += ':';
-      Name += E.Detail;
-    }
-    J["name"] = Json::string(Name);
-    J["cat"] = Json::string(E.Category);
-    bool Dur = isDurationEvent(E);
-    double EndUs = static_cast<double>(E.TimeNs) / 1000.0;
-    double TsUs = EndUs;
-    if (Dur) {
-      // End-of-span events carry their duration; Chrome "X" events carry
-      // their start, so back the timestamp up.
-      double DurUs = static_cast<double>(E.Value) / 1000.0;
-      TsUs = EndUs - DurUs;
-      J["ph"] = Json::string("X");
-      J["dur"] = Json::number(DurUs);
-    } else {
-      J["ph"] = Json::string("i");
-      J["s"] = Json::string("t");
-    }
-    J["ts"] = Json::number(TsUs);
-    J["pid"] = Json::integer(int64_t(1));
-    J["tid"] = Json::integer(trackFor(E));
-    Json Args = Json::object();
-    Args["value"] = Json::integer(E.Value);
-    Args["aux"] = Json::integer(E.Aux);
-    if (!E.Detail.empty())
-      Args["detail"] = Json::string(E.Detail);
-    J["args"] = std::move(Args);
-    Out.push_back({TsUs, std::move(J)});
-  }
-  std::stable_sort(Out.begin(), Out.end(),
-                   [](const ChromeEvent &A, const ChromeEvent &B) {
-                     return A.TsUs < B.TsUs;
-                   });
-  Json Events = Json::array();
-  Events.push(metadataEvent(1, "compile"));
-  Events.push(metadataEvent(2, "gc"));
-  Events.push(metadataEvent(3, "vm"));
-  for (ChromeEvent &E : Out)
-    Events.push(std::move(E.J));
-  Json Root = Json::object();
-  Root["traceEvents"] = std::move(Events);
-  Root["displayTimeUnit"] = Json::string("ms");
-  return Root;
-}

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The profiling subsystem behind gcsafe-cc --profile-json /
-/// --profile-period / --profile-folded / --trace-chrome
-/// (docs/OBSERVABILITY.md §6). Three coordinated producers:
+/// --profile-period / --profile-folded (docs/OBSERVABILITY.md §6). Two
+/// coordinated producers:
 ///
 ///  * HeapProfile — an allocation-site heap profiler. The VM tags every
 ///    gc_malloc/calloc/realloc call with a site id (function + flat IR
@@ -25,10 +25,6 @@
 ///    per-function self-cycles, per-(function, kind) cycles, and
 ///    Brendan-Gregg collapsed stacks ready for flamegraph.pl.
 ///
-///  * traceToChromeJson — converts a support::TraceBuffer into Chrome
-///    trace_event JSON ("Trace Event Format"), loadable in Perfetto /
-///    chrome://tracing, with compile / gc / vm events on labeled tracks.
-///
 /// Everything here follows the same nullable-pointer cost model as Stats
 /// and TraceBuffer: producers take a nullable Profiler*, and with it null
 /// the instrumented paths cost one branch.
@@ -39,7 +35,6 @@
 #define GCSAFE_SUPPORT_PROFILE_H
 
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -237,18 +232,6 @@ struct Profiler {
   Json toJson(const std::string &Input, const std::string &Mode,
               const std::string &Machine) const;
 };
-
-//===----------------------------------------------------------------------===//
-// Chrome trace export
-//===----------------------------------------------------------------------===//
-
-/// Converts a TraceBuffer into Chrome trace_event JSON (object form:
-/// {"traceEvents": [...]}). Phase/pass/collection events with a known
-/// duration become complete ("X") events; everything else becomes an
-/// instant ("i") event. Compile, GC and VM events land on separate named
-/// tracks; events are sorted by timestamp. Timestamps are microseconds on
-/// the shared monotonic clock.
-Json traceToChromeJson(const TraceBuffer &Trace);
 
 } // namespace support
 } // namespace gcsafe

@@ -1102,9 +1102,9 @@ Stop:
   Result.ChecksPerformed = Check->checkCount();
   Result.CheckViolations = Check->violationCount();
   Result.Gc = C->stats();
-  if (Opts.Trace)
-    Opts.Trace->emit("vm", "run.end", Result.Cycles,
-                     Result.InstructionsExecuted);
   Result.RunNs = support::monotonicNowNs() - StartNs;
+  if (Opts.Trace)
+    Opts.Trace->span("vm", "run", StartNs, Result.RunNs, Result.Cycles,
+                     Result.InstructionsExecuted);
   return Result;
 }

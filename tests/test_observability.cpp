@@ -10,10 +10,11 @@
 //  * Json round-trips its own output, preserving member order and the
 //    int/double distinction;
 //  * Stats nests dotted paths and merges registries;
-//  * TraceBuffer is a bounded ring that counts what it drops;
+//  * TraceBuffer is a bounded ring that counts what it drops, and its
+//    document (gcsafe-flightrec-v1) carries what it holds;
 //  * pass counters and GC/VM counters are deterministic on a fixed input
 //    (two identical compiles/runs report identical numbers);
-//  * buildRunReport emits the gcsafe-run-report-v1 document, whose cycle
+//  * buildRunReport emits the gcsafe-run-report-v2 document, whose cycle
 //    attribution sums to the run's total cycles.
 //
 //===----------------------------------------------------------------------===//
@@ -24,6 +25,11 @@
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+
+#include <unistd.h>
 
 using namespace gcsafe;
 using namespace gcsafe::support;
@@ -216,6 +222,20 @@ TEST(Histogram, JsonCarriesBucketsAndInfinityBound) {
 // TraceBuffer
 //===----------------------------------------------------------------------===//
 
+/// The ring's document, as gcsafe-cc --trace-json writes it.
+Json ringDocument(const TraceBuffer &T) {
+  std::string Path = ::testing::TempDir() + "trace_ring.json";
+  EXPECT_TRUE(T.dumpToFile(Path, "export", "", "", 0));
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  ::unlink(Path.c_str());
+  Json J;
+  std::string Error;
+  EXPECT_TRUE(Json::parse(Buf.str(), J, Error)) << Error;
+  return J;
+}
+
 TEST(Trace, RingDropsOldest) {
   TraceBuffer T(4);
   for (uint64_t I = 0; I < 10; ++I)
@@ -227,9 +247,9 @@ TEST(Trace, RingDropsOldest) {
   EXPECT_EQ(Events.front().Value, 6u);
   EXPECT_EQ(Events.back().Value, 9u);
 
-  Json J = T.toJson();
-  EXPECT_EQ(J.get("schema")->asString(), "gcsafe-trace-v1");
-  EXPECT_EQ(J.get("emitted")->asInt(), 10);
+  Json J = ringDocument(T);
+  EXPECT_EQ(J.get("schema")->asString(), "gcsafe-flightrec-v1");
+  EXPECT_EQ(J.get("recorded")->asInt(), 10);
   EXPECT_EQ(J.get("dropped")->asInt(), 6);
   EXPECT_EQ(J.get("events")->size(), 4u);
 }
@@ -238,10 +258,14 @@ TEST(Trace, DetailIsOptionalInJson) {
   TraceBuffer T(8);
   T.emit("a", "plain");
   T.emit("a", "detailed", 1, 2, "some detail");
-  Json J = T.toJson();
+  T.emit("a", "long", 0, 0, "q\"uote" + std::string(60, 'x'));
+  Json J = ringDocument(T);
   EXPECT_FALSE(J.get("events")->at(0).has("detail"));
   ASSERT_TRUE(J.get("events")->at(1).has("detail"));
   EXPECT_EQ(J.get("events")->at(1).get("detail")->asString(), "some detail");
+  // Details are scrubbed to JSON-safe ASCII and truncated to the slot.
+  EXPECT_EQ(J.get("events")->at(2).get("detail")->asString(),
+            "q_uote" + std::string(37, 'x'));
 }
 
 //===----------------------------------------------------------------------===//
@@ -361,6 +385,16 @@ TEST(Observability, EventLimitBoundsRecords) {
   // Only the most recent records are kept; cumulatives still cover all.
   ASSERT_EQ(Run.Gc.Events.size(), 2u);
   EXPECT_EQ(Run.Gc.Events.back().Index, Run.Collections - 1);
+
+  // At limit 3 the kept records are the last three collections, in order.
+  VO.GcEventLimit = 3;
+  vm::VM Again(CR.Module, VO);
+  Run = Again.run();
+  ASSERT_TRUE(Run.Ok);
+  ASSERT_EQ(Run.Gc.Events.size(), 3u);
+  uint64_t Want = Run.Collections - 3;
+  for (const gc::CollectionEvent &E : Run.Gc.Events)
+    EXPECT_EQ(E.Index, Want++);
 }
 
 TEST(Observability, CycleAttributionSumsToTotal) {
@@ -379,15 +413,16 @@ TEST(Observability, TraceCarriesPhasePassAndGcEvents) {
   CompiledRun A = compileAndRunOnce(&Trace);
   ASSERT_TRUE(A.Run.Ok);
   bool SawPhase = false, SawPass = false, SawGc = false, SawVm = false;
-  uint64_t LastT = 0;
+  uint64_t LastEnd = 0;
   for (const TraceEvent &E : Trace.snapshot()) {
-    EXPECT_GE(E.TimeNs, LastT);
-    LastT = E.TimeNs;
-    std::string Cat = E.Category;
-    SawPhase |= Cat == "phase";
-    SawPass |= Cat == "pass";
-    SawGc |= Cat == "gc";
-    SawVm |= Cat == "vm";
+    // Spans are recorded as they close: one thread's events end in order.
+    EXPECT_GE(E.StartNs + E.DurNs, LastEnd);
+    LastEnd = E.StartNs + E.DurNs;
+    std::string Cat = E.Cat, Name = E.Name;
+    SawPhase |= Cat == "phase" && E.DurNs > 0;
+    SawPass |= Cat == "pass" && E.DurNs > 0;
+    SawGc |= Cat == "gc" && Name == "collect" && E.DurNs > 0;
+    SawVm |= Cat == "vm" && Name == "run" && E.DurNs > 0;
   }
   EXPECT_TRUE(SawPhase);
   EXPECT_TRUE(SawPass);
@@ -401,7 +436,7 @@ TEST(Observability, RunReportSchemaAndRoundTrip) {
   Json Report = driver::buildRunReport("list.c", driver::CompileMode::O2Safe,
                                        "sparc10", A.CR, &A.Run);
 
-  EXPECT_EQ(Report.get("schema")->asString(), "gcsafe-run-report-v1");
+  EXPECT_EQ(Report.get("schema")->asString(), "gcsafe-run-report-v2");
   EXPECT_EQ(Report.get("mode")->asString(), "-O2 safe");
   ASSERT_TRUE(Report.has("compile"));
   ASSERT_TRUE(Report.has("run"));
@@ -424,8 +459,9 @@ TEST(Observability, RunReportSchemaAndRoundTrip) {
   EXPECT_EQ(Sum, Run->get("cycles")->asInt());
   const Json *Gc = Run->get("gc");
   ASSERT_NE(Gc, nullptr);
-  EXPECT_EQ(Gc->get("events")->size(),
-            static_cast<size_t>(Gc->get("collections")->asInt()));
+  // Per-collection records live in the trace's gc spans, not the report.
+  EXPECT_FALSE(Gc->has("events"));
+  EXPECT_GT(Gc->get("collections")->asInt(), 0);
 
   // The emitted text reparses to an identical document.
   std::string Text = Report.dump(2);

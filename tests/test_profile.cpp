@@ -18,15 +18,12 @@
 //    the sampled total by construction, and the profile is deterministic
 //    on the VM's modeled-cycle clock;
 //  * with sampling off (period 0) the modeled cycle count is bit-identical
-//    to a run with no profiler at all;
-//  * traceToChromeJson emits Chrome trace_event JSON: named threads,
-//    ph/pid/tid on every event, timestamps nondecreasing.
+//    to a run with no profiler at all.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "support/Profile.h"
-#include "support/Trace.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -333,58 +330,6 @@ TEST(Profile, DocumentHeaderAndSchema) {
   std::string Error;
   ASSERT_TRUE(Json::parse(Text, Back, Error)) << Error;
   EXPECT_EQ(Back.dump(2), Text);
-}
-
-//===----------------------------------------------------------------------===//
-// Chrome trace conversion
-//===----------------------------------------------------------------------===//
-
-TEST(ChromeTrace, WellFormedAndOrdered) {
-  TraceBuffer Trace(2048);
-  driver::Compilation C("twosite", TwoSiteProgram);
-  driver::CompileOptions CO;
-  CO.Mode = driver::CompileMode::O2Safe;
-  CO.Trace = &Trace;
-  driver::CompileResult CR = C.compile(CO);
-  ASSERT_TRUE(CR.Ok);
-  vm::VMOptions VO;
-  VO.GcAllocTrigger = 16;
-  VO.Trace = &Trace;
-  vm::VM Machine(CR.Module, VO);
-  ASSERT_TRUE(Machine.run().Ok);
-
-  Json Doc = traceToChromeJson(Trace);
-  const Json *Events = Doc.get("traceEvents");
-  ASSERT_NE(Events, nullptr);
-  ASSERT_GT(Events->size(), 3u);
-
-  // Thread-name metadata first, then payload events with nondecreasing
-  // timestamps; every event carries ph/pid/tid.
-  int64_t LastTs = 0;
-  bool SawComplete = false, SawInstant = false;
-  for (size_t I = 0; I < Events->size(); ++I) {
-    const Json &E = Events->at(I);
-    ASSERT_TRUE(E.has("ph") && E.has("pid") && E.has("tid")) << I;
-    std::string Ph = E.get("ph")->asString();
-    if (Ph == "M") {
-      EXPECT_LT(I, 3u) << "metadata after payload";
-      EXPECT_EQ(E.get("name")->asString(), "thread_name");
-      continue;
-    }
-    ASSERT_TRUE(E.has("ts"));
-    EXPECT_GE(E.get("ts")->asInt(), LastTs);
-    LastTs = E.get("ts")->asInt();
-    if (Ph == "X") {
-      SawComplete = true;
-      ASSERT_TRUE(E.has("dur"));
-      EXPECT_GE(E.get("dur")->asInt(), 0);
-    } else {
-      EXPECT_EQ(Ph, "i");
-      SawInstant = true;
-    }
-  }
-  EXPECT_TRUE(SawComplete); // phase/pass/collection durations
-  EXPECT_TRUE(SawInstant);  // collect.begin, vm run.end
 }
 
 } // namespace

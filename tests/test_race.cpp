@@ -14,12 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Service.h"
-#include "serve/Telemetry.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Interleave.h"
 #include "support/RankedMutex.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -164,15 +164,15 @@ TEST(ScheduleFuzzer, PointsCountAndDisableStops) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flight recorder: the seqlock under fire
+// The event ring: the seqlock under fire
 //===----------------------------------------------------------------------===//
 
 /// A 4-writer hammer on a deliberately tiny ring (every slot is lapped
 /// thousands of times) with concurrent snapshot readers. Each event's
-/// Value and Rid redundantly encode (writer, iteration); a torn slot
+/// Value and trace id redundantly encode (writer, iteration); a torn slot
 /// would pair them inconsistently.
-TEST(FlightRecorderRace, MultiWriterHammerNeverTears) {
-  FlightRecorder Ring(64);
+TEST(TraceRingRace, MultiWriterHammerNeverTears) {
+  support::TraceBuffer Ring(64);
   constexpr int Writers = 4;
   constexpr int PerWriter = 20000;
   std::atomic<bool> Stop{false};
@@ -184,14 +184,15 @@ TEST(FlightRecorderRace, MultiWriterHammerNeverTears) {
     // otherwise finish before this thread is first scheduled.
     for (;;) {
       bool WasStopped = Stop.load(std::memory_order_acquire);
-      for (const FlightEvent &E : Ring.snapshot()) {
+      for (const support::TraceEvent &E : Ring.snapshot()) {
         Seen.fetch_add(1, std::memory_order_relaxed);
         uint32_t W = static_cast<uint32_t>(E.Value >> 32);
         uint32_t K = static_cast<uint32_t>(E.Value);
         char Want[48];
         std::snprintf(Want, sizeof(Want), "w%u-%u", W, K);
-        if (W >= Writers || std::strcmp(E.Rid, Want) != 0 ||
-            std::strcmp(E.Cat, "race") != 0 || E.Seq == 0)
+        if (W >= Writers || std::strcmp(E.TraceId, Want) != 0 ||
+            std::strcmp(E.Cat, "race") != 0 || E.Worker != W + 1 ||
+            E.Seq == 0)
           Torn.fetch_add(1, std::memory_order_relaxed);
       }
       if (WasStopped)
@@ -202,11 +203,12 @@ TEST(FlightRecorderRace, MultiWriterHammerNeverTears) {
   std::vector<std::thread> Pool;
   for (uint32_t W = 0; W < Writers; ++W)
     Pool.emplace_back([&, W] {
+      support::setTraceWorker(W + 1);
       for (uint32_t K = 0; K < PerWriter; ++K) {
         char Rid[48];
         std::snprintf(Rid, sizeof(Rid), "w%u-%u", W, K);
-        Ring.record("race", "hammer", Rid,
-                    (uint64_t(W) << 32) | K, W + 1);
+        support::TraceScope Scope(Rid);
+        Ring.emit("race", "hammer", (uint64_t(W) << 32) | K);
       }
     });
   for (std::thread &T : Pool)
@@ -221,24 +223,26 @@ TEST(FlightRecorderRace, MultiWriterHammerNeverTears) {
   // Quiesced, the ring holds exactly its capacity of complete events,
   // all from the final lap (claim-CAS drops lapped writes, so a few
   // holes are legal under contention — but nothing torn survives).
-  std::vector<FlightEvent> Final = Ring.snapshot();
+  std::vector<support::TraceEvent> Final = Ring.snapshot();
   EXPECT_LE(Final.size(), 64u);
   EXPECT_GT(Final.size(), 0u);
   // Claim-CAS drops a write whose slot a concurrent writer holds, so a
   // slot may retain an event from an earlier lap — but nothing ancient.
-  for (const FlightEvent &E : Final)
+  for (const support::TraceEvent &E : Final)
     EXPECT_GT(E.Seq, uint64_t(Writers) * PerWriter / 2);
 }
 
-TEST(FlightRecorderRace, DumpUnderFireParsesAndIsSane) {
-  FlightRecorder Ring(128);
+TEST(TraceRingRace, DumpUnderFireParsesAndIsSane) {
+  support::TraceBuffer Ring(128);
   std::atomic<bool> Stop{false};
   std::vector<std::thread> Pool;
   for (uint32_t W = 0; W < 3; ++W)
     Pool.emplace_back([&, W] {
+      support::setTraceWorker(W + 1);
+      support::TraceScope Scope("rid-" + std::to_string(W));
       uint32_t K = 0;
       while (!Stop.load(std::memory_order_acquire))
-        Ring.record("race", "dump", "rid-" + std::to_string(W), ++K, W + 1);
+        Ring.emit("race", "dump", ++K);
     });
 
   // Dump mid-hammer, exactly as the fatal-signal handler would (the same

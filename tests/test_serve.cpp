@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,13 +77,19 @@ driver::RequestOptions listRequest() {
   return R;
 }
 
-/// Events of one category and stage in the service's flight ring.
-unsigned flightCount(const CompileService &Svc, const std::string &Cat,
-                     const std::string &Stage) {
+/// Events of one category and name in the service's ring.
+unsigned ringCount(const CompileService &Svc, const std::string &Cat,
+                     const std::string &Name) {
   unsigned N = 0;
-  for (const FlightEvent &E : Svc.flightRecorder().snapshot())
-    N += Cat == E.Cat && Stage == E.Stage;
+  for (const support::TraceEvent &E : Svc.ring().snapshot())
+    N += Cat == E.Cat && Name == E.Name;
   return N;
+}
+
+/// The compiler's own events (phases, passes, collections, the VM run).
+bool isCompilerEvent(const support::TraceEvent &E) {
+  std::string Cat = E.Cat;
+  return Cat == "phase" || Cat == "pass" || Cat == "gc" || Cat == "vm";
 }
 
 TEST(ServeCache, WarmIsByteIdenticalToCold) {
@@ -275,10 +282,29 @@ TEST(ServeService, TraceRecordsCacheVerdicts) {
   CompileService Svc;
   Svc.compile(listRequest());
   Svc.compile(listRequest());
-  EXPECT_EQ(flightCount(Svc, "serve", "request.begin"), 2u);
-  EXPECT_EQ(flightCount(Svc, "serve", "cache.miss"), 1u);
-  EXPECT_EQ(flightCount(Svc, "serve", "cache.hit"), 1u);
-  EXPECT_EQ(flightCount(Svc, "serve", "request.end"), 2u);
+  EXPECT_EQ(ringCount(Svc, "serve", "request.begin"), 2u);
+  EXPECT_EQ(ringCount(Svc, "serve", "cache.miss"), 1u);
+  EXPECT_EQ(ringCount(Svc, "serve", "cache.hit"), 1u);
+  EXPECT_EQ(ringCount(Svc, "serve", "request.end"), 2u);
+
+  // Untraced, the cold compile recorded nothing of its own; stitched,
+  // every compiler event lands in the service ring under its trace id.
+  for (const support::TraceEvent &E : Svc.ring().snapshot())
+    EXPECT_FALSE(isCompilerEvent(E)) << E.Cat << "." << E.Name;
+  ServiceOptions SO;
+  SO.StitchTraces = true;
+  CompileService Stitched(SO);
+  driver::RequestOptions R = listRequest();
+  R.RequestId = "stitched";
+  ASSERT_TRUE(Stitched.compile(R).Ok);
+  unsigned Compiler = 0;
+  for (const support::TraceEvent &E : Stitched.ring().snapshot()) {
+    if (!isCompilerEvent(E))
+      continue;
+    ++Compiler;
+    EXPECT_EQ(std::string(E.TraceId).rfind("stitched#", 0), 0u) << E.TraceId;
+  }
+  EXPECT_GT(Compiler, 0u);
 }
 
 TEST(ServeProtocol, CompileRequestRoundTrip) {
@@ -354,7 +380,7 @@ TEST(ServeOverload, DrainShedsNewWorkAndHealthReflectsIt) {
   EXPECT_FALSE(Before.Draining);
 
   Svc.drain();
-  EXPECT_EQ(flightCount(Svc, "serve", "service.drain"), 1u);
+  EXPECT_EQ(ringCount(Svc, "serve", "service.drain"), 1u);
   ServiceHealth After = Svc.health();
   EXPECT_FALSE(After.Ready);
   EXPECT_TRUE(After.Draining);
@@ -390,7 +416,7 @@ TEST(ServeOverload, QueueFullFailpointShedsTyped) {
   support::Stats S = Svc.statsSnapshot();
   EXPECT_EQ(S.get("serve.queue.shed"), 1u);
   EXPECT_EQ(S.get("serve.requests"), 1u);
-  EXPECT_EQ(flightCount(Svc, "serve", "queue.shed"), 1u);
+  EXPECT_EQ(ringCount(Svc, "serve", "queue.shed"), 1u);
 }
 
 TEST(ServeDeadline, ExpiredBeforeStartNeverPoisonsCache) {
@@ -596,7 +622,7 @@ TEST(ServeProtocol, StatusRoundTripsAndStaysOffNormalResults) {
 
 //===----------------------------------------------------------------------===//
 // Request telemetry (docs/OBSERVABILITY.md §8): trace propagation,
-// latency histograms, and the crash flight recorder.
+// latency histograms, and the crash dump of the event ring.
 //===----------------------------------------------------------------------===//
 
 TEST(ServeTelemetry, RequestIdEchoesAndIsGeneratedWhenAbsent) {
@@ -637,12 +663,12 @@ TEST(ServeTelemetry, DuplicateClientIdsAreUniquifiedInTraces) {
   // The response echoes the raw client id both times...
   EXPECT_EQ(A.RequestId, "dup");
   EXPECT_EQ(B.RequestId, "dup");
-  // ...but the flight ring keys each request by a unique "<id>#<seq>"
+  // ...but the ring keys each request by a unique "<id>#<seq>"
   // trace id, so duplicate client ids never merge two span trees.
   std::vector<std::string> Begins;
-  for (const FlightEvent &E : Svc.flightRecorder().snapshot())
-    if (std::string(E.Stage) == "request.begin")
-      Begins.push_back(E.Rid);
+  for (const support::TraceEvent &E : Svc.ring().snapshot())
+    if (std::string(E.Name) == "request.begin")
+      Begins.push_back(E.TraceId);
   ASSERT_EQ(Begins.size(), 2u);
   EXPECT_NE(Begins[0], Begins[1]);
   EXPECT_EQ(Begins[0].rfind("dup#", 0), 0u) << Begins[0];
@@ -676,6 +702,75 @@ TEST(ServeTelemetry, MetricsSnapshotCountsEveryStage) {
   EXPECT_EQ(Queue->get("shed")->asInt(), 0);
 }
 
+/// Checks one Chrome trace_event document — thread-name metadata first,
+/// then payload events with nondecreasing timestamps, ph/pid/tid on
+/// every event, a nonnegative dur on every "X" — and returns the payload
+/// events' phases.
+std::multiset<std::string> chromePhases(const support::Json &Doc) {
+  std::multiset<std::string> Phases;
+  const support::Json *Events = Doc.get("traceEvents");
+  EXPECT_NE(Events, nullptr);
+  if (!Events)
+    return Phases;
+  double LastTs = 0;
+  for (size_t I = 0; I < Events->size(); ++I) {
+    const support::Json &E = Events->at(I);
+    EXPECT_TRUE(E.has("ph") && E.has("pid") && E.has("tid")) << I;
+    std::string Ph = E.get("ph")->asString();
+    if (Ph == "M") {
+      EXPECT_TRUE(Phases.empty()) << "metadata after payload";
+      EXPECT_EQ(E.get("name")->asString(), "thread_name");
+      continue;
+    }
+    EXPECT_GE(E.get("ts")->asDouble(), LastTs) << I;
+    LastTs = E.get("ts")->asDouble();
+    if (Ph == "X") {
+      EXPECT_GE(E.get("dur")->asDouble(), 0.0) << I;
+    }
+    Phases.insert(Ph);
+  }
+  return Phases;
+}
+
+// One exporter for both producers: a driver compile+run traced into its
+// own ring, and a stitched serve request in the service's ring.
+TEST(ServeTelemetry, ChromeExportCoversDriverRunAndServeRequest) {
+  support::TraceBuffer Trace(4096);
+  driver::Compilation C("list", kListSource);
+  driver::CompileOptions CO;
+  CO.Mode = driver::CompileMode::O2Safe;
+  CO.Trace = &Trace;
+  driver::CompileResult CR = C.compile(CO);
+  ASSERT_TRUE(CR.Ok);
+  vm::VMOptions VO;
+  VO.GcAllocTrigger = 16;
+  VO.Trace = &Trace;
+  vm::VM Machine(CR.Module, VO);
+  ASSERT_TRUE(Machine.run().Ok);
+  std::multiset<std::string> Driver =
+      chromePhases(support::traceToChromeJson(Trace));
+  EXPECT_GT(Driver.count("X"), 3u); // phase/pass/collection/run spans
+
+  ServiceOptions SO;
+  SO.StitchTraces = true;
+  CompileService Svc(SO);
+  driver::RequestOptions R = listRequest();
+  R.RequestId = "chrome";
+  ASSERT_TRUE(Svc.compile(R).Ok);
+  support::Json Doc = support::traceToChromeJson(Svc.ring());
+  std::multiset<std::string> Serve = chromePhases(Doc);
+  EXPECT_EQ(Serve.count("b"), 1u);
+  EXPECT_EQ(Serve.count("e"), 1u);
+  EXPECT_GT(Serve.count("X"), Driver.count("X") / 2); // stages + compiler
+  EXPECT_GT(Serve.count("i"), 0u);                     // cache.miss
+  const support::Json *Events = Doc.get("traceEvents");
+  for (size_t I = 0; I < Events->size(); ++I) {
+    if (Events->at(I).get("ph")->asString() == "b") {
+      EXPECT_EQ(Events->at(I).get("id")->asString().rfind("chrome#", 0), 0u);
+    }
+  }
+}
+
 TEST(ServeTelemetry, CrashDumpNamesTheVictim) {
   support::FaultInjector FI;
   std::string Error;
@@ -695,7 +790,7 @@ TEST(ServeTelemetry, CrashDumpNamesTheVictim) {
   EXPECT_EQ(Res.Status, "crashed");
   EXPECT_EQ(Res.RequestId, "victim-42");
 
-  // The crash left a flight-recorder dump attributing the victim.
+  // The crash left a ring dump attributing the victim.
   std::string Path = SO.FlightDir + "/flightrec-victim-42.json";
   std::ifstream In(Path);
   ASSERT_TRUE(In.good()) << Path;
@@ -813,8 +908,8 @@ TEST(ServeStore, RestartReplaysFromDiskByteIdentically) {
   EXPECT_EQ(serveResultToJson(Warm).dump(0), ColdPayload);
   EXPECT_GE(Svc.store()->stats().Hits, 1u);
   // The store's events land in the service's one event ring.
-  EXPECT_EQ(flightCount(Svc, "store", "store.scrub"), 1u);
-  EXPECT_GE(flightCount(Svc, "store", "store.hit"), 1u);
+  EXPECT_EQ(ringCount(Svc, "store", "store.scrub"), 1u);
+  EXPECT_GE(ringCount(Svc, "store", "store.hit"), 1u);
   support::Stats S = Svc.statsSnapshot();
   EXPECT_GE(S.get("serve.store.hits"), 1u);
   EXPECT_EQ(S.get("serve.store.quarantined"), 0u);

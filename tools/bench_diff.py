@@ -7,7 +7,7 @@ when any metric moved by more than the allowed threshold. Accepts any
 schema whose leaves are numbers; in practice:
 
   gcsafe-bench-v1       rows flatten to "<row>.<metric>"
-  gcsafe-run-report-v1  nested objects flatten to dotted paths
+  gcsafe-run-report-v2  nested objects flatten to dotted paths
   gcsafe-profile-v1     same
 
 Wall-clock metrics (any path segment ending in "_ns", or exactly "ns")

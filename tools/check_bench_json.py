@@ -4,8 +4,9 @@
 Schemas (see docs/OBSERVABILITY.md):
 
   gcsafe-bench-v1       BENCH_<name>.json, written by every bench_* binary
-  gcsafe-run-report-v1  gcsafe-cc --stats-json
-  gcsafe-trace-v1       gcsafe-cc --trace-json
+  gcsafe-run-report-v2  gcsafe-cc --stats-json
+  gcsafe-flightrec-v1   the event ring: gcsafe-cc --trace-json and the
+                        gcsafe-serve crash / fatal-signal dumps
   gcsafe-profile-v1     gcsafe-cc --profile-json
   gcsafe-lint-v1        gcsafe-cc --lint-json (docs/ANALYSIS.md)
   gcsafe-batch-v1       gcsafe-batch --summary (docs/ROBUSTNESS.md §6)
@@ -17,7 +18,7 @@ Usage:
   check_bench_json.py FILE [FILE...]   validate the named report files
   check_bench_json.py --scan DIR       validate every BENCH_*.json under DIR
   check_bench_json.py --chrome FILE    validate a Chrome trace_event file
-                                       (gcsafe-cc --trace-chrome output)
+                                       (gcsafe-cc / gcsafe-serve --trace-chrome)
   check_bench_json.py --lint FILE      validate FILE and require it to be a
                                        gcsafe-lint-v1 report
   check_bench_json.py --batch FILE     validate FILE as a gcsafe-batch-v1
@@ -105,49 +106,18 @@ def check_bench(doc):
             expect_num(metrics, f"{path}.metrics", key)
 
 
-# --- gcsafe-trace-v1 --------------------------------------------------------
-
-def check_trace(doc):
-    expect_keys(doc, "$", ["schema", "capacity", "emitted", "dropped",
-                           "events"])
-    for key in ("capacity", "emitted", "dropped"):
-        expect_num(doc, "$", key, integer=True)
-    events = doc["events"]
-    expect(isinstance(events, list), "$.events", "expected an array")
-    last_t = None
-    for i, ev in enumerate(events):
-        path = f"$.events[{i}]"
-        expect_keys(ev, path, ["cat", "name", "t_ns", "value", "aux"],
-                    optional=["detail"])
-        expect_str(ev, path, "cat")
-        expect_str(ev, path, "name")
-        for key in ("t_ns", "value", "aux"):
-            expect_num(ev, path, key, integer=True)
-        if "detail" in ev:
-            expect_str(ev, path, "detail")
-        if last_t is not None:
-            expect(ev["t_ns"] >= last_t, f"{path}.t_ns",
-                   "trace events must be in nondecreasing time order")
-        last_t = ev["t_ns"]
-
-
-# --- gcsafe-run-report-v1 ---------------------------------------------------
+# --- gcsafe-run-report-v2 ---------------------------------------------------
 
 GC_KEYS = ["collections", "alloc_count", "alloc_bytes", "heap_pages",
            "live_bytes_after_last_gc", "freed_objects_last_gc", "mark_ns",
            "sweep_ns", "words_scanned", "pointer_hits", "marked_objects",
            "interior_pointer_hits", "false_retention_candidates", "oom",
-           "audit", "deadline_exceeded", "events"]
+           "audit", "deadline_exceeded"]
 
 GC_OOM_KEYS = ["emergency_collections", "retries", "callback_invocations",
                "alloc_failures", "faults_injected", "segment_backoffs"]
 
 GC_AUDIT_KEYS = ["runs", "violations"]
-
-GC_EVENT_KEYS = ["index", "mark_ns", "sweep_ns", "pages_scanned",
-                 "words_scanned", "pointer_hits", "marked_objects",
-                 "freed_objects", "live_bytes", "interior_hits",
-                 "false_retention_candidates"]
 
 ANNOTATOR_KEYS = ["keep_lives", "incdec_expansions",
                   "compound_assign_expansions", "temps_introduced",
@@ -233,7 +203,7 @@ def check_run_report(doc):
     gc = run["gc"]
     expect_keys(gc, "$.run.gc", GC_KEYS)
     for key in GC_KEYS:
-        if key not in ("events", "oom", "audit"):
+        if key not in ("oom", "audit"):
             expect_num(gc, "$.run.gc", key, integer=True)
     expect_keys(gc["oom"], "$.run.gc.oom", GC_OOM_KEYS)
     for key in GC_OOM_KEYS:
@@ -241,13 +211,6 @@ def check_run_report(doc):
     expect_keys(gc["audit"], "$.run.gc.audit", GC_AUDIT_KEYS)
     for key in GC_AUDIT_KEYS:
         expect_num(gc["audit"], "$.run.gc.audit", key, integer=True)
-    events = gc["events"]
-    expect(isinstance(events, list), "$.run.gc.events", "expected an array")
-    for i, ev in enumerate(events):
-        path = f"$.run.gc.events[{i}]"
-        expect_keys(ev, path, GC_EVENT_KEYS)
-        for key in GC_EVENT_KEYS:
-            expect_num(ev, path, key, integer=True)
 
 
 # --- gcsafe-batch-v1 --------------------------------------------------------
@@ -344,13 +307,11 @@ SERVE_OPS = {"compile", "stats", "metrics", "ping", "health", "drain",
 SERVE_STATUSES = {"overloaded", "deadline", "crashed", "draining", "shutdown"}
 
 
-# --- gcsafe-metrics-v1 / gcsafe-flightrec-v1 --------------------------------
+# --- gcsafe-metrics-v1 ------------------------------------------------------
 
 # The latency stages CompileService::metricsSnapshot always reports
 # (docs/OBSERVABILITY.md §8).
 METRICS_STAGES = ["queue_wait", "cache_lookup", "compile", "isolate", "e2e"]
-
-FLIGHTREC_REASONS = {"crash", "signal"}
 
 
 def check_histogram(obj, path):
@@ -433,38 +394,60 @@ def check_store_stats(obj, path):
            f"expected a 0/1 gauge, got {obj['degraded']!r}")
 
 
-def check_flightrec(doc, path="$"):
-    """One gcsafe-flightrec-v1 post-mortem dump: the flight recorder's
-    surviving events in sequence order, with the attributed victim request
-    named at the top and present in the event stream for crash dumps."""
+# --- gcsafe-flightrec-v1 (the event ring) -----------------------------------
+
+RING_REASONS = {"crash", "signal", "export"}
+
+RING_EVENT_KEYS = ["seq", "t_ns", "dur_ns", "worker", "cat", "name",
+                   "request_id", "value", "aux"]
+
+
+def check_ring(doc, path="$"):
+    """One event-ring document (support::TraceBuffer::dumpTo): a crash or
+    fatal-signal dump, or a gcsafe-cc --trace-json export. The surviving
+    events in sequence order; each worker's events end in nondecreasing
+    time (spans are recorded as they close); a crash dump names its
+    victim, whose trace id appears in the event stream."""
     expect(isinstance(doc, dict), path, "expected an object")
     expect_keys(doc, path, ["schema", "reason", "signal", "request_id",
-                            "trace_id", "recorded", "events"])
+                            "trace_id", "capacity", "recorded", "dropped",
+                            "events"])
     expect(doc["schema"] == "gcsafe-flightrec-v1", f"{path}.schema",
            f"expected gcsafe-flightrec-v1, got {doc.get('schema')!r}")
-    expect(doc["reason"] in FLIGHTREC_REASONS, f"{path}.reason",
+    expect(doc["reason"] in RING_REASONS, f"{path}.reason",
            f"unknown reason {doc['reason']!r} "
-           f"(known: {', '.join(sorted(FLIGHTREC_REASONS))})")
-    expect_num(doc, path, "signal", integer=True)
+           f"(known: {', '.join(sorted(RING_REASONS))})")
+    for key in ("signal", "capacity", "recorded", "dropped"):
+        expect_num(doc, path, key, integer=True)
     expect_str(doc, path, "request_id")
     expect_str(doc, path, "trace_id")
-    expect_num(doc, path, "recorded", integer=True)
+    expect(doc["dropped"] == max(0, doc["recorded"] - doc["capacity"]),
+           f"{path}.dropped",
+           f"dropped {doc['dropped']} for recorded {doc['recorded']} in a "
+           f"ring of {doc['capacity']}")
     events = doc["events"]
     expect(isinstance(events, list), f"{path}.events", "expected an array")
+    expect(len(events) <= doc["capacity"], f"{path}.events",
+           f"{len(events)} events in a ring of {doc['capacity']}")
     prev_seq = 0
+    last_end = {}
     trace_ids = set()
     for i, ev in enumerate(events):
         epath = f"{path}.events[{i}]"
-        expect_keys(ev, epath, ["seq", "t_ns", "worker", "cat", "stage",
-                                "request_id", "value"])
-        for key in ("seq", "t_ns", "worker", "value"):
+        expect_keys(ev, epath, RING_EVENT_KEYS, optional=["detail"])
+        for key in ("seq", "t_ns", "dur_ns", "worker", "value", "aux"):
             expect_num(ev, epath, key, integer=True)
-        for key in ("cat", "stage", "request_id"):
+        for key in ("cat", "name", "request_id") + (
+                ("detail",) if "detail" in ev else ()):
             expect_str(ev, epath, key)
         expect(ev["seq"] > prev_seq, f"{epath}.seq",
                f"event sequence must be strictly increasing "
                f"({ev['seq']} after {prev_seq})")
         prev_seq = ev["seq"]
+        end = ev["t_ns"] + ev["dur_ns"]
+        expect(end >= last_end.get(ev["worker"], 0), f"{epath}.t_ns",
+               "one worker's events must end in nondecreasing time order")
+        last_end[ev["worker"]] = end
         trace_ids.add(ev["request_id"])
     if doc["reason"] == "crash":
         expect(doc["request_id"] != "", f"{path}.request_id",
@@ -518,7 +501,7 @@ def check_serve_stats(obj, path):
 
 def check_serve_response(doc, path="$"):
     """One gcsafe-serve-v1 response document (one output line of
-    gcsafe-serve). Compile responses embed full gcsafe-run-report-v1 /
+    gcsafe-serve). Compile responses embed full gcsafe-run-report-v2 /
     gcsafe-lint-v1 documents, validated with the same checkers as the
     standalone files."""
     expect(isinstance(doc, dict), path, "expected an object")
@@ -568,9 +551,9 @@ def check_serve_response(doc, path="$"):
             expect_str(doc, path, "error")
         if "report" in doc:
             expect(isinstance(doc["report"], dict)
-                   and doc["report"].get("schema") == "gcsafe-run-report-v1",
+                   and doc["report"].get("schema") == "gcsafe-run-report-v2",
                    f"{path}.report",
-                   "expected an embedded gcsafe-run-report-v1 document")
+                   "expected an embedded gcsafe-run-report-v2 document")
             check_run_report(doc["report"])
         if "lint" in doc:
             expect(isinstance(doc["lint"], dict)
@@ -841,7 +824,7 @@ def check_lockgraph(doc):
            "first_inversion present despite zero rank_inversions")
 
 
-# --- Chrome trace_event (gcsafe-cc --trace-chrome) --------------------------
+# --- Chrome trace_event (gcsafe-cc / gcsafe-serve --trace-chrome) -----------
 
 def check_chrome_trace(doc, path="$"):
     """Array form or {"traceEvents": [...]} object form; every event needs
@@ -947,13 +930,12 @@ def check_store_report(doc, path="$"):
 
 CHECKERS = {
     "gcsafe-bench-v1": check_bench,
-    "gcsafe-trace-v1": check_trace,
-    "gcsafe-run-report-v1": check_run_report,
+    "gcsafe-run-report-v2": check_run_report,
     "gcsafe-profile-v1": check_profile,
     "gcsafe-lint-v1": check_lint,
     "gcsafe-batch-v1": check_batch,
     "gcsafe-metrics-v1": check_metrics,
-    "gcsafe-flightrec-v1": check_flightrec,
+    "gcsafe-flightrec-v1": check_ring,
     "gcsafe-lockgraph-v1": check_lockgraph,
     "gcsafe-store-v1": check_store_report,
 }

@@ -35,6 +35,7 @@
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Profile.h"
+#include "support/Trace.h"
 
 #include <cstdio>
 #include <cstring>
@@ -42,6 +43,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 using namespace gcsafe;
 
@@ -102,12 +105,12 @@ void usage() {
       "  --verify-ir=each-pass      run the structural IR verifier after\n"
       "                             every optimizer pass too\n"
       "  --stats                    human-readable statistics on stderr\n"
-      "  --stats-json[=FILE]        gcsafe-run-report-v1 JSON (implies\n"
+      "  --stats-json[=FILE]        gcsafe-run-report-v2 JSON (implies\n"
       "                             --run; without =FILE the report goes to\n"
       "                             stdout and the program's output is only\n"
       "                             inside the report)\n"
-      "  --trace-json=FILE          gcsafe-trace-v1 event trace (phases,\n"
-      "                             passes, GC collections; '-' = stdout)\n"
+      "  --trace-json=FILE          gcsafe-flightrec-v1 event ring (phase,\n"
+      "                             pass, GC and VM spans; '-' = stdout)\n"
       "  --trace-chrome=FILE        the same trace as Chrome trace_event\n"
       "                             JSON (open in Perfetto / about:tracing)\n"
       "  --trace-capacity=N         trace ring size in events (default\n"
@@ -378,15 +381,28 @@ int main(int argc, char **argv) {
   Prof.SamplePeriodCycles = ProfilePeriod;
   if (ProfileJson || ProfileFolded || ProfilePeriod)
     VO.Profile = &Prof;
-  // The ring silently overwrites its oldest events; surface that whenever a
-  // trace is actually written out.
-  auto WarnIfTraceDropped = [&Trace] {
+  // Writes the requested trace exports. The ring silently overwrites its
+  // oldest events; surface that whenever a trace is actually written out.
+  auto WriteTraces = [&]() {
     if (Trace.dropped())
       std::fprintf(stderr,
                    "gcsafe-cc: warning: trace ring dropped %llu event(s) "
                    "(capacity %zu); raise --trace-capacity\n",
                    static_cast<unsigned long long>(Trace.dropped()),
                    Trace.capacity());
+    if (TraceJson) {
+      if (TraceJsonPath.empty() || TraceJsonPath == "-") {
+        std::fflush(stdout);
+        Trace.dumpTo(STDOUT_FILENO, "export", "", "", 0);
+      } else if (!Trace.dumpToFile(TraceJsonPath, "export", "", "", 0)) {
+        std::fprintf(stderr, "gcsafe-cc: cannot write '%s'\n",
+                     TraceJsonPath.c_str());
+        return false;
+      }
+    }
+    return !TraceChrome ||
+           writeReport(TraceChromePath,
+                       support::traceToChromeJson(Trace).dump());
   };
 
   std::string Source;
@@ -548,13 +564,7 @@ int main(int argc, char **argv) {
       if (!writeReport(StatsJsonPath, Report.dump()))
         return support::ExitError;
     }
-    if (TraceJson || TraceChrome)
-      WarnIfTraceDropped();
-    if (TraceJson && !writeReport(TraceJsonPath, Trace.toJson().dump()))
-      return support::ExitError;
-    if (TraceChrome &&
-        !writeReport(TraceChromePath,
-                     support::traceToChromeJson(Trace).dump()))
+    if (TraceSink && !WriteTraces())
       return support::ExitError;
     return SelfHeal && Heal.Degraded ? support::ExitDegradedSuccess
                                      : support::ExitSuccess;
@@ -586,12 +596,7 @@ int main(int argc, char **argv) {
   if (ProfileFolded &&
       !writeReport(ProfileFoldedPath, Prof.Cycles.foldedOutput()))
     return support::ExitError;
-  if (TraceJson || TraceChrome)
-    WarnIfTraceDropped();
-  if (TraceJson && !writeReport(TraceJsonPath, Trace.toJson().dump()))
-    return support::ExitError;
-  if (TraceChrome &&
-      !writeReport(TraceChromePath, support::traceToChromeJson(Trace).dump()))
+  if (TraceSink && !WriteTraces())
     return support::ExitError;
   if (R.Gc.AuditViolations)
     std::fprintf(stderr,

@@ -101,7 +101,7 @@ void usage() {
       "                      store.read.corrupt) for chaos testing;\n"
       "                      per-request fail_inject is separate\n"
       "  --flightrec-dir=DIR write a gcsafe-flightrec-v1 post-mortem dump\n"
-      "                      (the flight recorder's last events, naming\n"
+      "                      (the event ring's last events, naming\n"
       "                      the victim request) into DIR for every\n"
       "                      \"crashed\" response, and install a fatal-\n"
       "                      signal handler that dumps the ring to\n"
@@ -566,9 +566,9 @@ int main(int argc, char **argv) {
   if (!SO.FlightDir.empty())
     // A fatal signal in the daemon itself (not an isolated child) leaves
     // a post-mortem too. Installed after the service exists; the service
-    // outlives every worker, so the recorder pointer stays valid.
-    serve::installFlightDump(Svc.flightRecorder(),
-                             SO.FlightDir + "/flightrec-fatal.json");
+    // outlives every worker, so the ring pointer stays valid.
+    support::installFlightDump(Svc.ring(),
+                               SO.FlightDir + "/flightrec-fatal.json");
   int Code = Once ? runOnce(Svc) : runDaemon(Svc, SocketPath, DO);
   if (PrintStats) {
     support::Stats S = Svc.statsSnapshot();
@@ -584,8 +584,7 @@ int main(int argc, char **argv) {
     std::fputs(serve::metricsToPrometheus(Svc.metricsSnapshot()).c_str(),
                stderr);
   if (!ChromePath.empty()) {
-    std::string Text =
-        serve::flightToChromeJson(Svc.flightRecorder().snapshot()).dump(2);
+    std::string Text = support::traceToChromeJson(Svc.ring()).dump(2);
     Text.push_back('\n');
     if (std::FILE *F = std::fopen(ChromePath.c_str(), "w")) {
       std::fwrite(Text.data(), 1, Text.size(), F);

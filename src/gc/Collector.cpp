@@ -2,6 +2,7 @@
 
 #include "gc/Collector.h"
 
+#include <bit>
 #include <cassert>
 #include <csetjmp>
 #include <cstdio>
@@ -181,36 +182,17 @@ void *Collector::allocateSmall(size_t Padded, bool Atomic) {
   if (Class >= NumSizeClasses)
     return nullptr; // defensive: invalid request must not corrupt the heap
 
-  // The free list for a class may hold slots from both atomic and normal
-  // pages; re-check the page kind and skip mismatches by re-initializing a
-  // fresh page instead. To keep the lists homogeneous we simply use the
-  // page's own atomic flag: a slot popped from a page of the wrong
-  // atomicity is pushed back and a new page is initialized. In practice the
-  // lists are rebuilt every sweep, so we keep it simple and search.
-  FreeSlot **Prev = &FreeLists[Class];
-  for (FreeSlot *Slot = *Prev; Slot; Prev = &Slot->Next, Slot = Slot->Next) {
-    PageDescriptor *Desc = Table.lookup(Slot);
-    assert(Desc && Desc->Kind == PageKind::PK_Small);
-    if (Desc->Atomic != Atomic)
-      continue;
-    *Prev = Slot->Next;
-    unsigned SlotIdx = static_cast<unsigned>(
-        (reinterpret_cast<char *>(Slot) - Desc->PageStart) / Desc->ObjSize);
-    Desc->setAllocBit(SlotIdx);
-    return Slot;
+  FreeSlot *&List = FreeLists[Atomic][Class];
+  if (!List) {
+    PageDescriptor *Desc = takeFreePage();
+    if (!Desc)
+      return nullptr; // page acquisition failed; the caller runs the ladder
+    initSmallPage(Desc, Padded, Atomic);
   }
-
-  PageDescriptor *Desc = takeFreePage();
-  if (!Desc)
-    return nullptr; // page acquisition failed; the caller runs the ladder
-  initSmallPage(Desc, Padded, Atomic);
-  // initSmallPage pushed all slots; pop the first.
-  FreeSlot *Slot = FreeLists[Class];
-  assert(Slot && "freshly initialized page has no free slots");
-  FreeLists[Class] = Slot->Next;
-  unsigned SlotIdx = static_cast<unsigned>(
-      (reinterpret_cast<char *>(Slot) - Desc->PageStart) / Desc->ObjSize);
-  Desc->setAllocBit(SlotIdx);
+  FreeSlot *Slot = List;
+  List = Slot->Next;
+  PageDescriptor *Desc = Table.lookup(Slot);
+  Desc->setAllocBit(Desc->slotOf(reinterpret_cast<uintptr_t>(Slot)));
   return Slot;
 }
 
@@ -220,25 +202,26 @@ void Collector::initSmallPage(PageDescriptor *Desc, size_t ObjSize,
   Desc->Atomic = Atomic;
   Desc->ObjSize = static_cast<uint16_t>(ObjSize);
   Desc->ObjCount = static_cast<uint16_t>(PageSize / ObjSize);
+  Desc->SlotMul = static_cast<uint32_t>((uint64_t(1) << 32) / ObjSize + 1);
   Desc->LargePages = 0;
   Desc->LargeSize = 0;
   Desc->LargeHead = nullptr;
-  for (uint64_t &W : Desc->AllocBits)
-    W = 0;
-  Desc->clearMarkBits();
 
   // Poison the whole page before carving it into free slots so the audit's
   // poison-byte invariant (every free slot is PoisonByte beyond its
   // free-list header) holds for never-yet-allocated slots too.
   if (Config.PoisonOnFree)
     std::memset(Desc->PageStart, PoisonByte, PageSize);
+  for (unsigned I = 0; I < Desc->ObjCount; ++I)
+    pushFreeSlot(Desc, I);
+}
 
-  size_t Class = ObjSize / GranuleSize - 1;
-  for (unsigned I = 0; I < Desc->ObjCount; ++I) {
-    auto *Slot = reinterpret_cast<FreeSlot *>(Desc->PageStart + I * ObjSize);
-    Slot->Next = FreeLists[Class];
-    FreeLists[Class] = Slot;
-  }
+void Collector::pushFreeSlot(PageDescriptor *Desc, unsigned Slot) {
+  auto *Free = reinterpret_cast<FreeSlot *>(Desc->PageStart +
+                                            size_t(Slot) * Desc->ObjSize);
+  FreeSlot *&List = FreeLists[Desc->Atomic][Desc->ObjSize / GranuleSize - 1];
+  Free->Next = List;
+  List = Free;
 }
 
 void *Collector::allocateLarge(size_t Padded, bool Atomic) {
@@ -253,9 +236,6 @@ void *Collector::allocateLarge(size_t Padded, bool Atomic) {
   Head->LargePages = static_cast<uint32_t>(NPages);
   Head->LargeSize = Padded;
   Head->LargeHead = nullptr;
-  for (uint64_t &W : Head->AllocBits)
-    W = 0;
-  Head->clearMarkBits();
   Head->setAllocBit(0);
   for (size_t I = 1; I < NPages; ++I) {
     PageDescriptor *Cont = Descs[I];
@@ -349,57 +329,52 @@ char *Collector::takePageRun(size_t NPages,
   return Run;
 }
 
-void *Collector::baseOf(const void *P) const {
-  const PageDescriptor *Desc = Table.lookup(P);
+[[gnu::always_inline]] inline Collector::HeapRef
+Collector::locate(uintptr_t A) const {
+  HeapRef R;
+  PageDescriptor *Desc = Table.lookup(reinterpret_cast<const void *>(A));
   if (!Desc)
-    return nullptr;
-  uintptr_t A = reinterpret_cast<uintptr_t>(P);
+    return R;
   switch (Desc->Kind) {
   case PageKind::PK_Free:
-    return nullptr;
+    R.State = HeapRef::Freed; // page was heap, now reclaimed
+    return R;
   case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (A - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
-    if (Slot >= Desc->ObjCount || !Desc->allocBit(Slot))
-      return nullptr;
-    return Desc->PageStart + size_t(Slot) * Desc->ObjSize;
+    unsigned Slot = Desc->slotOf(A);
+    if (Slot >= Desc->ObjCount) // the page's trailing slack
+      return R;
+    if (!Desc->allocBit(Slot)) {
+      R.State = HeapRef::Freed;
+      return R;
+    }
+    return {HeapRef::Live, Desc->PageStart + size_t(Slot) * Desc->ObjSize,
+            Desc->ObjSize, Desc, Slot};
   }
   case PageKind::PK_LargeStart:
-    return Desc->allocBit(0) ? Desc->PageStart : nullptr;
   case PageKind::PK_LargeCont: {
-    const PageDescriptor *Head = Desc->LargeHead;
-    if (!Head || !Head->allocBit(0))
-      return nullptr;
-    // Reject addresses past the object's padded size (trailing slack of the
-    // final page).
-    uintptr_t Off = A - reinterpret_cast<uintptr_t>(Head->PageStart);
-    if (Off >= Head->LargeSize)
-      return nullptr;
-    return Head->PageStart;
+    PageDescriptor *Head =
+        Desc->Kind == PageKind::PK_LargeStart ? Desc : Desc->LargeHead;
+    if (!Head || !Head->allocBit(0)) {
+      R.State = HeapRef::Freed;
+      return R;
+    }
+    // Addresses past the object's padded size (the trailing slack of its
+    // last page, whichever page that is) belong to no object.
+    if (A - reinterpret_cast<uintptr_t>(Head->PageStart) >= Head->LargeSize)
+      return R;
+    return {HeapRef::Live, Head->PageStart, Head->LargeSize, Head, 0};
   }
   }
-  return nullptr;
+  return R;
+}
+
+void *Collector::baseOf(const void *P) const {
+  HeapRef L = locate(reinterpret_cast<uintptr_t>(P));
+  return L.State == HeapRef::Live ? L.Base : nullptr;
 }
 
 bool Collector::pointsToFreedObject(const void *P) const {
-  const PageDescriptor *Desc = Table.lookup(P);
-  if (!Desc)
-    return false;
-  uintptr_t A = reinterpret_cast<uintptr_t>(P);
-  switch (Desc->Kind) {
-  case PageKind::PK_Free:
-    return true; // page was heap, now reclaimed
-  case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (A - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
-    return Slot < Desc->ObjCount && !Desc->allocBit(Slot);
-  }
-  case PageKind::PK_LargeStart:
-    return !Desc->allocBit(0);
-  case PageKind::PK_LargeCont:
-    return !Desc->LargeHead || !Desc->LargeHead->allocBit(0);
-  }
-  return false;
+  return locate(reinterpret_cast<uintptr_t>(P)).State == HeapRef::Freed;
 }
 
 bool Collector::sameObject(const void *P, const void *Q) const {
@@ -408,18 +383,8 @@ bool Collector::sameObject(const void *P, const void *Q) const {
 }
 
 size_t Collector::objectSize(const void *P) const {
-  const PageDescriptor *Desc = Table.lookup(P);
-  if (!Desc)
-    return 0;
-  if (Desc->Kind == PageKind::PK_Small)
-    return baseOf(P) ? Desc->ObjSize : 0;
-  if (Desc->Kind == PageKind::PK_LargeStart ||
-      Desc->Kind == PageKind::PK_LargeCont)
-    return baseOf(P) ? (Desc->Kind == PageKind::PK_LargeCont
-                            ? Desc->LargeHead->LargeSize
-                            : Desc->LargeSize)
-                     : 0;
-  return 0;
+  HeapRef L = locate(reinterpret_cast<uintptr_t>(P));
+  return L.State == HeapRef::Live ? L.Size : 0;
 }
 
 void Collector::addStaticRoots(const void *Begin, const void *End) {
@@ -455,6 +420,15 @@ void Collector::removeRootScanner(int Token) {
 // Marking
 //===----------------------------------------------------------------------===//
 
+// Most scanned words are not heap pointers: their rejection is inlined
+// into the scan loops, and only live objects pay for a call.
+[[gnu::always_inline]] inline void Collector::markAddress(uintptr_t Addr,
+                                                        bool FromHeap) {
+  HeapRef L = locate(Addr);
+  if (L.State == HeapRef::Live)
+    markObject(L, Addr, FromHeap);
+}
+
 class Collector::MarkVisitor : public RootVisitor {
 public:
   explicit MarkVisitor(Collector &C) : C(C) {}
@@ -470,56 +444,15 @@ private:
   Collector &C;
 };
 
-void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
-  PageDescriptor *Desc = Table.lookup(reinterpret_cast<void *>(Addr));
-  if (!Desc)
-    return;
-  char *Base = nullptr;
-  size_t Size = 0;
-  bool Atomic = false;
-  PageDescriptor *BitsDesc = nullptr;
-  unsigned BitSlot = 0;
-
-  switch (Desc->Kind) {
-  case PageKind::PK_Free:
-    return;
-  case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (Addr - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
-    if (Slot >= Desc->ObjCount || !Desc->allocBit(Slot))
-      return;
-    Base = Desc->PageStart + size_t(Slot) * Desc->ObjSize;
-    Size = Desc->ObjSize;
-    Atomic = Desc->Atomic;
-    BitsDesc = Desc;
-    BitSlot = Slot;
-    break;
-  }
-  case PageKind::PK_LargeStart:
-  case PageKind::PK_LargeCont: {
-    PageDescriptor *Head =
-        Desc->Kind == PageKind::PK_LargeStart ? Desc : Desc->LargeHead;
-    if (!Head || !Head->allocBit(0))
-      return;
-    uintptr_t Off = Addr - reinterpret_cast<uintptr_t>(Head->PageStart);
-    if (Off >= Head->LargeSize)
-      return;
-    Base = Head->PageStart;
-    Size = Head->LargeSize;
-    Atomic = Head->Atomic;
-    BitsDesc = Head;
-    BitSlot = 0;
-    break;
-  }
-  }
+void Collector::markObject(const HeapRef &L, uintptr_t Addr, bool FromHeap) {
+  char *Base = L.Base;
+  bool Interior = Addr != reinterpret_cast<uintptr_t>(Base);
 
   // Base-pointers-only mode: words found in the heap are only treated as
   // pointers when they address the first byte of the object.
-  if (FromHeap && !Config.AllInteriorPointers &&
-      Addr != reinterpret_cast<uintptr_t>(Base))
+  if (FromHeap && Interior && !Config.AllInteriorPointers)
     return;
 
-  bool Interior = Addr != reinterpret_cast<uintptr_t>(Base);
   ++CurEvent.PointerHits;
   if (Interior) {
     ++CurEvent.InteriorHits;
@@ -527,17 +460,17 @@ void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
       Config.Profile->recordInteriorHit(Base);
   }
 
-  if (BitsDesc->markBit(BitSlot))
+  if (L.Bits->markBit(L.Slot))
     return;
-  BitsDesc->setMarkBit(BitSlot);
+  L.Bits->setMarkBit(L.Slot);
   ++CurEvent.MarkedObjects;
   if (Interior) {
     ++CurEvent.FalseRetentionCandidates;
     if (Config.Profile)
       Config.Profile->recordFalseRetention(Base);
   }
-  if (!Atomic)
-    MarkStack.push_back({Base, Size});
+  if (!L.Bits->Atomic)
+    MarkStack.push_back({Base, L.Size});
 }
 
 // A conservative scan reads whole frames, ASan redzones included (bdwgc's
@@ -587,9 +520,6 @@ void Collector::collect() {
   CurEvent = CollectionEvent();
   CurEvent.Index = Stats.Collections;
   uint64_t MarkStartNs = support::monotonicNowNs();
-
-  for (PageDescriptor *Desc : AllPages)
-    Desc->clearMarkBits();
 
   for (const RootRange &R : StaticRoots)
     markRange(R.Begin, R.End, /*FromHeap=*/false);
@@ -655,8 +585,9 @@ void Collector::collect() {
 //===----------------------------------------------------------------------===//
 
 void Collector::sweep() {
-  for (FreeSlot *&List : FreeLists)
-    List = nullptr;
+  for (auto &Lists : FreeLists)
+    for (FreeSlot *&List : Lists)
+      List = nullptr;
 
   size_t LiveBytes = 0;
   size_t Freed = 0;
@@ -668,20 +599,25 @@ void Collector::sweep() {
     case PageKind::PK_LargeCont:
       break;
     case PageKind::PK_Small: {
+      // One 64-slot word at a time: the dead slots are alloc & ~mark. Only
+      // they are poisoned and reported, and the marks are cleared for the
+      // next collection.
+      const unsigned Words = (Desc->ObjCount + 63) / 64;
       unsigned Live = 0;
-      for (unsigned Slot = 0; Slot < Desc->ObjCount; ++Slot) {
-        if (Desc->allocBit(Slot) && !Desc->markBit(Slot)) {
-          Desc->clearAllocBit(Slot);
-          ++Freed;
+      for (unsigned W = 0; W < Words; ++W) {
+        uint64_t Dead = Desc->AllocBits[W] & ~Desc->MarkBits[W];
+        Desc->AllocBits[W] &= ~Dead;
+        Desc->MarkBits[W] = 0;
+        Live += std::popcount(Desc->AllocBits[W]);
+        Freed += std::popcount(Dead);
+        for (; Dead; Dead &= Dead - 1) {
+          char *Obj = Desc->PageStart +
+                      size_t(W * 64 + std::countr_zero(Dead)) * Desc->ObjSize;
           if (Config.Profile)
-            Config.Profile->recordFree(
-                Desc->PageStart + size_t(Slot) * Desc->ObjSize, CurEvent.Index);
+            Config.Profile->recordFree(Obj, CurEvent.Index);
           if (Config.PoisonOnFree)
-            std::memset(Desc->PageStart + size_t(Slot) * Desc->ObjSize,
-                        PoisonByte, Desc->ObjSize);
+            std::memset(Obj, PoisonByte, Desc->ObjSize);
         }
-        if (Desc->allocBit(Slot))
-          ++Live;
       }
       if (Live == 0) {
         Desc->Kind = PageKind::PK_Free;
@@ -690,14 +626,14 @@ void Collector::sweep() {
         break;
       }
       LiveBytes += size_t(Live) * Desc->ObjSize;
-      size_t Class = Desc->ObjSize / GranuleSize - 1;
-      for (unsigned Slot = 0; Slot < Desc->ObjCount; ++Slot) {
-        if (Desc->allocBit(Slot))
-          continue;
-        auto *Free = reinterpret_cast<FreeSlot *>(Desc->PageStart +
-                                                  size_t(Slot) * Desc->ObjSize);
-        Free->Next = FreeLists[Class];
-        FreeLists[Class] = Free;
+      // The free list gets every clear slot, in ascending slot order.
+      for (unsigned W = 0; W < Words; ++W) {
+        unsigned Left = Desc->ObjCount - W * 64;
+        uint64_t Free = ~Desc->AllocBits[W];
+        if (Left < 64)
+          Free &= (uint64_t(1) << Left) - 1;
+        for (; Free; Free &= Free - 1)
+          pushFreeSlot(Desc, W * 64 + std::countr_zero(Free));
       }
       break;
     }
@@ -705,6 +641,7 @@ void Collector::sweep() {
       if (!Desc->allocBit(0))
         break;
       if (Desc->markBit(0)) {
+        Desc->MarkBits[0] = 0;
         LiveBytes += Desc->LargeSize;
         break;
       }
@@ -714,15 +651,7 @@ void Collector::sweep() {
       if (Config.PoisonOnFree)
         std::memset(Desc->PageStart, PoisonByte, Desc->LargeSize);
       Desc->clearAllocBit(0);
-      size_t NPages = Desc->LargePages;
-      for (size_t I = 0; I < NPages; ++I) {
-        PageDescriptor *PD = Table.lookup(Desc->PageStart + I * PageSize);
-        assert(PD && "large run page missing from table");
-        PD->Kind = PageKind::PK_Free;
-        PD->LargeHead = nullptr;
-        PD->NextFree = FreePageList;
-        FreePageList = PD;
-      }
+      releaseLargeRun(Desc);
       break;
     }
     }
@@ -735,42 +664,33 @@ void Collector::sweep() {
     Config.Profile->snapshotAfterGc();
 }
 
+/// Returns every page of the large object headed by \p Head to the free
+/// page list.
+void Collector::releaseLargeRun(PageDescriptor *Head) {
+  size_t NPages = Head->LargePages;
+  for (size_t I = 0; I < NPages; ++I) {
+    PageDescriptor *PD = Table.lookup(Head->PageStart + I * PageSize);
+    assert(PD && "large run page missing from table");
+    PD->Kind = PageKind::PK_Free;
+    PD->LargeHead = nullptr;
+    PD->NextFree = FreePageList;
+    FreePageList = PD;
+  }
+}
+
 void Collector::deallocate(void *P) {
-  void *Base = baseOf(P);
-  if (!Base)
+  HeapRef L = locate(reinterpret_cast<uintptr_t>(P));
+  if (L.State != HeapRef::Live)
     return;
   if (Config.Profile)
-    Config.Profile->recordFree(Base, Stats.Collections);
-  PageDescriptor *Desc = Table.lookup(Base);
-  if (Desc->Kind == PageKind::PK_Small) {
-    unsigned Slot = static_cast<unsigned>(
-        (static_cast<char *>(Base) - Desc->PageStart) / Desc->ObjSize);
-    Desc->clearAllocBit(Slot);
-    // Keep the audit's mark-implies-alloc invariant: a slot freed between
-    // collections may still carry the previous cycle's mark bit.
-    Desc->clearMarkBit(Slot);
-    if (Config.PoisonOnFree)
-      std::memset(Base, PoisonByte, Desc->ObjSize);
-    size_t Class = Desc->ObjSize / GranuleSize - 1;
-    auto *Free = reinterpret_cast<FreeSlot *>(Base);
-    Free->Next = FreeLists[Class];
-    FreeLists[Class] = Free;
-    return;
-  }
-  if (Desc->Kind == PageKind::PK_LargeStart) {
-    if (Config.PoisonOnFree)
-      std::memset(Base, PoisonByte, Desc->LargeSize);
-    Desc->clearAllocBit(0);
-    Desc->clearMarkBit(0);
-    size_t NPages = Desc->LargePages;
-    for (size_t I = 0; I < NPages; ++I) {
-      PageDescriptor *PD = Table.lookup(Desc->PageStart + I * PageSize);
-      PD->Kind = PageKind::PK_Free;
-      PD->LargeHead = nullptr;
-      PD->NextFree = FreePageList;
-      FreePageList = PD;
-    }
-  }
+    Config.Profile->recordFree(L.Base, Stats.Collections);
+  if (Config.PoisonOnFree)
+    std::memset(L.Base, PoisonByte, L.Size);
+  L.Bits->clearAllocBit(L.Slot);
+  if (L.Bits->Kind == PageKind::PK_Small)
+    pushFreeSlot(L.Bits, L.Slot);
+  else
+    releaseLargeRun(L.Bits);
 }
 
 //===----------------------------------------------------------------------===//
@@ -919,12 +839,15 @@ HeapAuditReport Collector::auditHeap() {
     Violate("free page list: length %zu but %zu free pages exist",
             FreeListLen, FreePages);
 
-  // Small-object free lists: membership, class, alignment, cycles.
+  // Small-object free lists: membership, class, atomicity, alignment,
+  // cycles.
   size_t SlotCap = AllPages.size() * (PageSize / GranuleSize) + 1;
-  for (size_t Class = 0; Class < NumSizeClasses; ++Class) {
+  for (size_t Index = 0; Index < 2 * NumSizeClasses; ++Index) {
+    bool Atomic = Index >= NumSizeClasses;
+    size_t Class = Index % NumSizeClasses;
     size_t Expect = (Class + 1) * GranuleSize;
     size_t Len = 0;
-    for (FreeSlot *S = FreeLists[Class]; S; S = S->Next) {
+    for (FreeSlot *S = FreeLists[Atomic][Class]; S; S = S->Next) {
       if (++Len > SlotCap) {
         Violate("free list class %zu: cycle detected", Class);
         break;
@@ -940,6 +863,10 @@ HeapAuditReport Collector::auditHeap() {
                 (void *)S, unsigned(PD->ObjSize));
         continue;
       }
+      if (PD->Atomic != Atomic)
+        Violate("free list class %zu: slot %p on a page of the other "
+                "atomicity",
+                Class, (void *)S);
       size_t Off = reinterpret_cast<char *>(S) - PD->PageStart;
       if (Off % PD->ObjSize != 0) {
         Violate("free list class %zu: slot %p misaligned in page", Class,

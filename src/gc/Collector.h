@@ -364,6 +364,18 @@ private:
     FreeSlot *Next;
   };
 
+  /// What an address is to the heap: not a heap object, inside a freed
+  /// one, or inside a live object whose alloc/mark bits are bit Slot of
+  /// page Bits. The one classifier behind baseOf, pointsToFreedObject,
+  /// objectSize and marking.
+  struct HeapRef {
+    enum StateKind : uint8_t { None, Freed, Live } State = None;
+    char *Base = nullptr;
+    size_t Size = 0;
+    PageDescriptor *Bits = nullptr;
+    unsigned Slot = 0;
+  };
+
   class MarkVisitor;
 
   size_t paddedSize(size_t Size) const;
@@ -378,13 +390,17 @@ private:
   PageDescriptor *takeFreePage();
   char *takePageRun(size_t NPages, std::vector<PageDescriptor *> &Descs);
   void initSmallPage(PageDescriptor *Desc, size_t ObjSize, bool Atomic);
+  void pushFreeSlot(PageDescriptor *Desc, unsigned Slot);
+  void releaseLargeRun(PageDescriptor *Head);
+  HeapRef locate(uintptr_t A) const;
 
   void markAddress(uintptr_t Addr, bool FromHeap);
+  [[gnu::noinline]] void markObject(const HeapRef &L, uintptr_t Addr,
+                                    bool FromHeap);
   void markRange(const char *Begin, const char *End, bool FromHeap);
   void drainMarkStack();
   void scanMachineStack();
   void sweep();
-  void rebuildFreeLists();
 
   CollectorConfig Config;
   CollectorStats Stats;
@@ -392,7 +408,8 @@ private:
   std::vector<Segment> Segments;
   std::vector<PageDescriptor *> AllPages; // every descriptor ever created
   PageDescriptor *FreePageList = nullptr;
-  FreeSlot *FreeLists[NumSizeClasses] = {};
+  /// Free small slots by [page atomicity][size class].
+  FreeSlot *FreeLists[2][NumSizeClasses] = {};
 
   struct RootRange {
     const char *Begin;

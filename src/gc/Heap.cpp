@@ -2,6 +2,7 @@
 
 #include "gc/Heap.h"
 
+#include <algorithm>
 #include <cassert>
 #include <new>
 
@@ -46,6 +47,8 @@ bool PageTable::insert(const void *PageAddr, PageDescriptor *Desc) {
   if (!E)
     return false;
   E->Pages[(A >> PageSizeLog) & (ChunkPages - 1)] = Desc;
+  Lo = Lo == Hi ? A : std::min(Lo, A);
+  Hi = std::max(Hi, A + PageSize);
   return true;
 }
 

@@ -50,13 +50,20 @@ enum class PageKind : uint8_t {
 };
 
 /// Side metadata for one heap page. Never stored inside the page itself so
-/// object payloads stay contiguous, mirroring the real collector.
+/// object payloads stay contiguous, mirroring the real collector. A free
+/// page's bitmaps are all clear, and so is every mark bit outside a
+/// collection: the sweep clears the marks it reads.
 struct PageDescriptor {
   char *PageStart = nullptr;
   PageKind Kind = PageKind::PK_Free;
   bool Atomic = false;     ///< Objects contain no pointers (skip in mark).
   uint16_t ObjSize = 0;    ///< PK_Small: rounded object size in bytes.
   uint16_t ObjCount = 0;   ///< PK_Small: number of slots in the page.
+  /// PK_Small: 2^32 / ObjSize + 1, so slotOf() needs no division. For
+  /// ObjSize = d <= MaxSmallSize write SlotMul * d = 2^32 + e, 0 < e <= d;
+  /// then Off * SlotMul / 2^32 = Off / d + Off * e / (d * 2^32), and the
+  /// error term stays below 1 / d because Off * e < 2^12 * 2^11 < 2^32.
+  uint32_t SlotMul = 0;
   uint32_t LargePages = 0; ///< PK_LargeStart: total pages in the run.
   size_t LargeSize = 0;    ///< PK_LargeStart: padded object size in bytes.
   PageDescriptor *LargeHead = nullptr; ///< PK_LargeCont: run's first page.
@@ -67,6 +74,11 @@ struct PageDescriptor {
   uint64_t AllocBits[MaxSlotsPerPage / 64] = {};
   uint64_t MarkBits[MaxSlotsPerPage / 64] = {};
 
+  /// PK_Small: the slot holding address \p A of this page.
+  unsigned slotOf(uintptr_t A) const {
+    return static_cast<unsigned>((uint64_t(A & (PageSize - 1)) * SlotMul) >>
+                                 32);
+  }
   bool allocBit(unsigned Slot) const {
     return (AllocBits[Slot / 64] >> (Slot % 64)) & 1;
   }
@@ -78,13 +90,6 @@ struct PageDescriptor {
     return (MarkBits[Slot / 64] >> (Slot % 64)) & 1;
   }
   void setMarkBit(unsigned Slot) { MarkBits[Slot / 64] |= uint64_t(1) << (Slot % 64); }
-  void clearMarkBit(unsigned Slot) {
-    MarkBits[Slot / 64] &= ~(uint64_t(1) << (Slot % 64));
-  }
-  void clearMarkBits() {
-    for (uint64_t &W : MarkBits)
-      W = 0;
-  }
 };
 
 /// Fixed-height-2 address-to-descriptor map. Level 1 is a chained hash
@@ -114,9 +119,13 @@ public:
   void erase(const void *PageAddr);
 
   /// Returns the descriptor for the page containing \p Addr, or null if the
-  /// address is not inside the collected heap.
+  /// address is not inside the collected heap. Addresses outside [Lo, Hi),
+  /// the span of every page ever mapped, are rejected before the hash probe
+  /// (bdwgc's plausible-heap-address test).
   PageDescriptor *lookup(const void *Addr) const {
     uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
+    if (A - Lo >= Hi - Lo)
+      return nullptr;
     uintptr_t Key = A >> (PageSizeLog + ChunkPagesLog);
     const TopEntry *E = Top[hashKey(Key)];
     while (E && E->Key != Key)
@@ -144,6 +153,7 @@ private:
 
   TopEntry *Top[TopTableSize] = {};
   size_t EntryCount = 0;
+  uintptr_t Lo = 0, Hi = 0; ///< Lo == Hi: nothing mapped yet.
 };
 
 } // namespace gc

@@ -217,13 +217,18 @@ void storeValue(uint64_t Addr, uint64_t Val, unsigned Size) {
 ///   Br: A = condition, X/Y = taken/not-taken positions, B/C = penalties;
 ///   Call: X = callee index (~0u: indirect through A), B/C = first
 ///     argument operand in Code::ArgOps and argument count;
-///   CallBuiltin: X = the ir::Builtin, B/C as for Call;
+///   CallBuiltin: A = the ir::Builtin, B/C as for Call;
 ///   Kill: A = the register; FallOff: X = the block index.
 /// Dst is always a register: results nobody reads go to the sink slot.
+/// Every record but a control transfer (Jmp, Br, Ret, Call, FallOff) may
+/// carry the up to two Kill records that follow it: Fused says how many,
+/// and X/Y hold their registers. Kill costs no cycles, so running them in
+/// the carrier's dispatch changes no count (see run()).
 struct VM::DInst {
   DOp Op = DOp::Nop;
   uint8_t Size = 8;
   bool Signed = true;
+  uint8_t Fused = 0;
   uint32_t Cost = 0;
   uint32_t Dst = 0;
   uint32_t A = 0, B = 0, C = 0;
@@ -433,7 +438,7 @@ const VM::Code &VM::decoded(uint32_t FnIndex) {
           Fn->ArgOps.push_back(Operand(V));
         if (I.BuiltinCallee != Builtin::None) {
           D.Op = DOp::CallBuiltin;
-          D.X = static_cast<uint32_t>(I.BuiltinCallee);
+          D.A = static_cast<uint32_t>(I.BuiltinCallee);
         } else {
           D.Op = DOp::Call;
           D.X = I.Callee >= 0 ? static_cast<uint32_t>(I.Callee) : ~0u;
@@ -455,6 +460,24 @@ const VM::Code &VM::decoded(uint32_t FnIndex) {
     Fn->Insts.push_back(End);
     Fn->Source.push_back(nullptr);
     Fn->FlatIndex.push_back(~0u);
+  }
+  // Fold Kill records into the record before them. They also stay in the
+  // stream, for entry after a call returns and for the slow path. A run of
+  // Kill records always ends at the latest in its block's FallOff.
+  for (size_t P = 0; P < Fn->Insts.size(); ++P) {
+    DInst &D = Fn->Insts[P];
+    if (D.Op == DOp::Jmp || D.Op == DOp::Br || D.Op == DOp::Ret ||
+        D.Op == DOp::Call || D.Op == DOp::FallOff)
+      continue;
+    for (uint32_t *Reg : {&D.X, &D.Y}) {
+      const DInst &Next = Fn->Insts[P + 1 + D.Fused];
+      if (Next.Op != DOp::Kill)
+        break;
+      *Reg = Next.A;
+      ++D.Fused;
+    }
+    if (D.Fused == 1)
+      D.Y = D.X;
   }
   Slot = std::move(Fn);
   return *Slot;
@@ -550,7 +573,7 @@ void VM::runBuiltin(const Code &Fn, const DInst &I, uint64_t *R) {
     return R.Ptr;
   };
 
-  const Builtin Callee = static_cast<Builtin>(I.X);
+  const Builtin Callee = static_cast<Builtin>(I.A);
   switch (Callee) {
   case Builtin::GcMalloc:
   case Builtin::Malloc: {
@@ -841,17 +864,17 @@ RunResult VM::run() {
   case DOp::Name: {                                                            \
     uint64_t A = V(I->A), B = V(I->B);                                         \
     R[I->Dst] = (Expr);                                                        \
-    continue;                                                                  \
+    break;                                                                     \
   }                                                                            \
   case DOp::Name##RR: {                                                        \
     uint64_t A = R[I->A], B = R[I->B];                                         \
     R[I->Dst] = (Expr);                                                        \
-    continue;                                                                  \
+    break;                                                                     \
   }                                                                            \
   case DOp::Name##RK: {                                                        \
     uint64_t A = R[I->A], B = K[I->B];                                         \
     R[I->Dst] = (Expr);                                                        \
-    continue;                                                                  \
+    break;                                                                     \
   }
       GCSAFE_VM_INT_BINOPS(GCSAFE_VM_EXEC)
 #undef GCSAFE_VM_EXEC
@@ -859,13 +882,13 @@ RunResult VM::run() {
   case DOp::Name: {                                                            \
     uint64_t A = V(I->A), B = V(I->B);                                         \
     R[I->Dst] = (Expr);                                                        \
-    continue;                                                                  \
+    break;                                                                     \
   }
       GCSAFE_VM_FLOAT_BINOPS(GCSAFE_VM_EXEC)
 #undef GCSAFE_VM_EXEC
 
     case DOp::Nop:
-      continue;
+      break;
     case DOp::FallOff:
       // Control ran past the last instruction of a block: not an executed
       // instruction, so it is not counted.
@@ -875,10 +898,10 @@ RunResult VM::run() {
       goto Stop;
     case DOp::MovR:
       R[I->Dst] = R[I->A];
-      continue;
+      break;
     case DOp::MovK:
       R[I->Dst] = K[I->A];
-      continue;
+      break;
     case DOp::DivS: {
       int64_t Den = static_cast<int64_t>(V(I->B));
       if (Den == 0) {
@@ -886,7 +909,7 @@ RunResult VM::run() {
         goto Done;
       }
       R[I->Dst] = static_cast<uint64_t>(static_cast<int64_t>(V(I->A)) / Den);
-      continue;
+      break;
     }
     case DOp::DivU: {
       uint64_t Den = V(I->B);
@@ -895,7 +918,7 @@ RunResult VM::run() {
         goto Done;
       }
       R[I->Dst] = V(I->A) / Den;
-      continue;
+      break;
     }
     case DOp::RemS: {
       int64_t Den = static_cast<int64_t>(V(I->B));
@@ -904,7 +927,7 @@ RunResult VM::run() {
         goto Done;
       }
       R[I->Dst] = static_cast<uint64_t>(static_cast<int64_t>(V(I->A)) % Den);
-      continue;
+      break;
     }
     case DOp::RemU: {
       uint64_t Den = V(I->B);
@@ -913,17 +936,17 @@ RunResult VM::run() {
         goto Done;
       }
       R[I->Dst] = V(I->A) % Den;
-      continue;
+      break;
     }
     case DOp::Neg:
       R[I->Dst] = static_cast<uint64_t>(-static_cast<int64_t>(V(I->A)));
-      continue;
+      break;
     case DOp::Not:
       R[I->Dst] = ~V(I->A);
-      continue;
+      break;
     case DOp::FNeg:
       R[I->Dst] = doubleToBits(-bitsToDouble(V(I->A)));
-      continue;
+      break;
     case DOp::SExt: {
       unsigned Bits = I->Size * 8;
       uint64_t Val = V(I->A);
@@ -934,7 +957,7 @@ RunResult VM::run() {
           Val |= ~Mask;
       }
       R[I->Dst] = Val;
-      continue;
+      break;
     }
     case DOp::ZExt: {
       unsigned Bits = I->Size * 8;
@@ -942,23 +965,23 @@ RunResult VM::run() {
       if (Bits < 64)
         Val &= (uint64_t(1) << Bits) - 1;
       R[I->Dst] = Val;
-      continue;
+      break;
     }
     case DOp::SIToFP:
       R[I->Dst] = doubleToBits(
           static_cast<double>(static_cast<int64_t>(V(I->A))));
-      continue;
+      break;
     case DOp::FPToSI:
       R[I->Dst] = static_cast<uint64_t>(
           static_cast<int64_t>(bitsToDouble(V(I->A))));
-      continue;
+      break;
     case DOp::Load:
     case DOp::LoadIdx: {
       uint64_t Addr = V(I->A) + (I->Op == DOp::LoadIdx ? V(I->B) : 0);
       if (!checkMemoryAccess(Addr, "load"))
         goto Done;
       R[I->Dst] = loadValue(Addr, I->Size, I->Signed);
-      continue;
+      break;
     }
     case DOp::Store:
     case DOp::StoreIdx: {
@@ -973,11 +996,11 @@ RunResult VM::run() {
       if (!checkMemoryAccess(Addr, "store"))
         goto Done;
       storeValue(Addr, Val, I->Size);
-      continue;
+      break;
     }
     case DOp::AddrLocal:
       R[I->Dst] = FrameAddr + K[I->A];
-      continue;
+      break;
     case DOp::Jmp:
       PC = Base + I->X;
       Cycles += I->B;
@@ -1056,12 +1079,12 @@ RunResult VM::run() {
         Limit = N + 1; // the next instruction trips the output cap
       if (Halted)
         goto Done;
-      continue;
+      break;
     case DOp::KeepLive:
       R[I->Dst] = V(I->A);
       ++KeepLives;
       KeepLiveCycles += I->Cost;
-      continue;
+      break;
     case DOp::CheckSameObj: {
       Result.CheckCycles += I->Cost;
       uint64_t A = V(I->A);
@@ -1074,12 +1097,21 @@ RunResult VM::run() {
         fail("pointer-arithmetic check violation");
         goto Done;
       }
-      continue;
+      break;
     }
     case DOp::Kill:
       R[I->A] = 0;
       ++Kills;
-      continue;
+      break;
+    }
+    // The Kill records folded into I, unless a limit falls among them:
+    // then they run from the stream, one at a time, as if never folded.
+    if (I->Fused && N + I->Fused < Limit) {
+      R[I->X] = 0;
+      R[I->Y] = 0;
+      N += I->Fused;
+      Kills += I->Fused;
+      PC += I->Fused;
     }
   }
 

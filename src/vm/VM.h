@@ -18,10 +18,11 @@
 /// the function's constant pool. Branch targets are flat positions and
 /// carry the target block's register-pressure spill penalty, so costs and
 /// penalties are fixed at decode time and never re-derived per execution.
-/// Every block ends in a fall-off sentinel. Frames share one contiguous
-/// register stack; the root scanner visits its live prefix [0, RegTop) as
-/// one range, which is word for word what a per-frame register file
-/// would expose.
+/// Every block ends in a fall-off sentinel. Up to two Kill records (zero-
+/// cycle register deaths) after a non-control record are folded into it
+/// and run in its dispatch. Frames share one contiguous register stack;
+/// the root scanner visits its live prefix [0, RegTop) as one range,
+/// which is word for word what a per-frame register file would expose.
 ///
 /// Collections can be triggered adversarially: after every allocation
 /// (collector AllocCountTrigger), at a fixed instruction period
@@ -34,10 +35,12 @@
 /// The freed-access probe is exact: every load and store whose address
 /// Collector::pointsToFreedObject would report counts, including slots
 /// never allocated and objects freed without any sweep. A fast path may
-/// skip the page-table lookup only where it provably returns false; the
+/// skip the page-table lookup only where it provably returns false: the
 /// VM skips it for addresses inside its own Stack and Globals buffers,
-/// which are never heap pages. Arming the probe lazily (say, at the first
-/// sweep) would not be behaviour-preserving.
+/// which are never heap pages, and the page table itself rejects any
+/// address outside the span of pages the heap ever mapped, since a page
+/// never mapped is never freed. Arming the probe lazily (say, at the
+/// first sweep) would not be behaviour-preserving.
 ///
 /// The VM also accounts cycles under a MachineModel (including a register
 /// pressure penalty) and runs the checked-mode CheckSameObj instruction

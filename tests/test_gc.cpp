@@ -54,6 +54,20 @@ TEST(PageTable, MissesReturnNull) {
   EXPECT_EQ(T.lookup(nullptr), nullptr);
 }
 
+TEST(PageTable, AddressesOutsideTheMappedSpanMissBeforeTheProbe) {
+  PageTable T;
+  alignas(4096) static char Pages[3 * PageSize];
+  PageDescriptor D0, D2;
+  T.insert(Pages, &D0);
+  T.insert(Pages + 2 * PageSize, &D2);
+  uintptr_t Below = reinterpret_cast<uintptr_t>(Pages) - 1;
+  EXPECT_EQ(T.lookup(reinterpret_cast<const void *>(Below)), nullptr);
+  EXPECT_EQ(T.lookup(Pages), &D0);
+  EXPECT_EQ(T.lookup(Pages + PageSize), nullptr); // a hole inside the span
+  EXPECT_EQ(T.lookup(Pages + 3 * PageSize - 1), &D2);
+  EXPECT_EQ(T.lookup(Pages + 3 * PageSize), nullptr);
+}
+
 TEST(PageTable, ManyPagesAcrossChunks) {
   // Drive the collector to create many pages and verify every object's
   // page resolves through the two-level structure.
@@ -114,6 +128,83 @@ TEST(Collector, LargeObjectInteriorPointers) {
   EXPECT_EQ(C.baseOf(P + 2 * PageSize + 50), P);  // deep interior
   EXPECT_EQ(C.baseOf(P + Size - 1), P);
   EXPECT_GE(C.objectSize(P), Size);
+}
+
+TEST(Collector, LargeObjectSlackBelongsToNoObject) {
+  // The slack between a large object's padded end and the end of its last
+  // page is outside the object for every query: the checker, objectSize,
+  // the freed-access probe and retention all agree. A one-page object
+  // (2049..4096 padded bytes) has its slack on its head page, a multi-page
+  // object on a continuation page.
+  for (size_t Size : {size_t(3000), 3 * PageSize + 100}) {
+    SCOPED_TRACE(Size);
+    Collector C(quietConfig());
+    char *P = static_cast<char *>(C.allocate(Size));
+    size_t Padded = C.objectSize(P);
+    ASSERT_GT(Padded, MaxSmallSize);
+    size_t Span = (Padded + PageSize - 1) / PageSize * PageSize;
+    for (char *Q : {P + Padded, P + (Padded + Span) / 2, P + Span - 1}) {
+      EXPECT_EQ(C.baseOf(Q), nullptr);
+      EXPECT_FALSE(C.sameObject(P, Q));
+      EXPECT_FALSE(C.sameObject(Q, P));
+      EXPECT_EQ(C.objectSize(Q), 0u);
+      EXPECT_FALSE(C.pointsToFreedObject(Q));
+      PointerCheck Check(C);
+      Check.sameObj(Q, P);
+      EXPECT_EQ(Check.violationCount(), 1u);
+    }
+    EXPECT_EQ(C.baseOf(P + Padded - 1), P);
+
+    // A root into the object's last byte retains it; one into the slack
+    // does not.
+    const char *Root = P + Padded - 1;
+    C.addStaticRoots(&Root, &Root + 1);
+    C.collect();
+    EXPECT_EQ(C.baseOf(P), P);
+    Root = P + Padded;
+    C.collect();
+    EXPECT_EQ(C.baseOf(P), nullptr);
+    EXPECT_TRUE(C.pointsToFreedObject(P));
+    EXPECT_TRUE(C.pointsToFreedObject(P + Padded));
+    C.removeStaticRoots(&Root);
+  }
+}
+
+TEST(Collector, SlotIndexIsExactWithoutDivision) {
+  // PageDescriptor::slotOf multiplies by a reciprocal instead of dividing
+  // by the object size; check it against division for every size class
+  // and every offset in a page.
+  Collector C(quietConfig());
+  for (size_t Size = GranuleSize; Size <= MaxSmallSize; Size += GranuleSize) {
+    void *P = C.allocate(Size - 1); // the one-past-end byte pads it to Size
+    const PageDescriptor *D = C.pageTable().lookup(P);
+    ASSERT_NE(D, nullptr);
+    ASSERT_EQ(D->ObjSize, Size);
+    size_t Wrong = 0;
+    for (uintptr_t Off = 0; Off < PageSize; ++Off)
+      Wrong += D->slotOf(reinterpret_cast<uintptr_t>(D->PageStart) + Off) !=
+               Off / Size;
+    EXPECT_EQ(Wrong, 0u) << "size " << Size;
+  }
+}
+
+TEST(Collector, AtomicAndNormalSlotsComeFromTheirOwnPages) {
+  // Small free lists are kept per atomicity, so a request never takes a
+  // slot from a page of the other kind, before or after a sweep.
+  Collector C(quietConfig());
+  RootVector Live(C);
+  for (int Round = 0; Round < 2; ++Round) {
+    for (int I = 0; I < 400; ++I) {
+      bool Atomic = I % 3 == 0;
+      void *P = Atomic ? C.allocateAtomic(48) : C.allocate(48);
+      ASSERT_NE(P, nullptr);
+      EXPECT_EQ(C.pageTable().lookup(P)->Atomic, Atomic) << I;
+      if (I % 4 == 0)
+        Live.push(P);
+    }
+    C.collect();
+    EXPECT_TRUE(C.auditHeap().Ok);
+  }
 }
 
 TEST(Collector, ObjectSizeIsRoundedUp) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 using namespace gcsafe;
@@ -273,6 +274,95 @@ TEST(VMContract, ProfilerSamplesAndAllocSitesAreStable) {
   EXPECT_EQ(summary(R), "ok=1 error='' insts=1405523 cycles=3048593 "
                         "spill=0 kills=463568 keep_lives=48445 checks=0 "
                         "alloc=1693250 out=20 freed=0");
+}
+
+//===----------------------------------------------------------------------===//
+// Kill records folded into the record before them
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Every RunResult counter, collector counters included.
+std::string everyCounter(const vm::RunResult &R) {
+  std::ostringstream OS;
+  OS << summary(R) << " exit=" << R.ExitCode << " out=" << fnv1a(R.Output)
+     << " keep_live_cycles=" << R.KeepLiveCycles
+     << " collections=" << R.Collections << " allocs=" << R.AllocCount
+     << " alloc_bytes=" << R.AllocBytes << " checks=" << R.ChecksPerformed
+     << " violations=" << R.CheckViolations
+     << " words_scanned=" << R.Gc.WordsScanned
+     << " pointer_hits=" << R.Gc.PointerHits
+     << " marked=" << R.Gc.MarkedObjects
+     << " interior_hits=" << R.Gc.InteriorPointerHits
+     << " live_after_gc=" << R.Gc.LiveBytesAfterLastGC;
+  return OS.str();
+}
+} // namespace
+
+TEST(KillFusion, SamplingEveryCycleFusesNothingAndChangesNoCounter) {
+  // A one-cycle sampling period puts every instruction on the slow path,
+  // so no Kill record runs folded. The runs are cut by an instruction
+  // budget to keep the per-instruction samples cheap; the cut itself must
+  // land identically too.
+  struct Schedule {
+    size_t AllocTrigger;
+    uint64_t InstructionPeriod, CallPeriod;
+  };
+  const Schedule Schedules[] = {{0, 0, 0}, {1, 0, 0}, {0, 997, 0}, {0, 0, 7}};
+  for (const workloads::Workload *W : workloads::benchmarkSuite()) {
+    for (CompileMode Mode :
+         {CompileMode::O2SafePost, CompileMode::DebugChecked}) {
+      CompileResult CR = compileWorkload(*W, Mode);
+      for (const Schedule &S : Schedules) {
+        vm::VMOptions VO;
+        VO.GcAllocTrigger = S.AllocTrigger;
+        VO.GcInstructionPeriod = S.InstructionPeriod;
+        VO.GcCallPeriod = S.CallPeriod;
+        VO.MaxInstructions = 300000;
+        vm::RunResult Fast = runModule(CR.Module, VO);
+        support::Profiler P;
+        P.SamplePeriodCycles = 1;
+        VO.Profile = &P;
+        vm::RunResult Sampled = runModule(CR.Module, VO);
+        EXPECT_GT(Fast.KillsExecuted, 0u);
+        EXPECT_EQ(everyCounter(Fast), everyCounter(Sampled))
+            << W->Name << " " << compileModeName(Mode) << " "
+            << S.AllocTrigger << "/" << S.InstructionPeriod << "/"
+            << S.CallPeriod;
+      }
+    }
+  }
+}
+
+TEST(KillFusion, BudgetStepsOneInstructionAtATimeThroughAFusedGroup) {
+  // The Load carries both Kill records. A budget that ends inside the
+  // group stops on the exact Kill record, counting it as executed.
+  ir::Module M = mainOnly({inst(ir::Opcode::AddrLocal, 0),
+                           inst(ir::Opcode::Load, 1, reg(0)),
+                           inst(ir::Opcode::Kill, ir::NoReg, reg(0)),
+                           inst(ir::Opcode::Kill, ir::NoReg, reg(1)),
+                           inst(ir::Opcode::Ret, ir::NoReg, imm(0))},
+                          2);
+  M.Functions[0].FrameSize = 8;
+  const char *Expected[] = {
+      "ok=0 error='instruction budget exceeded' insts=1 cycles=9 spill=0 "
+      "kills=0",
+      "ok=0 error='instruction budget exceeded' insts=2 cycles=11 spill=0 "
+      "kills=0",
+      "ok=0 error='instruction budget exceeded' insts=3 cycles=11 spill=0 "
+      "kills=1",
+      "ok=0 error='instruction budget exceeded' insts=4 cycles=11 spill=0 "
+      "kills=2",
+      "ok=0 error='instruction budget exceeded' insts=5 cycles=19 spill=0 "
+      "kills=2",
+      "ok=1 error='' insts=5 cycles=19 spill=0 kills=2"};
+  for (uint64_t Budget = 0; Budget <= 5; ++Budget) {
+    vm::VMOptions VO;
+    VO.MaxInstructions = Budget;
+    vm::RunResult R = runModule(M, VO);
+    EXPECT_EQ(summary(R).substr(0, std::strlen(Expected[Budget])),
+              Expected[Budget])
+        << Budget;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,9 +11,7 @@ function(gcsafe_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-gcsafe_bench(bench_slowdown_sparc2)
-gcsafe_bench(bench_slowdown_sparc10)
-gcsafe_bench(bench_slowdown_pentium90)
+gcsafe_bench(bench_slowdown)
 gcsafe_bench(bench_codesize)
 gcsafe_bench(bench_postproc)
 gcsafe_bench(bench_analysis_exhibit)

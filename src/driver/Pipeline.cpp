@@ -78,6 +78,188 @@ bool gcsafe::driver::verifyFunctionSafetyMemo(
   return Ok;
 }
 
+namespace {
+
+/// The one place an optimizer pass runs (docs/ROBUSTNESS.md §5). The
+/// optimizer supplies the pass order (opt::pipeline); the runner owns
+/// everything around each pass: quarantine, snapshot, timing and span,
+/// the mutators, the commit gate, rollback or commit with the
+/// "opt.*"/"robust.*" stats, and the each-pass checkpoint.
+class PassRunner {
+public:
+  PassRunner(const CompileOptions &Options, CompileResult &Result)
+      : Options(Options), Result(Result), Txn(Options.Txn),
+        EachPass(Options.Verify == SafetyVerify::EachPass) {
+    if (Txn && Txn->Faults) {
+      CorruptSite = Txn->Faults->siteId("opt.pass.corrupt");
+      VerifyTimeoutSite = Txn->Faults->siteId("analysis.verify.timeout");
+    }
+  }
+
+  /// Safety verifier layers 1 (and 2 with \p KillPlacement) into
+  /// Result.SafetyDiags, counted for "analysis.verify.*".
+  void checkSafety(const ir::Function &F, const char *Pass,
+                   bool KillPlacement) {
+    uint64_t StartNs = support::monotonicNowNs();
+    analysis::SafetyVerifyOptions VO;
+    VO.Pass = Pass;
+    VO.CheckKillPlacement = KillPlacement;
+    size_t Before = Result.SafetyDiags.size();
+    verifyFunctionSafetyMemo(Options.Memo, F, VO, Result.SafetyDiags);
+    uint64_t ElapsedNs = support::monotonicNowNs() - StartNs;
+    SafetyNs += ElapsedNs;
+    ++SafetyRuns;
+    if (Options.Trace && Result.SafetyDiags.size() != Before)
+      Options.Trace->span("analysis", Pass, StartNs, ElapsedNs,
+                          unsigned(Result.SafetyDiags.size() - Before), 0,
+                          F.Name);
+  }
+
+  /// Runs \p Steps over every function of the module, then records the
+  /// "opt.total.*" stats.
+  void optimize(std::span<const opt::PassStep> Steps) {
+    uint64_t StartNs = support::monotonicNowNs();
+    opt::PassStats &Total = Result.OptStats;
+    for (ir::Function &F : Result.Module.Functions) {
+      opt::removeUnreachableBlocks(F);
+      // The (entry) checkpoint: the KEEP_LIVE baseline.
+      if (Txn || EachPass)
+        Continuity.record(F);
+      for (const opt::PassStep &Step : Steps)
+        run(Step, F, Total);
+    }
+    Result.Stats.add("opt.total.ns", support::monotonicNowNs() - StartNs);
+    Result.Stats.add("opt.total.functions", Result.Module.Functions.size());
+    for (const auto &E : Total.entries())
+      Result.Stats.add(std::string("opt.total.") + E.first, E.second);
+  }
+
+  uint64_t SafetyNs = 0;
+  unsigned SafetyRuns = 0;
+
+private:
+  void run(const opt::PassStep &Step, ir::Function &F, opt::PassStats &Total) {
+    const char *Name = Step.Name;
+    // 1. A quarantined pass is skipped.
+    if (Txn && Txn->Quarantine.count(Name)) {
+      Result.Stats.add("robust.quarantine_skips");
+      return;
+    }
+    // 2. The snapshot a veto rolls back to.
+    ir::Function Snapshot;
+    if (Txn)
+      Snapshot = F;
+    // 3. The timed run; a changing invocation records its span as it
+    // closes, so a rollback below follows it as its own event.
+    opt::PassStats Delta;
+    uint64_t StartNs = support::monotonicNowNs();
+    Step.Run(F, Delta);
+    uint64_t ElapsedNs = support::monotonicNowNs() - StartNs;
+    if (Options.Trace && Delta.total())
+      Options.Trace->span("pass", Name, StartNs, ElapsedNs, Delta.total(), 0,
+                          F.Name);
+    // 4. The test mutator emulating a buggy pass, then the corruption
+    // failpoint.
+    if (Options.PassMutator)
+      Options.PassMutator(Name, F);
+    if (Txn && Txn->Faults && Txn->Faults->shouldFail(CorruptSite))
+      corrupt(Name, F);
+    // 5. The commit gate.
+    std::string Reason = Txn ? gate(Name, F, ElapsedNs) : std::string();
+    // 6. Rollback or commit.
+    if (!Reason.empty()) {
+      F = std::move(Snapshot);
+      Continuity.record(F);
+      Txn->Quarantine.insert(Name);
+      Txn->Rollbacks.push_back({Name, F.Name, Reason, ElapsedNs});
+      Result.Stats.add("robust.rollbacks");
+      Result.Stats.add(std::string("robust.rollback.") + Name);
+      if (Options.Trace)
+        Options.Trace->emit("robust", "pass.rollback", ElapsedNs, 0,
+                            std::string(Name) + " in " + F.Name + ": " +
+                                Reason);
+    } else {
+      Total.accumulate(Delta);
+      std::string Prefix = std::string("opt.") + Name + ".";
+      Result.Stats.add(Prefix + "runs");
+      Result.Stats.add(Prefix + "ns", ElapsedNs);
+      for (const auto &E : Delta.entries())
+        if (E.second)
+          Result.Stats.add(Prefix + E.first, E.second);
+    }
+    // 7. The each-pass checkpoint sees the committed state, so a
+    // violation is attributed to the pass that just ran. Under a gate,
+    // continuity needs no second check: the gate vetoed any drop and a
+    // rollback restored the baseline.
+    if (EachPass) {
+      checkSafety(F, Name, /*KillPlacement=*/false);
+      if (!Txn)
+        Continuity.check(F, Name, Result.SafetyDiags);
+    }
+    if (Options.VerifyIREachPass)
+      ir::verifyFunction(F, Result.IRVerifyErrors, Name);
+  }
+
+  /// Applies one Mutate.h corruption operator, drawn by the injector.
+  void corrupt(const char *Pass, ir::Function &F) {
+    std::vector<analysis::Mutation> Ms =
+        analysis::enumerateFunctionMutations(F);
+    if (Txn->CorruptKind >= 0)
+      std::erase_if(Ms, [&](const analysis::Mutation &Mu) {
+        return static_cast<int>(Mu.Kind) != Txn->CorruptKind;
+      });
+    if (Ms.empty())
+      return;
+    const analysis::Mutation &Mu = Ms[Txn->Faults->draw() % Ms.size()];
+    if (!analysis::applyMutation(F, Mu))
+      return;
+    ++Txn->CorruptionsApplied;
+    Result.Stats.add("robust.fault.pass_corrupt");
+    if (Options.Trace)
+      Options.Trace->emit("robust", "fault.pass_corrupt", 0,
+                          static_cast<unsigned>(Mu.Kind),
+                          std::string(Pass) + ": " + Mu.Description);
+  }
+
+  /// The veto reason for \p F after \p Pass, or empty to commit. A blown
+  /// deadline vetoes before the verifier-timeout failpoint is drawn.
+  std::string gate(const char *Pass, const ir::Function &F,
+                   uint64_t ElapsedNs) {
+    if (Txn->PassDeadlineNs && ElapsedNs > Txn->PassDeadlineNs)
+      return "deadline";
+    if (Txn->Faults && Txn->Faults->shouldFail(VerifyTimeoutSite))
+      return "verify_timeout";
+    analysis::SafetyVerifyOptions VO;
+    VO.Pass = Pass;
+    VO.CheckKillPlacement = std::strcmp(Pass, "insert_kills") == 0;
+    std::vector<analysis::SafetyDiag> Diags;
+    if (!verifyFunctionSafetyMemo(Options.Memo, F, VO, Diags))
+      return "verify_failed:" + Diags.front().Kind;
+    std::vector<std::string> IRErrors;
+    if (!ir::verifyFunction(F, IRErrors, Pass))
+      return "ir_verify_failed";
+    // A KEEP_LIVE that vanished while its derived value still has uses
+    // is invisible to the point checks (the kill audit diffs only
+    // recomputed-vs-actual kills); the pass-to-pass continuity snapshot
+    // is what catches a deleted annotation. A veto re-records the
+    // restored function.
+    Continuity.check(F, Pass, Diags);
+    if (!Diags.empty())
+      return "verify_failed:" + Diags.front().Kind;
+    return "";
+  }
+
+  const CompileOptions &Options;
+  CompileResult &Result;
+  PassTransactions *Txn;
+  const bool EachPass;
+  size_t CorruptSite = 0, VerifyTimeoutSite = 0;
+  /// Per-function KEEP_LIVE snapshots of the last committed state.
+  analysis::KeepLiveContinuity Continuity;
+};
+
+} // namespace
+
 Compilation::Compilation(std::string Name, std::string Source)
     : Buffer(std::move(Name), std::move(Source)) {
   Actions = std::make_unique<cfront::Sema>(Types, Diags, NodeArena);
@@ -176,148 +358,20 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
   // (layer 2) only once kills have been inserted, i.e. on the final
   // module.
   bool WantSafety = Options.Verify != SafetyVerify::None;
-  uint64_t SafetyNs = 0;
-  unsigned SafetyRuns = 0;
-  auto CheckSafety = [&](const ir::Function &F, const char *Pass,
-                         bool KillPlacement) {
-    uint64_t StartNs = support::monotonicNowNs();
-    analysis::SafetyVerifyOptions VO;
-    VO.Pass = Pass;
-    VO.CheckKillPlacement = KillPlacement;
-    size_t Before = Result.SafetyDiags.size();
-    verifyFunctionSafetyMemo(Options.Memo, F, VO, Result.SafetyDiags);
-    uint64_t ElapsedNs = support::monotonicNowNs() - StartNs;
-    SafetyNs += ElapsedNs;
-    ++SafetyRuns;
-    if (Options.Trace && Result.SafetyDiags.size() != Before)
-      Options.Trace->span("analysis", Pass, StartNs, ElapsedNs,
-                          unsigned(Result.SafetyDiags.size() - Before), 0,
-                          F.Name);
-  };
-
+  PassRunner Runner(Options, Result);
   if (WantSafety)
     for (const ir::Function &F : Result.Module.Functions)
-      CheckSafety(F, "(lower)", /*KillPlacement=*/false);
+      Runner.checkSafety(F, "(lower)", /*KillPlacement=*/false);
 
-  opt::OptPipelineOptions PO;
   opt::OptLevel ModeLevel = (Options.Mode == CompileMode::Debug ||
                              Options.Mode == CompileMode::DebugChecked)
                                 ? opt::OptLevel::O0
                                 : opt::OptLevel::O2;
-  PO.Level = std::min(ModeLevel, Options.MaxOptLevel);
-  PO.Postprocess = Options.Mode == CompileMode::O2SafePost &&
-                   PO.Level == opt::OptLevel::O2;
-  PO.Stats = &Result.Stats;
-  PO.Trace = Options.Trace;
-  PO.PassMutator = Options.PassMutator;
-  analysis::KeepLiveContinuity Continuity;
-  bool EachPass = Options.Verify == SafetyVerify::EachPass;
-  if (EachPass || Options.VerifyIREachPass)
-    PO.PassCheck = [&](const char *Pass, const ir::Function &F) {
-      if (std::strcmp(Pass, "(entry)") == 0) {
-        if (EachPass)
-          Continuity.record(F);
-        return;
-      }
-      if (EachPass) {
-        CheckSafety(F, Pass, /*KillPlacement=*/false);
-        Continuity.check(F, Pass, Result.SafetyDiags);
-      }
-      if (Options.VerifyIREachPass)
-        ir::verifyFunction(F, Result.IRVerifyErrors, Pass);
-    };
-
-  // Self-healing transactions (docs/ROBUSTNESS.md §5): the safety
-  // verifier, structural IR verifier and KEEP_LIVE continuity check form
-  // the commit gate for every pass; failpoints can corrupt a pass result
-  // or simulate a verifier timeout.
-  analysis::KeepLiveContinuity TxnContinuity;
-  size_t CorruptSite = 0, VerifyTimeoutSite = 0;
-  if (Options.Txn) {
-    PassTransactions &Txn = *Options.Txn;
-    if (Txn.Faults) {
-      CorruptSite = Txn.Faults->siteId("opt.pass.corrupt");
-      VerifyTimeoutSite = Txn.Faults->siteId("analysis.verify.timeout");
-      auto UserMutator = PO.PassMutator;
-      PO.PassMutator = [&Txn, &Result, UserMutator, CorruptSite,
-                        &Options](const char *Pass, ir::Function &F) {
-        if (UserMutator)
-          UserMutator(Pass, F);
-        if (!Txn.Faults->shouldFail(CorruptSite))
-          return;
-        std::vector<analysis::Mutation> Ms =
-            analysis::enumerateFunctionMutations(F);
-        if (Txn.CorruptKind >= 0) {
-          Ms.erase(std::remove_if(Ms.begin(), Ms.end(),
-                                  [&](const analysis::Mutation &Mu) {
-                                    return static_cast<int>(Mu.Kind) !=
-                                           Txn.CorruptKind;
-                                  }),
-                   Ms.end());
-        }
-        if (Ms.empty())
-          return;
-        const analysis::Mutation &Mu = Ms[Txn.Faults->draw() % Ms.size()];
-        if (!analysis::applyMutation(F, Mu))
-          return;
-        ++Txn.CorruptionsApplied;
-        Result.Stats.add("robust.fault.pass_corrupt");
-        if (Options.Trace)
-          Options.Trace->emit("robust", "fault.pass_corrupt", 0,
-                              static_cast<unsigned>(Mu.Kind),
-                              std::string(Pass) + ": " + Mu.Description);
-      };
-    }
-    auto PrevCheck = PO.PassCheck;
-    PO.PassCheck = [&TxnContinuity, PrevCheck](const char *Pass,
-                                               const ir::Function &F) {
-      // The transactional continuity baseline must track committed states
-      // only; PassCheck runs after the commit/rollback decision.
-      if (std::strcmp(Pass, "(entry)") == 0)
-        TxnContinuity.record(F);
-      if (PrevCheck)
-        PrevCheck(Pass, F);
-    };
-    PO.Quarantine = &Txn.Quarantine;
-    PO.PassDeadlineNs = Txn.PassDeadlineNs;
-    PO.Rollbacks = &Txn.Rollbacks;
-    PO.CommitGate = [&Txn, &TxnContinuity, VerifyTimeoutSite, &Options](
-                        const char *Pass, const ir::Function &F,
-                        std::string &Reason) {
-      if (Txn.Faults && Txn.Faults->shouldFail(VerifyTimeoutSite)) {
-        Reason = "verify_timeout";
-        return false;
-      }
-      analysis::SafetyVerifyOptions VO;
-      VO.Pass = Pass;
-      VO.CheckKillPlacement = std::strcmp(Pass, "insert_kills") == 0;
-      std::vector<analysis::SafetyDiag> Diags;
-      if (!verifyFunctionSafetyMemo(Options.Memo, F, VO, Diags)) {
-        Reason = "verify_failed:" + Diags.front().Kind;
-        return false;
-      }
-      std::vector<std::string> IRErrors;
-      if (!ir::verifyFunction(F, IRErrors, Pass)) {
-        Reason = "ir_verify_failed";
-        return false;
-      }
-      // A KEEP_LIVE that vanished while its derived value still has uses
-      // is invisible to the point checks (the kill audit diffs only
-      // recomputed-vs-actual kills); the pass-to-pass continuity snapshot
-      // is what catches a deleted annotation. Check against a copy so a
-      // veto leaves the baseline at the pre-pass (rolled-back) state.
-      analysis::KeepLiveContinuity Candidate = TxnContinuity;
-      Candidate.check(F, Pass, Diags);
-      if (!Diags.empty()) {
-        Reason = "verify_failed:" + Diags.front().Kind;
-        return false;
-      }
-      TxnContinuity = std::move(Candidate);
-      return true;
-    };
-  }
+  opt::OptLevel Level = std::min(ModeLevel, Options.MaxOptLevel);
+  bool Postprocess = Options.Mode == CompileMode::O2SafePost &&
+                     Level == opt::OptLevel::O2;
   uint64_t OptStartNs = support::monotonicNowNs();
-  Result.OptStats = opt::optimizeModule(Result.Module, PO);
+  Runner.optimize(opt::pipeline(Level, Postprocess));
   Phase("optimize", OptStartNs);
   if (Options.Txn) {
     Result.Stats.set("robust.quarantined", Options.Txn->Quarantine.size());
@@ -333,11 +387,11 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
     bool KillAudit =
         !Options.Txn || !Options.Txn->Quarantine.count("insert_kills");
     for (const ir::Function &F : Result.Module.Functions)
-      CheckSafety(F, "(final)", KillAudit);
+      Runner.checkSafety(F, "(final)", KillAudit);
     Result.SafetyOk = Result.SafetyDiags.empty();
-    Result.Stats.add("analysis.verify.runs", SafetyRuns);
+    Result.Stats.add("analysis.verify.runs", Runner.SafetyRuns);
     Result.Stats.add("analysis.verify.diags", Result.SafetyDiags.size());
-    Result.Stats.add("analysis.verify.ns", SafetyNs);
+    Result.Stats.add("analysis.verify.ns", Runner.SafetyNs);
   }
 
 #ifndef NDEBUG

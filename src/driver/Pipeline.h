@@ -69,6 +69,17 @@ enum class SafetyVerify {
             ///< the offending pass when a violation appears.
 };
 
+/// One transactional rollback: a pass whose result the commit gate vetoed
+/// (or that blew its deadline) and was undone. Reason values are stable:
+/// "deadline", "verify_timeout", "ir_verify_failed", or
+/// "verify_failed:<diag kind>".
+struct PassRollback {
+  std::string Pass;
+  std::string Function;
+  std::string Reason;
+  uint64_t ElapsedNs = 0;
+};
+
 /// Shared state of the self-healing transactional pipeline
 /// (docs/ROBUSTNESS.md §5). One instance lives across the degradation
 /// ladder's attempts, so a pass quarantined at one rung stays quarantined
@@ -87,7 +98,7 @@ struct PassTransactions {
   /// (-1 = injector-drawn choice among all applicable operators).
   int CorruptKind = -1;
   /// Appended with one record per rollback, across all attempts.
-  std::vector<opt::PassRollback> Rollbacks;
+  std::vector<PassRollback> Rollbacks;
   /// Injected corruptions actually applied (a fire with no applicable
   /// mutation site applies nothing and is not counted).
   uint64_t CorruptionsApplied = 0;
@@ -147,8 +158,9 @@ struct CompileOptions {
   /// (gcsafe-cc --verify-ir=each-pass); violations land in
   /// CompileResult::IRVerifyErrors with the pass name.
   bool VerifyIREachPass = false;
-  /// Test hook forwarded to the optimizer: mutates the IR after the named
-  /// pass, emulating a buggy optimization for verifier self-tests.
+  /// Test hook: the pass runner calls it after every pass it runs, before
+  /// the commit gate, so it can mutate the IR to emulate a buggy
+  /// optimization for verifier self-tests.
   std::function<void(const char *Pass, ir::Function &F)> PassMutator;
   /// Self-healing transaction context (driver/SelfHeal.h). When set,
   /// every optimizer pass runs transactionally: the safety verifier,
@@ -173,7 +185,7 @@ struct CompileResult {
   opt::PassStats OptStats;
   /// Phase wall times ("phase.parse_ns", "phase.annotate_ns",
   /// "phase.lower_ns", "phase.optimize_ns", "phase.verify_ns") plus the
-  /// optimizer's per-pass counters ("opt.<pass>.*", "opt.total.*") and,
+  /// pass runner's per-pass counters ("opt.<pass>.*", "opt.total.*") and,
   /// when the safety verifier ran, "analysis.verify.*". See
   /// docs/OBSERVABILITY.md.
   support::Stats Stats;

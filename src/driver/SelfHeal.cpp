@@ -146,7 +146,7 @@ gcsafe::driver::compileSelfHealing(Compilation &C, const CompileOptions &Base,
 
   Report.Rollbacks = Txn.Rollbacks;
   Report.Quarantined.assign(Txn.Quarantine.begin(), Txn.Quarantine.end());
-  for (const opt::PassRollback &R : Txn.Rollbacks)
+  for (const PassRollback &R : Txn.Rollbacks)
     Report.Log.push_back("rollback: " + R.Pass + " in " + R.Function + ": " +
                          R.Reason);
   Report.Degraded =

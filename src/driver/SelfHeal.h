@@ -78,7 +78,7 @@ struct SelfHealReport {
   /// The rung the committed result was produced at.
   OptRung Rung = OptRung::Full;
   unsigned Attempts = 0;
-  std::vector<opt::PassRollback> Rollbacks;
+  std::vector<PassRollback> Rollbacks;
   std::vector<std::string> Quarantined;
   /// Human-readable event lines ("rollback: ...", "descend: ...").
   std::vector<std::string> Log;

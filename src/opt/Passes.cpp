@@ -3,8 +3,6 @@
 #include "opt/Passes.h"
 
 #include "opt/CFG.h"
-#include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <cassert>
 #include <cstring>
@@ -789,10 +787,7 @@ void gcsafe::opt::fuseAddressing(Function &F, PassStats &Stats) {
       if (I.Op == Opcode::Load) {
         TryFuse(I.A, /*IsStore=*/false);
       } else if (I.Op == Opcode::Store) {
-        Value Addr = I.A;
-        if (TryFuse(Addr, /*IsStore=*/true)) {
-          // TryFuse already rewrote operands from Def; nothing else to do.
-        }
+        TryFuse(I.A, /*IsStore=*/true);
       }
 
       Instruction &Cur = B.Insts[Idx];
@@ -995,7 +990,6 @@ void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
       forEachUse(I, [&](uint32_t R) { LV.expandUse(R, Closure); });
       // Any register in the closure not yet live dies here (this is its
       // last use going forward).
-      forEachUse(I, [&](uint32_t R) { (void)R; });
       for (uint32_t R = 0; R < F.NumRegs; ++R) {
         if (!Closure.test(R))
           continue;
@@ -1039,7 +1033,7 @@ void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
 }
 
 //===----------------------------------------------------------------------===//
-// removeUnreachableBlocks / pipeline
+// removeUnreachableBlocks / the pass order
 //===----------------------------------------------------------------------===//
 
 void gcsafe::opt::removeUnreachableBlocks(Function &F) {
@@ -1049,127 +1043,44 @@ void gcsafe::opt::removeUnreachableBlocks(Function &F) {
       F.Blocks[B].Insts.clear();
 }
 
-PassStats gcsafe::opt::optimizeModule(Module &M,
-                                      const OptPipelineOptions &Options) {
-  PassStats Total;
-  support::Stats *Reg = Options.Stats;
-  uint64_t PipelineStartNs = Reg ? support::monotonicNowNs() : 0;
+namespace {
+constexpr PassStep Simplify{"simplify", simplifyFunction};
+constexpr PassStep LocalCSE{"local_cse", localCSE};
+constexpr PassStep Reassociate{"reassociate", reassociateDisplacements};
+constexpr PassStep StrengthReduce{"strength_reduce", strengthReduceIVs};
+constexpr PassStep LICM{"licm", hoistLoopInvariants};
+constexpr PassStep FuseAddressing{"fuse_addressing", fuseAddressing};
+constexpr PassStep CoalesceCopies{"coalesce_copies", coalesceCopies};
+constexpr PassStep PeepholePostprocess{"postprocess", peepholePostprocess};
+constexpr PassStep InsertKills{"insert_kills", insertKills};
 
-  const bool Transactional = static_cast<bool>(Options.CommitGate);
-  for (Function &F : M.Functions) {
-    PassStats S;
+// A production optimizer coalesces copies anyway; patterns 2 and 3 run in
+// every optimized build so the baseline is honest.
+constexpr PassStep O2Steps[] = {
+    Simplify, LocalCSE, Simplify,       Reassociate,    StrengthReduce,
+    Simplify, LICM,     Simplify,       FuseAddressing, CoalesceCopies,
+    Simplify, InsertKills};
+constexpr PassStep O2PostprocessSteps[] = {
+    Simplify, LocalCSE, Simplify,       Reassociate,    StrengthReduce,
+    Simplify, LICM,     Simplify,       FuseAddressing, CoalesceCopies,
+    Simplify, PeepholePostprocess,      Simplify,       InsertKills};
+// The degradation ladder's middle rung: only the KEEP_LIVE-safe copy
+// coalescing and cleanup, no disguising transformations.
+constexpr PassStep PeepholeSteps[] = {CoalesceCopies, Simplify, InsertKills};
+constexpr PassStep O0Steps[] = {InsertKills};
+} // namespace
 
-    // Records one committed pass invocation: counter deltas into the
-    // function-local stats and — when a registry is attached — under
-    // "opt.<name>.*".
-    auto Commit = [&](const char *Name, const PassStats &Delta,
-                      uint64_t ElapsedNs) {
-      S.accumulate(Delta);
-      if (Reg) {
-        std::string Prefix = std::string("opt.") + Name + ".";
-        Reg->add(Prefix + "runs");
-        Reg->add(Prefix + "ns", ElapsedNs);
-        for (const auto &E : Delta.entries())
-          if (E.second)
-            Reg->add(Prefix + E.first, E.second);
-      }
-    };
-
-    // Runs one named pass over F: the test mutator, then — in
-    // transactional mode — the commit gate, which either keeps the result
-    // or rolls the function back to its pre-pass snapshot and quarantines
-    // the pass. PassCheck always sees the committed state, so a safety
-    // verifier can attribute any violation to the pass that just ran (or
-    // to the mutator emulating a bug in it).
-    auto RunChecked = [&](const char *Name, void (*Pass)(Function &,
-                                                         PassStats &)) {
-      if (Transactional && Options.Quarantine &&
-          Options.Quarantine->count(Name)) {
-        if (Reg)
-          Reg->add("robust.quarantine_skips");
-        return;
-      }
-      Function Snapshot;
-      if (Transactional)
-        Snapshot = F;
-      PassStats Delta;
-      bool Timed = Reg || Options.Trace || Transactional;
-      uint64_t StartNs = Timed ? support::monotonicNowNs() : 0;
-      Pass(F, Delta);
-      uint64_t ElapsedNs = Timed ? support::monotonicNowNs() - StartNs : 0;
-      // One span per changing invocation, recorded as the pass closes; a
-      // rollback below follows it as its own event.
-      if (Options.Trace && Delta.total())
-        Options.Trace->span("pass", Name, StartNs, ElapsedNs, Delta.total(),
-                            0, F.Name);
-      if (Options.PassMutator)
-        Options.PassMutator(Name, F);
-      bool Committed = true;
-      if (Transactional) {
-        std::string Reason;
-        if (Options.PassDeadlineNs && ElapsedNs > Options.PassDeadlineNs)
-          Reason = "deadline";
-        else if (!Options.CommitGate(Name, F, Reason) && Reason.empty())
-          Reason = "verify_failed";
-        if (!Reason.empty()) {
-          Committed = false;
-          F = std::move(Snapshot);
-          if (Options.Quarantine)
-            Options.Quarantine->insert(Name);
-          if (Options.Rollbacks)
-            Options.Rollbacks->push_back({Name, F.Name, Reason, ElapsedNs});
-          if (Reg) {
-            Reg->add("robust.rollbacks");
-            Reg->add(std::string("robust.rollback.") + Name);
-          }
-          if (Options.Trace)
-            Options.Trace->emit("robust", "pass.rollback", ElapsedNs, 0,
-                                std::string(Name) + " in " + F.Name + ": " +
-                                    Reason);
-        }
-      }
-      if (Committed)
-        Commit(Name, Delta, ElapsedNs);
-      if (Options.PassCheck)
-        Options.PassCheck(Name, F);
-    };
-
-    removeUnreachableBlocks(F);
-    if (Options.PassCheck)
-      Options.PassCheck("(entry)", F);
-    if (Options.Level == OptLevel::O2) {
-      RunChecked("simplify", simplifyFunction);
-      RunChecked("local_cse", localCSE);
-      RunChecked("simplify", simplifyFunction);
-      RunChecked("reassociate", reassociateDisplacements);
-      RunChecked("strength_reduce", strengthReduceIVs);
-      RunChecked("simplify", simplifyFunction);
-      RunChecked("licm", hoistLoopInvariants);
-      RunChecked("simplify", simplifyFunction);
-      RunChecked("fuse_addressing", fuseAddressing);
-      // A production optimizer coalesces copies anyway; patterns 2 and 3
-      // run in every optimized build so the baseline is honest.
-      RunChecked("coalesce_copies", coalesceCopies);
-      RunChecked("simplify", simplifyFunction);
-      if (Options.Postprocess) {
-        RunChecked("postprocess", peepholePostprocess);
-        RunChecked("simplify", simplifyFunction);
-      }
-    } else if (Options.Level == OptLevel::Peephole) {
-      // The degradation ladder's middle rung: only the KEEP_LIVE-safe
-      // copy coalescing and cleanup, no disguising transformations.
-      RunChecked("coalesce_copies", coalesceCopies);
-      RunChecked("simplify", simplifyFunction);
-    }
-    RunChecked("insert_kills", insertKills);
-    Total.accumulate(S);
+std::span<const PassStep> gcsafe::opt::pipeline(OptLevel Level,
+                                                bool Postprocess) {
+  switch (Level) {
+  case OptLevel::O2:
+    if (Postprocess)
+      return O2PostprocessSteps;
+    return O2Steps;
+  case OptLevel::Peephole:
+    return PeepholeSteps;
+  case OptLevel::O0:
+    break;
   }
-
-  if (Reg) {
-    Reg->add("opt.total.ns", support::monotonicNowNs() - PipelineStartNs);
-    Reg->add("opt.total.functions", M.Functions.size());
-    for (const auto &E : Total.entries())
-      Reg->add(std::string("opt.total.") + E.first, E.second);
-  }
-  return Total;
+  return O0Steps;
 }

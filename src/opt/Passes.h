@@ -40,18 +40,11 @@
 
 #include "ir/IR.h"
 
-#include <functional>
-#include <set>
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
 namespace gcsafe {
-namespace support {
-class Stats;
-class TraceBuffer;
-} // namespace support
-
 namespace opt {
 
 struct PassStats {
@@ -132,61 +125,20 @@ enum class OptLevel : uint8_t {
   O2,       ///< Full pipeline.
 };
 
-/// One transactional rollback: a pass whose result the commit gate vetoed
-/// (or that blew its deadline) and was undone. Reason values are stable:
-/// "deadline", "verify_timeout", "ir_verify_failed", or
-/// "verify_failed:<diag kind>".
-struct PassRollback {
-  std::string Pass;
-  std::string Function;
-  std::string Reason;
-  uint64_t ElapsedNs = 0;
+/// One step of the pass order: the pass's stable name (the "<pass>" of
+/// the "opt.<pass>.*" stats keys, trace spans and quarantine sets) and
+/// its transform.
+struct PassStep {
+  const char *Name;
+  void (*Run)(ir::Function &, PassStats &);
 };
 
-struct OptPipelineOptions {
-  OptLevel Level = OptLevel::O2;
-  /// Run the peephole postprocessor (paper's "A Postprocessor").
-  bool Postprocess = false;
-  /// When set, optimizeModule records per-pass counters, run counts and
-  /// wall time under "opt.<pass>.*" plus pipeline totals under
-  /// "opt.total.*" (see docs/OBSERVABILITY.md).
-  support::Stats *Stats = nullptr;
-  /// When set, every pass invocation that changed the module emits a
-  /// cat="pass" trace event (Value = ns, Aux = counter delta).
-  support::TraceBuffer *Trace = nullptr;
-  /// Test hook: invoked after each pass runs on a function, before
-  /// PassCheck, with the pass name. Lets the safety-verifier self-test
-  /// emulate a buggy optimizer by mutating the IR mid-pipeline.
-  std::function<void(const char *Pass, ir::Function &F)> PassMutator;
-  /// When set, invoked after every pass on every function (and once with
-  /// pass name "(entry)" before the first pass) so a checker can verify
-  /// invariants pass-by-pass and attribute violations to the offending
-  /// pass.
-  std::function<void(const char *Pass, const ir::Function &F)> PassCheck;
-
-  // Transactional execution (docs/ROBUSTNESS.md §5). When CommitGate is
-  // set, every pass runs against a snapshot of the function: after the
-  // pass (and PassMutator) the gate either commits (true) or vetoes
-  // (false, filling Reason). A vetoed — or deadline-exceeded — pass is
-  // rolled back to the snapshot and quarantined for the rest of the
-  // pipeline; its counters and trace events are discarded with it.
-  std::function<bool(const char *Pass, const ir::Function &F,
-                     std::string &Reason)>
-      CommitGate;
-  /// In/out set of quarantined pass names, shared across the module's
-  /// functions (and, via driver::SelfHeal, across ladder attempts).
-  /// Required when CommitGate is set; quarantined passes are skipped.
-  std::set<std::string> *Quarantine = nullptr;
-  /// Per-pass wall-clock budget in nanoseconds (0 = none). A pass
-  /// exceeding it is treated as a stuck/failed transaction: rolled back
-  /// and quarantined with Reason "deadline". Only honored with CommitGate.
-  uint64_t PassDeadlineNs = 0;
-  /// When set, one record is appended per rollback.
-  std::vector<PassRollback> *Rollbacks = nullptr;
-};
-
-/// Runs the configured pipeline over every function.
-PassStats optimizeModule(ir::Module &M, const OptPipelineOptions &Options);
+/// The pass order for \p Level, as data: what runs, in which order, and
+/// nothing about how it is observed. \p Postprocess adds the paper's
+/// peephole postprocessor at O2. insert_kills is always the last step.
+/// The driver runs every step over every function (after
+/// removeUnreachableBlocks) and owns everything around it.
+std::span<const PassStep> pipeline(OptLevel Level, bool Postprocess);
 
 } // namespace opt
 } // namespace gcsafe

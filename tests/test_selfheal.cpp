@@ -216,7 +216,7 @@ TEST(SelfHeal, PassDeadlineRollsBackAndStillDelivers) {
   EXPECT_TRUE(R.Heal.Degraded);
   ASSERT_FALSE(R.Heal.Rollbacks.empty());
   bool SawDeadline = false;
-  for (const opt::PassRollback &RB : R.Heal.Rollbacks)
+  for (const driver::PassRollback &RB : R.Heal.Rollbacks)
     if (RB.Reason == "deadline")
       SawDeadline = true;
   EXPECT_TRUE(SawDeadline);

@@ -13,13 +13,22 @@
 // never collect; this puts the collector, the root scan and the
 // freed-access probe in the loop of the exactness oracle.
 //
-// Regenerate the golden (only when a change is meant to move a modeled
-// number) with:
+// A second golden, tests/golden/pass_pipeline.txt, pins the optimizer
+// pipeline itself over the same workloads and five modes: the printed IR
+// after every pass of every function (as a hash), the per-pass counters
+// and each-pass verifier totals, and the self-healing ladder's rollbacks,
+// quarantine set, counters and trace event order under seeded pass
+// corruption, verifier timeouts and pass deadlines.
+//
+// Regenerate a golden (only when a change is meant to move a modeled
+// number or the optimizer's output) with:
 //   GCSAFE_UPDATE_GOLDEN=1 ./gcsafe_vm_equivalence_tests
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "driver/SelfHeal.h"
+#include "support/FaultInject.h"
 #include "vm/VM.h"
 #include "workloads/Workloads.h"
 
@@ -27,7 +36,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <vector>
 
 using namespace gcsafe;
 using namespace gcsafe::driver;
@@ -81,13 +92,15 @@ std::string describe(const vm::RunResult &R) {
   return OS.str();
 }
 
+constexpr CompileMode Modes[] = {
+    CompileMode::O2, CompileMode::O2Safe, CompileMode::O2SafePost,
+    CompileMode::Debug, CompileMode::DebugChecked};
+
 std::string runSweep() {
   std::string Out;
   for (const workloads::Workload *W : workloads::benchmarkSuite()) {
     Compilation C(W->Name, W->Source);
-    for (CompileMode Mode :
-         {CompileMode::O2, CompileMode::O2Safe, CompileMode::O2SafePost,
-          CompileMode::Debug, CompileMode::DebugChecked}) {
+    for (CompileMode Mode : Modes) {
       CompileOptions CO;
       CO.Mode = Mode;
       CompileResult CR = C.compile(CO);
@@ -109,11 +122,110 @@ std::string runSweep() {
   return Out;
 }
 
-} // namespace
+/// The counters of \p Stats under \p Prefix, in insertion order, minus
+/// the wall times.
+std::string counters(const support::Stats &Stats, const std::string &Prefix) {
+  std::string Out;
+  for (const support::Stats::Entry &E : Stats.entries()) {
+    const std::string &P = E.Path;
+    if (!P.starts_with(Prefix) || P.ends_with(".ns"))
+      continue;
+    bool IsLabel = E.K == support::Stats::Entry::Kind::Label;
+    Out += " " + P + "=" + (IsLabel ? E.Label : std::to_string(E.Count));
+  }
+  return Out;
+}
 
-TEST(VMEquivalence, EveryCounterMatchesTheGolden) {
-  const std::string Path = GCSAFE_GOLDEN_DIR "/vm_equivalence.txt";
-  std::string Actual = runSweep();
+std::string runPipelineSweep() {
+  std::string Out;
+  for (const workloads::Workload *W : workloads::benchmarkSuite()) {
+    Compilation C(W->Name, W->Source);
+    for (CompileMode Mode : Modes) {
+      std::string Prefix = std::string(W->Name) + " " + compileModeName(Mode);
+      // One line per function: the printed IR's hash after every pass.
+      std::vector<std::string> Order;
+      std::map<std::string, std::string> PerFunction;
+      CompileOptions CO;
+      CO.Mode = Mode;
+      CO.Verify = SafetyVerify::EachPass;
+      CO.VerifyIREachPass = true;
+      CO.PassMutator = [&](const char *Pass, ir::Function &F) {
+        std::string &Line = PerFunction[F.Name];
+        if (Line.empty())
+          Order.push_back(F.Name);
+        std::ostringstream OS;
+        OS << " " << Pass << "=" << std::hex << fnv1a(ir::printFunction(F));
+        Line += OS.str();
+      };
+      CompileResult CR = C.compile(CO);
+      EXPECT_TRUE(CR.Ok) << Prefix << ": " << CR.Errors;
+      for (const std::string &Name : Order)
+        Out += Prefix + " " + Name + ":" + PerFunction[Name] + "\n";
+      Out += Prefix + " stats:" + counters(CR.Stats, "opt.") +
+             counters(CR.Stats, "analysis.verify.") +
+             " ir_verify_errors=" + std::to_string(CR.IRVerifyErrors.size()) +
+             "\n";
+    }
+
+    // The self-healing ladder under the seeded corruption sweep, then
+    // under verifier timeouts with and without a deadline that vetoes
+    // every pass first.
+    std::vector<std::pair<std::string, uint64_t>> Cases;
+    for (uint64_t Seed = 1; Seed <= 12; ++Seed)
+      Cases.push_back({std::to_string(Seed) + ":opt.pass.corrupt@p0.3", 0});
+    Cases.push_back(
+        {"7:opt.pass.corrupt@p0.3,analysis.verify.timeout@p0.05", 0});
+    Cases.push_back({"5:analysis.verify.timeout@p0.5", 1});
+    for (const auto &[Spec, DeadlineNs] : Cases) {
+      support::FaultInjector Faults;
+      std::string Error;
+      EXPECT_TRUE(support::FaultInjector::parse(Spec, Faults, Error)) << Error;
+      support::TraceBuffer Trace(1 << 16);
+      CompileOptions CO;
+      CO.Mode = CompileMode::O2Safe;
+      CO.Trace = &Trace;
+      SelfHealOptions SH;
+      SH.Faults = &Faults;
+      SH.PassDeadlineNs = DeadlineNs;
+      SelfHealReport Report;
+      CompileResult CR = compileSelfHealing(C, CO, SH, Report);
+      uint64_t Final = 0;
+      for (const ir::Function &F : CR.Module.Functions)
+        Final = Final * 31 + fnv1a(ir::printFunction(F));
+      // The event order, without the phase spans (a Debug build adds a
+      // verify phase). Of the values only a pass span's counter delta is
+      // deterministic; the others are wall times.
+      std::string Events;
+      for (const support::TraceEvent &E : Trace.snapshot()) {
+        std::string Cat = E.Cat;
+        if (Cat != "phase")
+          Events += Cat + "." + E.Name + "(" + E.Detail + "," +
+                    (Cat == "pass" ? std::to_string(E.Value) : "") + ")";
+      }
+      std::ostringstream OS;
+      OS << W->Name << " selfheal " << Spec << " deadline=" << DeadlineNs
+         << ": ok=" << Report.Ok << " rung=" << optRungName(Report.Rung)
+         << " attempts=" << Report.Attempts << " final=" << std::hex << Final
+         << " trace=" << fnv1a(Events) << std::dec
+         << counters(CR.Stats, "robust.") << counters(CR.Stats, "opt.total.")
+         << "\n";
+      for (const auto &RB : Report.Rollbacks)
+        OS << "  rollback " << RB.Pass << " " << RB.Function << " "
+           << RB.Reason << "\n";
+      for (const std::string &Q : Report.Quarantined)
+        OS << "  quarantine " << Q << "\n";
+      Out += OS.str();
+    }
+  }
+  return Out;
+}
+
+/// Compares \p Actual line by line against tests/golden/\p Name, or
+/// rewrites that golden under GCSAFE_UPDATE_GOLDEN=1. A nonzero
+/// \p WantLines also pins the golden's length.
+void expectGolden(const char *Name, const std::string &Actual,
+                  size_t WantLines = 0) {
+  const std::string Path = std::string(GCSAFE_GOLDEN_DIR "/") + Name;
   if (const char *Update = std::getenv("GCSAFE_UPDATE_GOLDEN");
       Update && *Update == '1') {
     std::ofstream(Path) << Actual;
@@ -132,6 +244,18 @@ TEST(VMEquivalence, EveryCounterMatchesTheGolden) {
     EXPECT_EQ(GotLine, WantLine);
     ++Lines;
   }
-  EXPECT_FALSE(std::getline(Got, GotLine)) << "sweep has extra runs";
-  EXPECT_EQ(Lines, 80u);
+  EXPECT_FALSE(std::getline(Got, GotLine)) << "sweep has extra lines";
+  if (WantLines) {
+    EXPECT_EQ(Lines, WantLines);
+  }
+}
+
+} // namespace
+
+TEST(VMEquivalence, EveryCounterMatchesTheGolden) {
+  expectGolden("vm_equivalence.txt", runSweep(), 80);
+}
+
+TEST(VMEquivalence, PassPipelineMatchesTheGolden) {
+  expectGolden("pass_pipeline.txt", runPipelineSweep());
 }

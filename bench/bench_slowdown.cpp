@@ -30,12 +30,18 @@
 //
 // Each table is written to its own BENCH_slowdown_<machine>.json, and the
 // timed benchmarks are registered as <machine>/<workload>/<mode>.
+// --machine=<sparc2|sparc10|pentium90> limits both to one machine model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 
 using namespace gcsafe;
 using namespace gcsafe::bench;
@@ -92,13 +98,36 @@ int main(int argc, char **argv) {
         {&gs(), paper(6), paper(17), paper(279)}}},
   };
 
+  // Strip --machine=<name> before google-benchmark sees the arguments.
+  const char *Only = nullptr;
+  int Out = 1;
+  for (int I = 1; I < argc; ++I) {
+    if (std::strncmp(argv[I], "--machine=", 10) == 0)
+      Only = argv[I] + 10;
+    else
+      argv[Out++] = argv[I];
+  }
+  argc = Out;
+  auto Selected = [Only](const MachineTable &T) {
+    return !Only || std::strcmp(Only, T.Name) == 0;
+  };
+  if (Only && std::none_of(std::begin(Tables), std::end(Tables), Selected)) {
+    std::fprintf(stderr, "bench_slowdown: unknown machine '%s' "
+                         "(sparc2, sparc10, pentium90)\n", Only);
+    return 2;
+  }
+
   for (const MachineTable &T : Tables) {
+    if (!Selected(T))
+      continue;
     BenchReport Report(std::string("slowdown_") + T.Name);
     printSlowdownTable(T.Model, T.Rows, 4, &Report);
     Report.write();
   }
 
-  for (const MachineTable &T : Tables)
+  for (const MachineTable &T : Tables) {
+    if (!Selected(T))
+      continue;
     for (const Workload *W : benchmarkSuite())
       for (auto [Mode, Name] :
            {std::pair{driver::CompileMode::O2, "O2"},
@@ -111,6 +140,7 @@ int main(int argc, char **argv) {
               BM_WorkloadMode(S, T.Model, W, Mode);
             })
             ->Iterations(2);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -7,6 +7,7 @@
 #include "opt/Passes.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 using namespace gcsafe;
@@ -214,6 +215,15 @@ void checkKillPlacement(const Function &F, const SafetyVerifyOptions &Options,
   }
 }
 
+/// The registers a KEEP_LIVE defines in \p F.
+std::set<uint32_t> keepLiveDsts(const Function &F) {
+  std::set<uint32_t> Dsts;
+  for (const BasicBlock &B : F.Blocks)
+    for (const Instruction &I : B.Insts)
+      if (I.Op == Opcode::KeepLive && I.Dst != NoReg)
+        Dsts.insert(I.Dst);
+  return Dsts;
+}
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -240,38 +250,31 @@ bool gcsafe::analysis::verifyModuleSafety(const Module &M,
 }
 
 void KeepLiveContinuity::record(const Function &F) {
-  std::set<uint32_t> Dsts;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Insts)
-      if (I.Op == Opcode::KeepLive && I.Dst != NoReg)
-        Dsts.insert(I.Dst);
-  Snapshots[F.Name] = std::move(Dsts);
+  Snapshots[F.Name] = keepLiveDsts(F);
 }
 
 void KeepLiveContinuity::check(const Function &F, const char *Pass,
                                std::vector<SafetyDiag> &Out) {
-  std::set<uint32_t> Current;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Insts)
-      if (I.Op == Opcode::KeepLive && I.Dst != NoReg)
-        Current.insert(I.Dst);
-
+  std::set<uint32_t> Current = keepLiveDsts(F);
   auto It = Snapshots.find(F.Name);
   if (It != Snapshots.end()) {
-    DefUseCounts DU = countDefsUses(F);
+    // Use counts are needed only once a snapshotted KEEP_LIVE is missing.
+    std::optional<DefUseCounts> DU;
     for (uint32_t Dst : It->second) {
       if (Current.count(Dst))
         continue;
+      if (!DU)
+        DU = countDefsUses(F);
       // Disappearing is legitimate only when the derived value itself is
       // gone: dead-code elimination of an unused destination, or the
       // peephole folding the KEEP_LIVE into a fused addressing mode (which
       // also consumes the only use).
-      if (Dst >= DU.Uses.size() || DU.Uses[Dst] == 0)
+      if (Dst >= DU->Uses.size() || DU->Uses[Dst] == 0)
         continue;
       std::ostringstream OS;
       OS << "KEEP_LIVE defining " << regName(Dst)
          << " disappeared during pass '" << Pass << "' although "
-         << regName(Dst) << " still has " << DU.Uses[Dst] << " use(s)";
+         << regName(Dst) << " still has " << DU->Uses[Dst] << " use(s)";
       SafetyDiag D;
       D.Function = F.Name;
       D.Pass = Pass;

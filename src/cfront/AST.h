@@ -626,16 +626,6 @@ private:
 struct TranslationUnit {
   std::vector<Decl *> Decls;
 
-  /// All function definitions, in source order.
-  std::vector<FunctionDecl *> definedFunctions() const {
-    std::vector<FunctionDecl *> Out;
-    for (Decl *D : Decls)
-      if (auto *FD = dyn_cast<FunctionDecl>(D))
-        if (FD->body())
-          Out.push_back(FD);
-    return Out;
-  }
-
   FunctionDecl *findFunction(std::string_view Name) const {
     for (Decl *D : Decls)
       if (auto *FD = dyn_cast<FunctionDecl>(D))

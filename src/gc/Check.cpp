@@ -16,16 +16,10 @@ void PointerCheck::reportViolation(const void *Derived, const void *Base,
 const void *PointerCheck::sameObj(const void *P, const void *Base,
                                   const char *Context) {
   ++CheckCount;
-  void *BaseObj = C.baseOf(Base);
-  if (!BaseObj) {
-    // Base addresses heap memory whose object was swept or explicitly
-    // deallocated: arithmetic on a dangling pointer. Distinct from the
-    // skip case (stack, statics, foreign malloc) the paper describes.
-    if (C.pointsToFreedObject(Base))
-      reportViolation(P, Base, Context);
-    return P;
-  }
-  if (C.baseOf(P) != BaseObj)
+  // A freed base is arithmetic on a dangling pointer. Distinct from the
+  // skip case (stack, statics, foreign malloc) the paper describes.
+  Collector::Relation Rel = C.relate(P, Base);
+  if (Rel == Collector::Relation::Freed || Rel == Collector::Relation::Other)
     reportViolation(P, Base, Context);
   return P;
 }

@@ -329,57 +329,18 @@ char *Collector::takePageRun(size_t NPages,
   return Run;
 }
 
-[[gnu::always_inline]] inline Collector::HeapRef
-Collector::locate(uintptr_t A) const {
-  HeapRef R;
-  PageDescriptor *Desc = Table.lookup(reinterpret_cast<const void *>(A));
-  if (!Desc)
-    return R;
-  switch (Desc->Kind) {
-  case PageKind::PK_Free:
-    R.State = HeapRef::Freed; // page was heap, now reclaimed
-    return R;
-  case PageKind::PK_Small: {
-    unsigned Slot = Desc->slotOf(A);
-    if (Slot >= Desc->ObjCount) // the page's trailing slack
-      return R;
-    if (!Desc->allocBit(Slot)) {
-      R.State = HeapRef::Freed;
-      return R;
-    }
-    return {HeapRef::Live, Desc->PageStart + size_t(Slot) * Desc->ObjSize,
-            Desc->ObjSize, Desc, Slot};
-  }
-  case PageKind::PK_LargeStart:
-  case PageKind::PK_LargeCont: {
-    PageDescriptor *Head =
-        Desc->Kind == PageKind::PK_LargeStart ? Desc : Desc->LargeHead;
-    if (!Head || !Head->allocBit(0)) {
-      R.State = HeapRef::Freed;
-      return R;
-    }
-    // Addresses past the object's padded size (the trailing slack of its
-    // last page, whichever page that is) belong to no object.
-    if (A - reinterpret_cast<uintptr_t>(Head->PageStart) >= Head->LargeSize)
-      return R;
-    return {HeapRef::Live, Head->PageStart, Head->LargeSize, Head, 0};
-  }
-  }
-  return R;
-}
-
 void *Collector::baseOf(const void *P) const {
   HeapRef L = locate(reinterpret_cast<uintptr_t>(P));
   return L.State == HeapRef::Live ? L.Base : nullptr;
 }
 
-bool Collector::pointsToFreedObject(const void *P) const {
-  return locate(reinterpret_cast<uintptr_t>(P)).State == HeapRef::Freed;
-}
-
-bool Collector::sameObject(const void *P, const void *Q) const {
-  void *BP = baseOf(P);
-  return BP != nullptr && BP == baseOf(Q);
+Collector::Relation Collector::relate(const void *P, const void *Base) const {
+  HeapRef L = locate(reinterpret_cast<uintptr_t>(Base));
+  if (L.State != HeapRef::Live)
+    return L.State == HeapRef::Freed ? Relation::Freed : Relation::NotHeap;
+  uintptr_t Off =
+      reinterpret_cast<uintptr_t>(P) - reinterpret_cast<uintptr_t>(L.Base);
+  return Off < L.Size ? Relation::Same : Relation::Other;
 }
 
 size_t Collector::objectSize(const void *P) const {

@@ -300,18 +300,32 @@ public:
   /// checker relies on).
   void *baseOf(const void *P) const;
 
-  /// True if \p P points into a live heap object.
-  bool isHeapPointer(const void *P) const { return baseOf(P) != nullptr; }
-
   /// True if \p P points into heap memory whose object has been freed
   /// (swept or explicitly deallocated). Used by the VM to detect premature
   /// collection: a GC-safety failure manifests as a load from a freed,
-  /// poisoned object.
-  bool pointsToFreedObject(const void *P) const;
+  /// poisoned object. Inline, so the VM's probe walks the page table in
+  /// its own dispatch loop.
+  bool pointsToFreedObject(const void *P) const {
+    return locate(reinterpret_cast<uintptr_t>(P)).State == HeapRef::Freed;
+  }
 
-  /// True if \p P and \p Q point into the same live heap object (the
-  /// predicate behind the paper's GC_same_obj).
-  bool sameObject(const void *P, const void *Q) const;
+  /// How \p P relates to the object \p Base points into.
+  enum class Relation : uint8_t {
+    NotHeap, ///< Base addresses no heap object, live or freed.
+    Freed,   ///< Base addresses a freed object (a dangling pointer).
+    Same,    ///< Base addresses a live object and P lies inside it.
+    Other,   ///< Base addresses a live object and P lies outside it.
+  };
+
+  /// One page-table lookup, of \p Base, then a range test on \p P: P is
+  /// in Base's object exactly when baseOf(P) would return the same start.
+  /// The query behind the paper's GC_same_obj.
+  Relation relate(const void *P, const void *Base) const;
+
+  /// True if \p P and \p Q point into the same live heap object.
+  bool sameObject(const void *P, const void *Q) const {
+    return relate(Q, P) == Relation::Same;
+  }
 
   /// Returns the usable (padded) size of the object containing \p P; 0 if
   /// \p P is not a heap pointer. The padding is why the paper calls its
@@ -342,7 +356,6 @@ public:
 
   const CollectorStats &stats() const { return Stats; }
   const CollectorConfig &config() const { return Config; }
-  void setAllocCountTrigger(size_t N) { Config.AllocCountTrigger = N; }
 
   /// Tags subsequent allocations with an allocation site interned in
   /// Config.Profile (HeapProfile::UntaggedSite = untagged). The VM sets
@@ -367,7 +380,7 @@ private:
   /// What an address is to the heap: not a heap object, inside a freed
   /// one, or inside a live object whose alloc/mark bits are bit Slot of
   /// page Bits. The one classifier behind baseOf, pointsToFreedObject,
-  /// objectSize and marking.
+  /// relate, objectSize and marking.
   struct HeapRef {
     enum StateKind : uint8_t { None, Freed, Live } State = None;
     char *Base = nullptr;
@@ -392,7 +405,7 @@ private:
   void initSmallPage(PageDescriptor *Desc, size_t ObjSize, bool Atomic);
   void pushFreeSlot(PageDescriptor *Desc, unsigned Slot);
   void releaseLargeRun(PageDescriptor *Head);
-  HeapRef locate(uintptr_t A) const;
+  [[gnu::always_inline]] HeapRef locate(uintptr_t A) const;
 
   void markAddress(uintptr_t Addr, bool FromHeap);
   [[gnu::noinline]] void markObject(const HeapRef &L, uintptr_t Addr,
@@ -439,6 +452,44 @@ private:
   size_t FpAllocSmall = 0;
   size_t FpAllocLarge = 0;
 };
+
+inline Collector::HeapRef Collector::locate(uintptr_t A) const {
+  HeapRef R;
+  PageDescriptor *Desc = Table.lookup(reinterpret_cast<const void *>(A));
+  if (!Desc)
+    return R;
+  switch (Desc->Kind) {
+  case PageKind::PK_Free:
+    R.State = HeapRef::Freed; // page was heap, now reclaimed
+    return R;
+  case PageKind::PK_Small: {
+    unsigned Slot = Desc->slotOf(A);
+    if (Slot >= Desc->ObjCount) // the page's trailing slack
+      return R;
+    if (!Desc->allocBit(Slot)) {
+      R.State = HeapRef::Freed;
+      return R;
+    }
+    return {HeapRef::Live, Desc->PageStart + size_t(Slot) * Desc->ObjSize,
+            Desc->ObjSize, Desc, Slot};
+  }
+  case PageKind::PK_LargeStart:
+  case PageKind::PK_LargeCont: {
+    PageDescriptor *Head =
+        Desc->Kind == PageKind::PK_LargeStart ? Desc : Desc->LargeHead;
+    if (!Head || !Head->allocBit(0)) {
+      R.State = HeapRef::Freed;
+      return R;
+    }
+    // Addresses past the object's padded size (the trailing slack of its
+    // last page, whichever page that is) belong to no object.
+    if (A - reinterpret_cast<uintptr_t>(Head->PageStart) >= Head->LargeSize)
+      return R;
+    return {HeapRef::Live, Head->PageStart, Head->LargeSize, Head, 0};
+  }
+  }
+  return R;
+}
 
 } // namespace gc
 } // namespace gcsafe

@@ -77,7 +77,7 @@ enum class DOp : uint8_t {
   Nop, FallOff, MovR, MovK,
   DivS, DivU, RemS, RemU,
   Neg, Not, FNeg, SExt, ZExt, SIToFP, FPToSI,
-  Load, LoadIdx, Store, StoreIdx, AddrLocal,
+  Load, LoadIdx, Store, StoreIdx, AddrLocal, LoadLocal, StoreLocal,
   Jmp, Br, Ret, Call, CallBuiltin,
   KeepLive, CheckSameObj, Kill,
 };
@@ -213,6 +213,8 @@ void storeValue(uint64_t Addr, uint64_t Val, unsigned Size) {
 ///     B, C (a register index, or KBit | constant slot; the RR/RK forms
 ///     and MovR/MovK hold bare indices);
 ///   AddrLocal: A = constant slot of the frame offset;
+///   LoadLocal/StoreLocal: as AddrLocal, fused with the Load/Store record
+///     after it, which addresses the slot through Dst;
 ///   Jmp: X = target position, B = its spill penalty;
 ///   Br: A = condition, X/Y = taken/not-taken positions, B/C = penalties;
 ///   Call: X = callee index (~0u: indirect through A), B/C = first
@@ -463,7 +465,8 @@ const VM::Code &VM::decoded(uint32_t FnIndex) {
   }
   // Fold Kill records into the record before them. They also stay in the
   // stream, for entry after a call returns and for the slow path. A run of
-  // Kill records always ends at the latest in its block's FallOff.
+  // Kill records always ends at the latest in its block's FallOff. A fused
+  // frame access likewise leaves its Load/Store in the stream.
   for (size_t P = 0; P < Fn->Insts.size(); ++P) {
     DInst &D = Fn->Insts[P];
     if (D.Op == DOp::Jmp || D.Op == DOp::Br || D.Op == DOp::Ret ||
@@ -478,6 +481,12 @@ const VM::Code &VM::decoded(uint32_t FnIndex) {
     }
     if (D.Fused == 1)
       D.Y = D.X;
+    // Fuse an AddrLocal of a slot inside the frame with a next record that
+    // loads or stores through its register (one carrying Kills never is).
+    const DInst &Next = Fn->Insts[P + 1];
+    if (D.Op == DOp::AddrLocal && Fn->Consts[D.A] < F.FrameSize &&
+        (Next.Op == DOp::Load || Next.Op == DOp::Store) && Next.A == D.Dst)
+      D.Op = Next.Op == DOp::Load ? DOp::LoadLocal : DOp::StoreLocal;
   }
   Slot = std::move(Fn);
   return *Slot;
@@ -534,11 +543,15 @@ void VM::recordCycleSample(const Function *Leaf, const Instruction &I,
   Opts.Profile->Cycles.addSample(Stack, Leaf->Name, sampleKind(I), Weight);
 }
 
-bool VM::checkMemoryAccess(uint64_t Addr, const char *What) {
-  if (Addr < 0x1000) {
-    fail(std::string("null/small-pointer dereference in ") + What);
-    return false;
-  }
+bool VM::failNullAccess(const char *What) {
+  fail(std::string("null/small-pointer dereference in ") + What);
+  return false;
+}
+
+[[gnu::always_inline]] inline bool VM::checkMemoryAccess(uint64_t Addr,
+                                                         const char *What) {
+  if (Addr < 0x1000) [[unlikely]]
+    return failNullAccess(What);
   // The VM's own Stack and Globals are never heap pages, so the page-table
   // lookup would return false for them; skip it.
   if (Opts.DetectFreedAccess &&
@@ -560,84 +573,55 @@ void VM::runBuiltin(const Code &Fn, const DInst &I, uint64_t *R) {
   };
   auto SetDst = [&](uint64_t V) { R[I.Dst] = V; };
 
-  // Exhaustion is a structured run error, never a crash: the typed
-  // allocation surface turns a failed request into RunResult::Error.
-  auto AllocOrFail = [&](uint64_t Size, bool Atomic,
-                         const char *What) -> void * {
-    gc::AllocResult R = Atomic ? C->tryAllocateAtomic(Size)
-                               : C->tryAllocate(Size);
-    if (!R.ok())
-      fail(std::string("out of memory: ") + What + "(" +
-           std::to_string(Size) + " bytes) failed: " +
-           gc::allocStatusName(R.Status));
-    return R.Ptr;
-  };
-
   const Builtin Callee = static_cast<Builtin>(I.A);
   switch (Callee) {
   case Builtin::GcMalloc:
-  case Builtin::Malloc: {
-    Result.Cycles += Opts.Model.CyclesAllocator;
-    Result.AllocatorCycles += Opts.Model.CyclesAllocator;
-    uint64_t Size = Arg(0);
-    ++Result.AllocCount;
-    Result.AllocBytes += Size;
-    tagAllocSite(Fn, I, Callee == Builtin::Malloc ? "malloc" : "GC_malloc");
-    void *P = AllocOrFail(Size, false, "GC_malloc");
-    if (!P)
-      return;
-    SetDst(reinterpret_cast<uint64_t>(P));
-    return;
-  }
-  case Builtin::GcMallocAtomic: {
-    Result.Cycles += Opts.Model.CyclesAllocator;
-    Result.AllocatorCycles += Opts.Model.CyclesAllocator;
-    uint64_t Size = Arg(0);
-    ++Result.AllocCount;
-    Result.AllocBytes += Size;
-    tagAllocSite(Fn, I, "GC_malloc_atomic");
-    void *P = AllocOrFail(Size, true, "GC_malloc_atomic");
-    if (!P)
-      return;
-    SetDst(reinterpret_cast<uint64_t>(P));
-    return;
-  }
-  case Builtin::Calloc: {
-    Result.Cycles += Opts.Model.CyclesAllocator;
-    Result.AllocatorCycles += Opts.Model.CyclesAllocator;
-    uint64_t N = Arg(0), Each = Arg(1);
-    if (Each && N > UINT64_MAX / Each) {
-      fail("out of memory: calloc(" + std::to_string(N) + ", " +
-           std::to_string(Each) + ") overflows");
-      return;
-    }
-    uint64_t Size = N * Each;
-    ++Result.AllocCount;
-    Result.AllocBytes += Size;
-    tagAllocSite(Fn, I, "calloc");
-    void *P = AllocOrFail(Size, false, "calloc");
-    if (!P)
-      return;
-    SetDst(reinterpret_cast<uint64_t>(P));
-    return;
-  }
+  case Builtin::Malloc:
+  case Builtin::GcMallocAtomic:
+  case Builtin::Calloc:
   case Builtin::Realloc: {
     Result.Cycles += Opts.Model.CyclesAllocator;
     Result.AllocatorCycles += Opts.Model.CyclesAllocator;
-    uint64_t Old = Arg(0);
-    uint64_t Size = Arg(1);
+    uint64_t Size = Arg(0), Old = 0;
+    const char *What = "GC_malloc", *Site = "GC_malloc";
+    if (Callee == Builtin::Malloc) {
+      Site = "malloc";
+    } else if (Callee == Builtin::GcMallocAtomic) {
+      What = Site = "GC_malloc_atomic";
+    } else if (Callee == Builtin::Calloc) {
+      What = Site = "calloc";
+      uint64_t Each = Arg(1);
+      if (Each && Size > UINT64_MAX / Each) {
+        fail("out of memory: calloc(" + std::to_string(Size) + ", " +
+             std::to_string(Each) + ") overflows");
+        return;
+      }
+      Size *= Each;
+    } else if (Callee == Builtin::Realloc) {
+      What = Site = "realloc";
+      Old = Size;
+      Size = Arg(1);
+    }
     ++Result.AllocCount;
     Result.AllocBytes += Size;
-    tagAllocSite(Fn, I, "realloc");
-    void *New = AllocOrFail(Size, false, "realloc");
-    if (!New)
+    tagAllocSite(Fn, I, Site);
+    // Exhaustion is a structured run error, never a crash: the typed
+    // allocation surface turns a failed request into RunResult::Error.
+    gc::AllocResult New = Callee == Builtin::GcMallocAtomic
+                              ? C->tryAllocateAtomic(Size)
+                              : C->tryAllocate(Size);
+    if (!New.ok()) {
+      fail(std::string("out of memory: ") + What + "(" +
+           std::to_string(Size) + " bytes) failed: " +
+           gc::allocStatusName(New.Status));
       return;
+    }
     if (Old) {
       size_t OldSize = C->objectSize(reinterpret_cast<void *>(Old));
-      size_t CopyLen = OldSize < Size ? OldSize : Size;
-      std::memcpy(New, reinterpret_cast<void *>(Old), CopyLen);
+      std::memcpy(New.Ptr, reinterpret_cast<void *>(Old),
+                  OldSize < Size ? OldSize : Size);
     }
-    SetDst(reinterpret_cast<uint64_t>(New));
+    SetDst(reinterpret_cast<uint64_t>(New.Ptr));
     return;
   }
   case Builtin::Free:
@@ -902,42 +886,21 @@ RunResult VM::run() {
     case DOp::MovK:
       R[I->Dst] = K[I->A];
       break;
-    case DOp::DivS: {
-      int64_t Den = static_cast<int64_t>(V(I->B));
-      if (Den == 0) {
-        fail("division by zero");
-        goto Done;
-      }
-      R[I->Dst] = static_cast<uint64_t>(static_cast<int64_t>(V(I->A)) / Den);
-      break;
-    }
-    case DOp::DivU: {
-      uint64_t Den = V(I->B);
-      if (Den == 0) {
-        fail("division by zero");
-        goto Done;
-      }
-      R[I->Dst] = V(I->A) / Den;
-      break;
-    }
-    case DOp::RemS: {
-      int64_t Den = static_cast<int64_t>(V(I->B));
-      if (Den == 0) {
-        fail("remainder by zero");
-        goto Done;
-      }
-      R[I->Dst] = static_cast<uint64_t>(static_cast<int64_t>(V(I->A)) % Den);
-      break;
-    }
-    case DOp::RemU: {
-      uint64_t Den = V(I->B);
-      if (Den == 0) {
-        fail("remainder by zero");
-        goto Done;
-      }
-      R[I->Dst] = V(I->A) % Den;
-      break;
-    }
+#define GCSAFE_VM_DIV(Name, T, Op, What)                                       \
+  case DOp::Name: {                                                            \
+    T Den = static_cast<T>(V(I->B));                                           \
+    if (Den == 0) {                                                            \
+      fail(What " by zero");                                                   \
+      goto Done;                                                               \
+    }                                                                          \
+    R[I->Dst] = static_cast<uint64_t>(static_cast<T>(V(I->A)) Op Den);         \
+    break;                                                                     \
+  }
+      GCSAFE_VM_DIV(DivS, int64_t, /, "division")
+      GCSAFE_VM_DIV(DivU, uint64_t, /, "division")
+      GCSAFE_VM_DIV(RemS, int64_t, %, "remainder")
+      GCSAFE_VM_DIV(RemU, uint64_t, %, "remainder")
+#undef GCSAFE_VM_DIV
     case DOp::Neg:
       R[I->Dst] = static_cast<uint64_t>(-static_cast<int64_t>(V(I->A)));
       break;
@@ -1000,6 +963,30 @@ RunResult VM::run() {
     }
     case DOp::AddrLocal:
       R[I->Dst] = FrameAddr + K[I->A];
+      break;
+    // An AddrLocal fused with the Load or Store after it. Unless a limit
+    // falls on that record, it runs here, counted and charged as itself,
+    // without the probe: an address inside Stack is never null or freed.
+    // Its folded Kills then run below.
+    case DOp::LoadLocal:
+      R[I->Dst] = FrameAddr + K[I->A];
+      if (N + 1 < Limit) {
+        uint64_t Addr = R[I->Dst];
+        I = PC++;
+        ++N;
+        Cycles += I->Cost;
+        R[I->Dst] = loadValue(Addr, I->Size, I->Signed);
+      }
+      break;
+    case DOp::StoreLocal:
+      R[I->Dst] = FrameAddr + K[I->A];
+      if (N + 1 < Limit) {
+        uint64_t Addr = R[I->Dst];
+        I = PC++;
+        ++N;
+        Cycles += I->Cost;
+        storeValue(Addr, V(I->B), I->Size); // after R[Dst]: p = &p
+      }
       break;
     case DOp::Jmp:
       PC = Base + I->X;

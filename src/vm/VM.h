@@ -20,9 +20,13 @@
 /// penalties are fixed at decode time and never re-derived per execution.
 /// Every block ends in a fall-off sentinel. Up to two Kill records (zero-
 /// cycle register deaths) after a non-control record are folded into it
-/// and run in its dispatch. Frames share one contiguous register stack;
-/// the root scanner visits its live prefix [0, RegTop) as one range,
-/// which is word for word what a per-frame register file would expose.
+/// and run in its dispatch. An AddrLocal of an in-frame slot is fused with
+/// a next record that loads or stores through its register: the access
+/// runs in the AddrLocal's dispatch, counted and charged as itself, with
+/// no freed-access probe, which is provably false inside the VM's Stack.
+/// Frames share one contiguous register stack; the root scanner visits
+/// its live prefix [0, RegTop) as one range, which is word for word what
+/// a per-frame register file would expose.
 ///
 /// Collections can be triggered adversarially: after every allocation
 /// (collector AllocCountTrigger), at a fixed instruction period
@@ -40,7 +44,9 @@
 /// which are never heap pages, and the page table itself rejects any
 /// address outside the span of pages the heap ever mapped, since a page
 /// never mapped is never freed. Arming the probe lazily (say, at the
-/// first sweep) would not be behaviour-preserving.
+/// first sweep) would not be behaviour-preserving. The probe and the
+/// page-table walk behind it are inlined into the dispatch loop; only
+/// the null-dereference failure is a call.
 ///
 /// The VM also accounts cycles under a MachineModel (including a register
 /// pressure penalty) and runs the checked-mode CheckSameObj instruction
@@ -216,6 +222,7 @@ private:
   void recordCycleSample(const ir::Function *Leaf, const ir::Instruction &I,
                          uint64_t Cycles);
   bool checkMemoryAccess(uint64_t Addr, const char *What);
+  [[gnu::cold, gnu::noinline]] bool failNullAccess(const char *What);
   void fail(const std::string &Message);
 
   const ir::Module &M;

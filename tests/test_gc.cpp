@@ -567,6 +567,41 @@ TEST(PointerCheck, OnePastEndIsLegal) {
   EXPECT_EQ(Check.violationCount(), 0u);
 }
 
+TEST(PointerCheck, OneLookupAgreesWithTheTwoLookupDefinition) {
+  // sameObj looks the base up once and range-tests P. The oracle is its
+  // old definition: for a live base, a violation iff baseOf(P) differs from
+  // baseOf(Base); otherwise iff Base points into a freed object. It is
+  // checked at every offset around a small object (from its start and its
+  // middle), a two-page large object (from both pages), a freed slot, a
+  // freed large run and a non-heap base.
+  Collector C(quietConfig());
+  PointerCheck Check(C);
+  char *Small = static_cast<char *>(C.allocate(100));
+  C.allocate(100); // a live neighbour in the next slot
+  char *Large = static_cast<char *>(C.allocate(PageSize + 100));
+  char *Freed = static_cast<char *>(C.allocate(48));
+  char *FreedLarge = static_cast<char *>(C.allocate(PageSize + 100));
+  C.deallocate(Freed);
+  C.deallocate(FreedLarge);
+  char StackBuf[64];
+  for (const char *Base : {Small, Small + 50, Large, Large + PageSize, Freed,
+                           FreedLarge, static_cast<char *>(StackBuf)}) {
+    void *BaseObj = C.baseOf(Base);
+    for (ptrdiff_t Off = -16; Off < ptrdiff_t(PageSize + 16); ++Off) {
+      auto *P = reinterpret_cast<const void *>(
+          reinterpret_cast<uintptr_t>(Base) + Off);
+      bool Expected = BaseObj ? C.baseOf(P) != BaseObj
+                              : C.pointsToFreedObject(Base);
+      size_t Before = Check.violationCount();
+      Check.sameObj(P, Base);
+      ASSERT_EQ(Check.violationCount() - Before, Expected ? 1u : 0u)
+          << static_cast<const void *>(Base) << " + " << Off;
+      ASSERT_EQ(C.sameObject(Base, P), BaseObj && C.baseOf(P) == BaseObj)
+          << static_cast<const void *>(Base) << " + " << Off;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Stress / property sweeps
 //===----------------------------------------------------------------------===//

@@ -296,11 +296,28 @@ std::string everyCounter(const vm::RunResult &R) {
      << " live_after_gc=" << R.Gc.LiveBytesAfterLastGC;
   return OS.str();
 }
+
+/// The AddrLocal records the decoder fuses with the Load or Store after
+/// them: an in-frame slot, addressed by the next record through the
+/// AddrLocal's register.
+size_t fusedFrameAccesses(const ir::Module &M) {
+  size_t N = 0;
+  for (const ir::Function &F : M.Functions)
+    for (const ir::BasicBlock &B : F.Blocks)
+      for (size_t I = 0; I + 1 < B.Insts.size(); ++I) {
+        const ir::Instruction &A = B.Insts[I], &Next = B.Insts[I + 1];
+        N += A.Op == ir::Opcode::AddrLocal &&
+             static_cast<uint64_t>(A.Aux) < F.FrameSize &&
+             (Next.Op == ir::Opcode::Load || Next.Op == ir::Opcode::Store) &&
+             Next.A.isReg() && Next.A.Reg == A.Dst;
+      }
+  return N;
+}
 } // namespace
 
 TEST(KillFusion, SamplingEveryCycleFusesNothingAndChangesNoCounter) {
   // A one-cycle sampling period puts every instruction on the slow path,
-  // so no Kill record runs folded. The runs are cut by an instruction
+  // so no Kill record runs folded and no frame access runs fused. The runs are cut by an instruction
   // budget to keep the per-instruction samples cheap; the cut itself must
   // land identically too.
   struct Schedule {
@@ -312,6 +329,11 @@ TEST(KillFusion, SamplingEveryCycleFusesNothingAndChangesNoCounter) {
     for (CompileMode Mode :
          {CompileMode::O2SafePost, CompileMode::DebugChecked}) {
       CompileResult CR = compileWorkload(*W, Mode);
+      // Debug code addresses its locals through frame slots, so its
+      // unsampled runs also execute fused frame accesses.
+      if (Mode == CompileMode::DebugChecked) {
+        EXPECT_GT(fusedFrameAccesses(CR.Module), 0u) << W->Name;
+      }
       for (const Schedule &S : Schedules) {
         vm::VMOptions VO;
         VO.GcAllocTrigger = S.AllocTrigger;
@@ -333,36 +355,84 @@ TEST(KillFusion, SamplingEveryCycleFusesNothingAndChangesNoCounter) {
   }
 }
 
-TEST(KillFusion, BudgetStepsOneInstructionAtATimeThroughAFusedGroup) {
-  // The Load carries both Kill records. A budget that ends inside the
-  // group stops on the exact Kill record, counting it as executed.
-  ir::Module M = mainOnly({inst(ir::Opcode::AddrLocal, 0),
-                           inst(ir::Opcode::Load, 1, reg(0)),
-                           inst(ir::Opcode::Kill, ir::NoReg, reg(0)),
-                           inst(ir::Opcode::Kill, ir::NoReg, reg(1)),
-                           inst(ir::Opcode::Ret, ir::NoReg, imm(0))},
-                          2);
-  M.Functions[0].FrameSize = 8;
-  const char *Expected[] = {
-      "ok=0 error='instruction budget exceeded' insts=1 cycles=9 spill=0 "
-      "kills=0",
-      "ok=0 error='instruction budget exceeded' insts=2 cycles=11 spill=0 "
-      "kills=0",
-      "ok=0 error='instruction budget exceeded' insts=3 cycles=11 spill=0 "
-      "kills=1",
-      "ok=0 error='instruction budget exceeded' insts=4 cycles=11 spill=0 "
-      "kills=2",
-      "ok=0 error='instruction budget exceeded' insts=5 cycles=19 spill=0 "
-      "kills=2",
-      "ok=1 error='' insts=5 cycles=19 spill=0 kills=2"};
-  for (uint64_t Budget = 0; Budget <= 5; ++Budget) {
-    vm::VMOptions VO;
-    VO.MaxInstructions = Budget;
-    vm::RunResult R = runModule(M, VO);
-    EXPECT_EQ(summary(R).substr(0, std::strlen(Expected[Budget])),
-              Expected[Budget])
-        << Budget;
+//===----------------------------------------------------------------------===//
+// AddrLocal records fused with the Load or Store after them
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Runs \p M unsampled (fusing) and sampled every cycle (fusing nothing),
+/// expects the same result from both, and returns the unsampled one.
+vm::RunResult runFusedAndUnfused(const ir::Module &M, vm::VMOptions VO) {
+  vm::RunResult Fused = runModule(M, VO);
+  support::Profiler P;
+  P.SamplePeriodCycles = 1;
+  VO.Profile = &P;
+  vm::RunResult Unfused = runModule(M, VO);
+  EXPECT_EQ(everyCounter(Fused), everyCounter(Unfused));
+  return Fused;
+}
+} // namespace
+
+TEST(FrameSlotFusion, BudgetStepsOneInstructionAtATime) {
+  // Each AddrLocal is fused with the access after it, and the Load carries
+  // both Kill records. A budget that ends on the access or inside the Kill
+  // group stops on that exact record, counting and charging it alone.
+  ir::Module Load = mainOnly({inst(ir::Opcode::AddrLocal, 0),
+                              inst(ir::Opcode::Load, 1, reg(0)),
+                              inst(ir::Opcode::Kill, ir::NoReg, reg(0)),
+                              inst(ir::Opcode::Kill, ir::NoReg, reg(1)),
+                              inst(ir::Opcode::Ret, ir::NoReg, reg(1))},
+                             2);
+  ir::Module Store = mainOnly({inst(ir::Opcode::AddrLocal, 0),
+                               inst(ir::Opcode::Store, ir::NoReg, reg(0),
+                                    imm(7)),
+                               inst(ir::Opcode::AddrLocal, 1),
+                               inst(ir::Opcode::Load, 2, reg(1)),
+                               inst(ir::Opcode::Ret, ir::NoReg, reg(2))},
+                              3);
+  Load.Functions[0].FrameSize = Store.Functions[0].FrameSize = 8;
+  const char *Budget = "ok=0 error='instruction budget exceeded' ";
+  const std::string Expected[2][6] = {
+      {Budget + std::string("insts=1 cycles=9 spill=0 kills=0"),
+       Budget + std::string("insts=2 cycles=11 spill=0 kills=0"),
+       Budget + std::string("insts=3 cycles=11 spill=0 kills=1"),
+       Budget + std::string("insts=4 cycles=11 spill=0 kills=2"),
+       Budget + std::string("insts=5 cycles=19 spill=0 kills=2"),
+       "ok=1 error='' insts=5 cycles=19 spill=0 kills=2"},
+      {Budget + std::string("insts=1 cycles=9 spill=0 kills=0"),
+       Budget + std::string("insts=2 cycles=11 spill=0 kills=0"),
+       Budget + std::string("insts=3 cycles=12 spill=0 kills=0"),
+       Budget + std::string("insts=4 cycles=14 spill=0 kills=0"),
+       Budget + std::string("insts=5 cycles=22 spill=0 kills=0"),
+       "ok=1 error='' insts=5 cycles=22 spill=0 kills=0"}};
+  const ir::Module *Modules[] = {&Load, &Store};
+  for (int Which = 0; Which < 2; ++Which) {
+    for (uint64_t B = 0; B <= 5; ++B) {
+      vm::VMOptions VO;
+      VO.MaxInstructions = B;
+      vm::RunResult R = runFusedAndUnfused(*Modules[Which], VO);
+      EXPECT_EQ(summary(R).substr(0, Expected[Which][B].size()),
+                Expected[Which][B])
+          << Which << " " << B;
+      EXPECT_EQ(R.ExitCode, B == 5 && Which == 1 ? 7 : 0) << Which << " " << B;
+    }
   }
+}
+
+TEST(FrameSlotFusion, StoreReadsItsValueAfterTheAddress) {
+  // p = &p: the Store's value operand is the AddrLocal's own register, so
+  // it must read the address the fused record has just written.
+  ir::Module M = mainOnly({inst(ir::Opcode::AddrLocal, 0),
+                           inst(ir::Opcode::Store, ir::NoReg, reg(0), reg(0)),
+                           inst(ir::Opcode::AddrLocal, 1),
+                           inst(ir::Opcode::Load, 2, reg(1)),
+                           inst(ir::Opcode::Sub, 3, reg(2), reg(1)),
+                           inst(ir::Opcode::Ret, ir::NoReg, reg(3))},
+                          4);
+  M.Functions[0].FrameSize = 8;
+  vm::RunResult R = runFusedAndUnfused(M, {});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitCode, 0);
 }
 
 //===----------------------------------------------------------------------===//

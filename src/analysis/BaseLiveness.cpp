@@ -61,38 +61,11 @@ bool mergeFacts(BaseFacts &Into, const BaseFacts &From) {
 
 } // namespace
 
-BaseLiveness::BaseLiveness(const Function &FIn, const CFGInfo &CFGIn)
-    : F(FIn), CFG(CFGIn) {
-  size_t N = F.Blocks.size();
-  LiveIn.assign(N, RegSet(F.NumRegs));
-  LiveOut.assign(N, RegSet(F.NumRegs));
-  FactsIn.assign(N, {});
-
-  // Plain backward liveness (no KEEP_LIVE extension).
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (auto It = CFG.rpo().rbegin(); It != CFG.rpo().rend(); ++It) {
-      uint32_t B = *It;
-      RegSet Out(F.NumRegs);
-      for (uint32_t S : CFG.successors()[B])
-        Out.unionWith(LiveIn[S]);
-      RegSet In = Out;
-      const auto &Insts = F.Blocks[B].Insts;
-      for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt) {
-        const Instruction &I = *IIt;
-        if (I.Dst != NoReg)
-          In.clear(I.Dst);
-        forEachUse(I, [&](uint32_t R) { In.set(R); });
-      }
-      bool InChanged = LiveIn[B].unionWith(In);
-      bool OutChanged = LiveOut[B].unionWith(Out);
-      Changed = Changed || InChanged || OutChanged;
-    }
-  }
+BaseLiveness::BaseLiveness(const Function &F, const CFGInfo &CFG) {
+  FactsIn.assign(F.Blocks.size(), {});
 
   // Forward derived-pointer facts to a fixpoint (sets only grow).
-  Changed = true;
+  bool Changed = true;
   while (Changed) {
     Changed = false;
     for (uint32_t B : CFG.rpo()) {
@@ -126,20 +99,6 @@ BaseLiveness::BaseLiveness(const Function &FIn, const CFGInfo &CFGIn)
     }
     Closure.erase(R);
     ContractBases[R] = std::move(Closure);
-  }
-}
-
-void BaseLiveness::liveAfterPerInstruction(
-    uint32_t B, std::vector<RegSet> &LiveAfter) const {
-  const auto &Insts = F.Blocks[B].Insts;
-  LiveAfter.assign(Insts.size(), RegSet(F.NumRegs));
-  RegSet Live = LiveOut[B];
-  for (size_t I = Insts.size(); I-- > 0;) {
-    LiveAfter[I] = Live;
-    const Instruction &Inst = Insts[I];
-    if (Inst.Dst != NoReg)
-      Live.clear(Inst.Dst);
-    forEachUse(Inst, [&](uint32_t R) { Live.set(R); });
   }
 }
 

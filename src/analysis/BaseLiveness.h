@@ -6,13 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dataflow substrate of the static GC-safety verifier
-/// (docs/ANALYSIS.md). Two cooperating analyses over one ir::Function:
-///
-/// *Plain liveness* — classic backward liveness WITHOUT the KEEP_LIVE base
-/// extension that opt::Liveness applies. The verifier needs the unextended
-/// facts: "will this register's current value be read again?" is the
-/// question, and the extension is exactly the property under test.
+/// The verifier's own facts over one ir::Function (docs/ANALYSIS.md §1).
+/// Its plain liveness is not computed here: the verifier reads the plain
+/// instance of opt::Liveness (no KEEP_LIVE extension), which derives from
+/// the IR alone. Nothing here consumes the extended instance or any other
+/// fact the optimizer claims.
 ///
 /// *Derived-pointer facts* — a forward analysis computing, per program
 /// point, which registers hold KEEP_LIVE-derived pointers and the set of
@@ -31,7 +29,9 @@
 /// The distinction between a fact that the kill-insertion contract honors
 /// (d is literally a KeepLive destination, so opt::Liveness::expandUse
 /// extends its bases' live ranges) and one carried through copies matters
-/// to the verifier's diagnostics; inKillContract() exposes it.
+/// to the verifier's diagnostics; inKillContract() exposes it. The
+/// contract closure is recomputed here from the KeepLives, independently of
+/// opt::Liveness, because it is the optimizer's closure under check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,10 +56,6 @@ class BaseLiveness {
 public:
   BaseLiveness(const ir::Function &F, const opt::CFGInfo &CFG);
 
-  /// Plain (unextended) liveness at block boundaries.
-  const opt::RegSet &liveIn(uint32_t B) const { return LiveIn[B]; }
-  const opt::RegSet &liveOut(uint32_t B) const { return LiveOut[B]; }
-
   /// Derived-pointer facts at block entry.
   const BaseFacts &factsIn(uint32_t B) const { return FactsIn[B]; }
 
@@ -67,11 +63,6 @@ public:
   /// above). Exposed so the verifier can walk a block instruction by
   /// instruction from factsIn().
   static void transfer(const ir::Instruction &I, BaseFacts &Facts);
-
-  /// Fills \p LiveAfter with the plain live-after set of each instruction
-  /// in block \p B (LiveAfter[i] = live just after Insts[i]).
-  void liveAfterPerInstruction(uint32_t B,
-                               std::vector<opt::RegSet> &LiveAfter) const;
 
   /// True when register \p Derived is a KeepLive destination whose
   /// transitive base closure (the one opt::Liveness::expandUse honors when
@@ -83,9 +74,6 @@ public:
   unsigned derivedCount() const;
 
 private:
-  const ir::Function &F;
-  const opt::CFGInfo &CFG;
-  std::vector<opt::RegSet> LiveIn, LiveOut;
   std::vector<BaseFacts> FactsIn;
   /// Flow-insensitive KeepLive closure: ContractBases[d] = every register
   /// expandUse reaches from d, minus d itself. Empty for non-KL dests.

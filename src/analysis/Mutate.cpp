@@ -2,7 +2,6 @@
 
 #include "analysis/Mutate.h"
 
-#include "analysis/BaseLiveness.h"
 #include "analysis/SafetyVerifier.h"
 #include "opt/CFG.h"
 
@@ -71,14 +70,14 @@ gcsafe::analysis::enumerateFunctionMutations(const Function &F,
   {
     const uint32_t FI = FnIndex;
     CFGInfo CFG(F);
-    BaseLiveness BL(F, CFG);
+    Liveness Live(F, CFG, Liveness::Plain);
     std::vector<RegSet> LiveAfter;
 
     for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
       const BasicBlock &B = F.Blocks[BId];
       if (B.Insts.empty())
         continue;
-      BL.liveAfterPerInstruction(BId, LiveAfter);
+      Live.liveAfter(BId, LiveAfter);
 
       for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
         const Instruction &I = B.Insts[Idx];

@@ -44,6 +44,7 @@ std::string regName(uint32_t R) {
 void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
                  std::vector<SafetyDiag> &Out) {
   CFGInfo CFG(F);
+  Liveness Live(F, CFG, Liveness::Plain);
   BaseLiveness BL(F, CFG);
 
   std::vector<RegSet> LiveAfter;
@@ -51,7 +52,7 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
     const BasicBlock &B = F.Blocks[BId];
     if (B.Insts.empty())
       continue;
-    BL.liveAfterPerInstruction(BId, LiveAfter);
+    Live.liveAfter(BId, LiveAfter);
     BaseFacts Facts = BL.factsIn(BId);
 
     for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {

@@ -188,11 +188,17 @@ private:
           Result.Stats.add(Prefix + E.first, E.second);
     }
     // 7. The each-pass checkpoint sees the committed state, so a
-    // violation is attributed to the pass that just ran. Under a gate,
-    // continuity needs no second check: the gate vetoed any drop and a
-    // rollback restored the baseline.
+    // violation is attributed to the pass that just ran. A state the gate
+    // committed has just passed layer 1 (and more) on this exact IR, so
+    // its checkpoint counts the run and finds nothing without verifying
+    // again; a rolled-back state is verified. Under a gate, continuity
+    // needs no second check: the gate vetoed any drop and a rollback
+    // restored the baseline.
     if (EachPass) {
-      checkSafety(F, Name, /*KillPlacement=*/false);
+      if (Txn && Reason.empty())
+        ++SafetyRuns;
+      else
+        checkSafety(F, Name, /*KillPlacement=*/false);
       if (!Txn)
         Continuity.check(F, Name, Result.SafetyDiags);
     }

@@ -3,7 +3,6 @@
 #include "opt/CFG.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace gcsafe;
 using namespace gcsafe::opt;
@@ -40,13 +39,11 @@ unsigned RegSet::count() const {
 // CFGInfo
 //===----------------------------------------------------------------------===//
 
-CFGInfo::CFGInfo(const Function &FIn) : F(FIn) {
+CFGInfo::CFGInfo(const Function &F) {
   size_t N = F.Blocks.size();
   Succs.resize(N);
   Preds.resize(N);
   Reachable.assign(N, false);
-  RPOIndex.assign(N, ~0u);
-  IDom.assign(N, ~0u);
 
   for (size_t B = 0; B < N; ++B)
     blockSuccessors(F.Blocks[B], Succs[B]);
@@ -73,24 +70,29 @@ CFGInfo::CFGInfo(const Function &FIn) : F(FIn) {
     }
   }
   RPO.assign(PostOrder.rbegin(), PostOrder.rend());
-  for (size_t I = 0; I < RPO.size(); ++I) {
-    RPOIndex[RPO[I]] = static_cast<uint32_t>(I);
-    Reachable[RPO[I]] = true;
-  }
+  for (uint32_t B : RPO)
+    Reachable[B] = true;
   for (size_t B = 0; B < N; ++B)
     if (Reachable[B])
       for (uint32_t S : Succs[B])
         Preds[S].push_back(static_cast<uint32_t>(B));
-
-  computeDominators();
 }
 
-void CFGInfo::computeDominators() {
-  // Cooper/Harvey/Kennedy iterative algorithm over RPO.
-  if (RPO.empty())
-    return;
+//===----------------------------------------------------------------------===//
+// Loops
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Immediate dominator of each reachable block (the entry's is itself;
+/// unreachable blocks map to ~0u), by Cooper/Harvey/Kennedy's iterative
+/// algorithm over a non-empty RPO.
+std::vector<uint32_t> immediateDominators(const CFGInfo &CFG, size_t N) {
+  const std::vector<uint32_t> &RPO = CFG.rpo();
+  std::vector<uint32_t> IDom(N, ~0u), RPOIndex(N, ~0u);
+  for (size_t I = 0; I < RPO.size(); ++I)
+    RPOIndex[RPO[I]] = static_cast<uint32_t>(I);
   IDom[RPO[0]] = RPO[0];
-  bool Changed = true;
   auto Intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
       while (RPOIndex[A] > RPOIndex[B])
@@ -100,12 +102,13 @@ void CFGInfo::computeDominators() {
     }
     return A;
   };
+  bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = 1; I < RPO.size(); ++I) {
       uint32_t B = RPO[I];
       uint32_t NewIDom = ~0u;
-      for (uint32_t P : Preds[B]) {
+      for (uint32_t P : CFG.predecessors()[B]) {
         if (IDom[P] == ~0u)
           continue;
         NewIDom = NewIDom == ~0u ? P : Intersect(P, NewIDom);
@@ -116,39 +119,34 @@ void CFGInfo::computeDominators() {
       }
     }
   }
+  return IDom;
 }
 
-bool CFGInfo::dominates(uint32_t A, uint32_t B) const {
-  if (!Reachable[A] || !Reachable[B])
-    return false;
-  uint32_t Entry = RPO.front();
-  while (true) {
-    if (B == A)
-      return true;
-    if (B == Entry)
-      return A == Entry;
-    B = IDom[B];
-    if (B == ~0u)
-      return false;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Loops
-//===----------------------------------------------------------------------===//
+} // namespace
 
 std::vector<LoopInfo> gcsafe::opt::findLoops(const Function &F,
                                              const CFGInfo &CFG) {
   std::vector<LoopInfo> Loops;
   size_t N = F.Blocks.size();
+  if (CFG.rpo().empty())
+    return Loops;
 
-  // Collect back edges and group by header.
+  // Collect back edges (to a header that dominates the latch) and group
+  // them by header. Both ends of an edge out of a reachable block are
+  // reachable, so the idom walk from the latch ends at the entry.
+  std::vector<uint32_t> IDom = immediateDominators(CFG, N);
+  const uint32_t Entry = CFG.rpo().front();
+  auto Dominates = [&](uint32_t A, uint32_t B) {
+    while (B != A && B != Entry)
+      B = IDom[B];
+    return B == A;
+  };
   std::vector<std::vector<uint32_t>> Latches(N);
   for (size_t B = 0; B < N; ++B) {
     if (!CFG.isReachable(static_cast<uint32_t>(B)))
       continue;
     for (uint32_t S : CFG.successors()[B])
-      if (CFG.dominates(S, static_cast<uint32_t>(B)))
+      if (Dominates(S, static_cast<uint32_t>(B)))
         Latches[S].push_back(static_cast<uint32_t>(B));
   }
 
@@ -216,21 +214,22 @@ DefUseCounts gcsafe::opt::countDefsUses(const Function &F) {
 // Liveness
 //===----------------------------------------------------------------------===//
 
-Liveness::Liveness(const Function &F, const CFGInfo &CFG) {
+Liveness::Liveness(const Function &FIn, const CFGInfo &CFG, Uses Kind)
+    : F(FIn) {
   size_t N = F.Blocks.size();
   LiveIn.assign(N, RegSet(F.NumRegs));
   LiveOut.assign(N, RegSet(F.NumRegs));
-  MaxPressure.assign(N, 0);
   KLBases.assign(F.NumRegs, {});
 
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Insts)
-      if (I.Op == Opcode::KeepLive && I.Dst != NoReg && I.B.isReg() &&
-          I.B.Reg != I.Dst) {
-        std::vector<uint32_t> &Bases = KLBases[I.Dst];
-        if (std::find(Bases.begin(), Bases.end(), I.B.Reg) == Bases.end())
-          Bases.push_back(I.B.Reg);
-      }
+  if (Kind == KeepLiveExtended)
+    for (const BasicBlock &B : F.Blocks)
+      for (const Instruction &I : B.Insts)
+        if (I.Op == Opcode::KeepLive && I.Dst != NoReg && I.B.isReg() &&
+            I.B.Reg != I.Dst) {
+          std::vector<uint32_t> &Bases = KLBases[I.Dst];
+          if (std::find(Bases.begin(), Bases.end(), I.B.Reg) == Bases.end())
+            Bases.push_back(I.B.Reg);
+        }
 
   // Iterate backward dataflow to fixpoint.
   bool Changed = true;
@@ -243,34 +242,40 @@ Liveness::Liveness(const Function &F, const CFGInfo &CFG) {
         Out.unionWith(LiveIn[S]);
       RegSet In = Out;
       const auto &Insts = F.Blocks[B].Insts;
-      for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt) {
-        const Instruction &I = *IIt;
-        if (I.Dst != NoReg)
-          In.clear(I.Dst);
-        forEachUse(I, [&](uint32_t R) { expandUse(R, In); });
-      }
+      for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt)
+        step(*IIt, In);
       bool InChanged = LiveIn[B].unionWith(In);
       bool OutChanged = LiveOut[B].unionWith(Out);
       Changed = Changed || InChanged || OutChanged;
     }
   }
+}
 
-  // Pressure: walk each block backward from LiveOut counting live regs.
-  for (size_t B = 0; B < N; ++B) {
-    RegSet Live = LiveOut[B];
-    unsigned Max = Live.count();
-    const auto &Insts = F.Blocks[B].Insts;
-    for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt) {
-      const Instruction &I = *IIt;
-      if (I.Dst != NoReg)
-        Live.clear(I.Dst);
-      forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
-      unsigned C = Live.count();
-      if (C > Max)
-        Max = C;
-    }
-    MaxPressure[B] = Max;
+void Liveness::step(const Instruction &I, RegSet &Live) const {
+  if (I.Dst != NoReg)
+    Live.clear(I.Dst);
+  forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
+}
+
+void Liveness::liveAfter(uint32_t B, std::vector<RegSet> &Out) const {
+  const auto &Insts = F.Blocks[B].Insts;
+  Out.resize(Insts.size());
+  RegSet Live = LiveOut[B];
+  for (size_t I = Insts.size(); I-- > 0;) {
+    Out[I] = Live;
+    step(Insts[I], Live);
   }
+}
+
+unsigned Liveness::maxPressure(uint32_t B) const {
+  RegSet Live = LiveOut[B];
+  unsigned Max = Live.count();
+  const auto &Insts = F.Blocks[B].Insts;
+  for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
+    step(*It, Live);
+    Max = std::max(Max, Live.count());
+  }
+  return Max;
 }
 
 void Liveness::expandUse(uint32_t R, RegSet &S) const {

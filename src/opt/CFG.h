@@ -7,15 +7,20 @@
 ///
 /// \file
 /// Control-flow analyses over ir::Function: successors/predecessors,
-/// reverse post-order, dominators, natural loops, def/use counting, and a
-/// KEEP_LIVE-aware liveness analysis.
+/// reverse post-order and reachability (CFGInfo), natural loops (whose
+/// dominator computation is internal to findLoops), def/use counting, and
+/// the one backward liveness solver.
 ///
-/// The liveness analysis implements the paper's KEEP_LIVE condition (2):
-/// the base operand of a KeepLive "must be visible to the collector at all
-/// points between the evaluation of the original KEEP_LIVE and the final
-/// use" of its result. We realize this by treating every use of a KeepLive
-/// destination as also a use of its base register (transitively through
-/// chained KeepLives).
+/// Liveness comes in two instances of the same solver, differing only in
+/// how a use is counted. The extended instance implements the paper's
+/// KEEP_LIVE condition (2): the base operand of a KeepLive "must be visible
+/// to the collector at all points between the evaluation of the original
+/// KEEP_LIVE and the final use" of its result, so every use of a KeepLive
+/// destination is also a use of its base register (transitively through
+/// chained KeepLives). It serves kill insertion and the VM's spill model.
+/// The plain instance counts a use as itself only; the static safety
+/// verifier (docs/ANALYSIS.md) reads it, because the extension is exactly
+/// the property the verifier checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,20 +81,10 @@ public:
   const std::vector<uint32_t> &rpo() const { return RPO; }
   bool isReachable(uint32_t B) const { return Reachable[B]; }
 
-  /// Immediate dominator of each block (header of idom tree); entry's idom
-  /// is itself; unreachable blocks map to ~0u.
-  const std::vector<uint32_t> &idom() const { return IDom; }
-  bool dominates(uint32_t A, uint32_t B) const;
-
 private:
-  void computeDominators();
-
-  const ir::Function &F;
   std::vector<std::vector<uint32_t>> Succs, Preds;
   std::vector<uint32_t> RPO;
-  std::vector<uint32_t> RPOIndex;
   std::vector<bool> Reachable;
-  std::vector<uint32_t> IDom;
 };
 
 /// A natural loop.
@@ -107,7 +102,7 @@ struct LoopInfo {
 };
 
 /// Finds natural loops (one per back edge; loops sharing a header are
-/// merged).
+/// merged). Computes the dominators it needs to recognise back edges.
 std::vector<LoopInfo> findLoops(const ir::Function &F, const CFGInfo &CFG);
 
 /// Def and use counts per virtual register.
@@ -130,35 +125,40 @@ void forEachUse(const ir::Instruction &I, Callable Fn) {
       Fn(V.Reg);
 }
 
-/// Per-function liveness with the KEEP_LIVE base extension.
+/// Per-function backward liveness (see the file comment for the two
+/// instances).
 class Liveness {
 public:
-  Liveness(const ir::Function &F, const CFGInfo &CFG);
+  enum Uses { Plain, KeepLiveExtended };
+
+  Liveness(const ir::Function &F, const CFGInfo &CFG, Uses Kind);
 
   const RegSet &liveIn(uint32_t B) const { return LiveIn[B]; }
   const RegSet &liveOut(uint32_t B) const { return LiveOut[B]; }
 
-  /// Adds \p R and any KEEP_LIVE bases it transitively pins to \p S.
+  /// Adds \p R to \p S, and in the extended instance every KEEP_LIVE base
+  /// it transitively pins.
   void expandUse(uint32_t R, RegSet &S) const;
 
-  /// The KEEP_LIVE bases pinned by register \p R (empty if R is not a
-  /// KeepLive destination). Exposed for the static safety verifier.
-  const std::vector<uint32_t> &keepLiveBases(uint32_t R) const {
-    return KLBases[R];
-  }
+  /// Fills \p Out with the live set just after each instruction of block
+  /// \p B (Out[i] = live after Insts[i]).
+  void liveAfter(uint32_t B, std::vector<RegSet> &Out) const;
 
   /// Maximum number of simultaneously live registers at any point in block
-  /// \p B (used by the register-pressure cost model).
-  unsigned maxPressure(uint32_t B) const { return MaxPressure[B]; }
+  /// \p B (the VM's register-pressure cost model); walks the block.
+  unsigned maxPressure(uint32_t B) const;
 
 private:
+  /// Steps \p Live backward across \p I.
+  void step(const ir::Instruction &I, RegSet &Live) const;
+
+  const ir::Function &F;
   std::vector<RegSet> LiveIn, LiveOut;
-  std::vector<unsigned> MaxPressure;
-  /// KeepLive destination -> base registers. Several KeepLives may write
-  /// the same destination along different paths; treating the mapping as a
-  /// set (rather than last-writer-wins) keeps the extension conservative —
-  /// every base any of them pins stays live wherever the destination is
-  /// live.
+  /// KeepLive destination -> base registers; all empty in the plain
+  /// instance. Several KeepLives may write the same destination along
+  /// different paths; treating the mapping as a set (rather than
+  /// last-writer-wins) keeps the extension conservative — every base any
+  /// of them pins stays live wherever the destination is live.
   std::vector<std::vector<uint32_t>> KLBases;
 };
 

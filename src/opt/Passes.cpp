@@ -542,30 +542,24 @@ void gcsafe::opt::strengthReduceIVs(Function &F, PassStats &Stats) {
       return true;
     };
 
+    // One walk over the loop collects each register's in-loop definition
+    // count and its first in-loop definition; in ascending register order,
+    // a register with exactly one that matches is a basic IV.
+    std::vector<uint32_t> LoopDefs(F.NumRegs, 0);
+    std::vector<DefSite> LoopSite(F.NumRegs);
+    for (uint32_t BId : Loop.Blocks) {
+      const std::vector<Instruction> &Insts = F.Blocks[BId].Insts;
+      for (uint32_t Idx = 0; Idx < Insts.size(); ++Idx)
+        if (uint32_t R = Insts[Idx].Dst; R != NoReg && LoopDefs[R]++ == 0)
+          LoopSite[R] = {BId, Idx};
+    }
     std::vector<BasicIV> IVs;
     for (uint32_t R = 0; R < F.NumRegs; ++R) {
-      int InLoopDefs = 0;
-      BasicIV IV{R, 0, 0, 0};
-      bool Shape = true;
-      for (uint32_t BId = 0; BId < F.Blocks.size() && Shape; ++BId) {
-        const BasicBlock &B = F.Blocks[BId];
-        for (size_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
-          const Instruction &I = B.Insts[Idx];
-          if (I.Dst != R || !InLoop[BId])
-            continue;
-          ++InLoopDefs;
-          int64_t Step = 0;
-          if (InLoopDefs > 1 || !MatchIVUpdate(R, I, Step)) {
-            Shape = false;
-            break;
-          }
-          IV.Step = Step;
-          IV.StepBlock = BId;
-          IV.StepIndex = Idx;
-        }
-      }
-      if (Shape && InLoopDefs == 1)
-        IVs.push_back(IV);
+      const DefSite &Site = LoopSite[R];
+      int64_t Step = 0;
+      if (LoopDefs[R] == 1 &&
+          MatchIVUpdate(R, F.Blocks[Site.Block].Insts[Site.Index], Step))
+        IVs.push_back({R, Step, Site.Block, Site.Index});
     }
     if (IVs.empty())
       continue;
@@ -971,7 +965,7 @@ void gcsafe::opt::coalesceCopies(Function &F, PassStats &Stats) {
 
 void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
   CFGInfo CFG(F);
-  Liveness LV(F, CFG);
+  Liveness LV(F, CFG, Liveness::KeepLiveExtended);
 
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     BasicBlock &B = F.Blocks[BId];

@@ -310,7 +310,7 @@ const VM::Code &VM::decoded(uint32_t FnIndex) {
   std::vector<uint32_t> Penalty(F.Blocks.size(), 0);
   {
     opt::CFGInfo CFG(F);
-    opt::Liveness LV(F, CFG);
+    opt::Liveness LV(F, CFG, opt::Liveness::KeepLiveExtended);
     for (uint32_t B = 0; B < F.Blocks.size(); ++B) {
       unsigned P = LV.maxPressure(B);
       if (P > Opts.Model.NumRegs)

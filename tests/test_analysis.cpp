@@ -1,7 +1,7 @@
 //===- tests/test_analysis.cpp - Static GC-safety verifier ---------------===//
 //
 // Tests for the analysis subsystem (docs/ANALYSIS.md): the BaseLiveness
-// dataflow on hand-built CFGs, the SafetyVerifier's point checks and
+// facts and the plain opt::Liveness instance on hand-built CFGs, the SafetyVerifier's point checks and
 // kill-placement audit, pass-to-pass KEEP_LIVE continuity, the mutation
 // self-test (the verifier must flag every seeded corruption and pass every
 // clean program in every mode), and the gcsafe-lint-v1 report.
@@ -13,6 +13,7 @@
 #include "analysis/SafetyVerifier.h"
 #include "driver/Pipeline.h"
 #include "opt/CFG.h"
+#include "support/FaultInject.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -184,9 +185,10 @@ TEST(BaseLiveness, StraightLineFactsAndPlainLiveness) {
   EXPECT_FALSE(BL.inKillContract(0, 0));
 
   // Plain (unextended) liveness: the base r0 is dead after the KeepLive —
-  // exactly the fact opt::Liveness would extend away.
+  // exactly the fact the extended instance extends away.
+  opt::Liveness Plain(F, CFG, opt::Liveness::Plain);
   std::vector<opt::RegSet> LiveAfter;
-  BL.liveAfterPerInstruction(0, LiveAfter);
+  Plain.liveAfter(0, LiveAfter);
   ASSERT_EQ(LiveAfter.size(), 4u);
   EXPECT_TRUE(LiveAfter[0].test(0));
   EXPECT_TRUE(LiveAfter[1].test(0)); // r0 still read by the KeepLive.
@@ -257,7 +259,7 @@ TEST(BaseLiveness, MergeJoinsBaseSets) {
   EXPECT_EQ(AtJoin.at(3), (std::set<uint32_t>{1u, 2u}));
 }
 
-TEST(BaseLiveness, LoopLivenessReachesTheHeader) {
+TEST(PlainLiveness, LoopLivenessReachesTheHeader) {
   // b0: r0=0, r1=10 -> b1: while (r1 > 0) -> b2: r1-- -> b1; b3: ret r0
   ir::Instruction Cmp = inst(ir::Opcode::CmpGtS);
   Cmp.Dst = 2;
@@ -275,12 +277,62 @@ TEST(BaseLiveness, LoopLivenessReachesTheHeader) {
                                     {ret(0)},
                                 });
   opt::CFGInfo CFG(F);
-  BaseLiveness BL(F, CFG);
+  opt::Liveness Live(F, CFG, opt::Liveness::Plain);
 
-  EXPECT_TRUE(BL.liveIn(1).test(0)); // survives the loop to the return
-  EXPECT_TRUE(BL.liveIn(1).test(1)); // loop-carried counter
-  EXPECT_TRUE(BL.liveOut(2).test(1));
-  EXPECT_FALSE(BL.liveOut(3).test(0));
+  EXPECT_TRUE(Live.liveIn(1).test(0)); // survives the loop to the return
+  EXPECT_TRUE(Live.liveIn(1).test(1)); // loop-carried counter
+  EXPECT_TRUE(Live.liveOut(2).test(1));
+  EXPECT_FALSE(Live.liveOut(3).test(0));
+}
+
+TEST(PlainLiveness, CallArgumentsAreUses) {
+  // b0: r0 = 100; jmp b1 -> b1: r1 = call f(r0); r2 = call g(r0); ret r1
+  ir::Instruction CallF = inst(ir::Opcode::Call);
+  CallF.Dst = 1;
+  CallF.Args = {ir::Value::reg(0)};
+  ir::Instruction CallG = inst(ir::Opcode::Call);
+  CallG.Dst = 2;
+  CallG.Args = {ir::Value::reg(0)};
+  ir::Function F = makeFunction(
+      "f", 3, {{movImm(0, 100), jmp(1)}, {CallF, CallG, ret(1)}});
+  opt::CFGInfo CFG(F);
+  opt::Liveness Live(F, CFG, opt::Liveness::Plain);
+
+  EXPECT_TRUE(Live.liveIn(1).test(0));
+  EXPECT_TRUE(Live.liveOut(0).test(0));
+  std::vector<opt::RegSet> LiveAfter;
+  Live.liveAfter(1, LiveAfter);
+  ASSERT_EQ(LiveAfter.size(), 3u);
+  EXPECT_TRUE(LiveAfter[0].test(0)); // still an argument of the second call
+  EXPECT_FALSE(LiveAfter[1].test(0));
+  EXPECT_EQ(Live.maxPressure(1), 2u); // {r0, r1} between the calls
+}
+
+TEST(PlainLiveness, OnlyTheExtendedInstanceKeepsTheBaseLive) {
+  // r0 = 100; r1 = r0 + 8; r2 = KEEP_LIVE(r1, r0); return r2
+  ir::Function F = makeFunction(
+      "f", 3,
+      {{movImm(0, 100), addImm(1, 0, 8), keepLive(2, 1, 0), ret(2)}});
+  opt::CFGInfo CFG(F);
+  opt::Liveness Plain(F, CFG, opt::Liveness::Plain);
+  opt::Liveness Extended(F, CFG, opt::Liveness::KeepLiveExtended);
+
+  std::vector<opt::RegSet> PlainAfter, ExtendedAfter;
+  Plain.liveAfter(0, PlainAfter);
+  Extended.liveAfter(0, ExtendedAfter);
+  ASSERT_EQ(PlainAfter.size(), 4u);
+  ASSERT_EQ(ExtendedAfter.size(), 4u);
+  // After the KeepLive, r0 is dead to the plain instance only.
+  EXPECT_TRUE(PlainAfter[2].test(2));
+  EXPECT_TRUE(ExtendedAfter[2].test(2));
+  EXPECT_FALSE(PlainAfter[2].test(0));
+  EXPECT_TRUE(ExtendedAfter[2].test(0));
+  // Before it, both instances agree.
+  for (uint32_t R = 0; R < 3; ++R) {
+    EXPECT_EQ(PlainAfter[1].test(R), ExtendedAfter[1].test(R)) << R;
+  }
+  EXPECT_EQ(Plain.maxPressure(0), 2u);
+  EXPECT_EQ(Extended.maxPressure(0), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,6 +344,18 @@ TEST(SafetyVerifier, CleanStraightLineIsGreen) {
       "f", 3,
       {{movImm(0, 100), addImm(1, 0, 8), keepLive(2, 1, 0), kill(1),
         ret(2)}});
+  auto Diags = pointCheck(F);
+  EXPECT_TRUE(Diags.empty()) << renderAll(Diags);
+}
+
+TEST(SafetyVerifier, BaseKillAfterTheDerivedValueIsRedefinedIsGreen) {
+  // r2 = KEEP_LIVE(r1, r0) is redefined as a fresh value before r0 is
+  // killed, so the kill is correct. Only the KEEP_LIVE-extended liveness,
+  // which is flow-insensitive about r2's bases, would call r0 live there.
+  ir::Function F = makeFunction(
+      "f", 3,
+      {{movImm(0, 100), addImm(1, 0, 8), keepLive(2, 1, 0), kill(1),
+        movImm(2, 7), kill(0), ret(2)}});
   auto Diags = pointCheck(F);
   EXPECT_TRUE(Diags.empty()) << renderAll(Diags);
 }
@@ -569,6 +633,42 @@ TEST(SafetyPipeline, EachPassModeNamesTheOffendingPass) {
     Attributed = Attributed ||
                  (D.Pass == "licm" && D.Kind == "keep_live_dropped");
   EXPECT_TRUE(Attributed) << renderAll(CR.SafetyDiags);
+}
+
+TEST(SafetyPipeline, GateCommittedStatesAreNotVerifiedAgain) {
+  // Under a commit gate with each-pass checkpoints, the verifier (here
+  // counted through the memo) runs for (lower), every gate, every
+  // rolled-back checkpoint and (final). A committed state passed the gate
+  // on the same IR, so its checkpoint only counts the run.
+  Compilation C(cordtest().Name, cordtest().Source);
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    support::FaultInjector Faults;
+    std::string Error;
+    ASSERT_TRUE(support::FaultInjector::parse(
+        std::to_string(Seed) + ":opt.pass.corrupt@p0.3", Faults, Error))
+        << Error;
+    PassTransactions Txn;
+    Txn.Faults = &Faults;
+    VerifyMemo Memo;
+    uint64_t Gates = 0; // every pass that ran reaches the gate
+    CompileOptions CO;
+    CO.Mode = CompileMode::O2Safe;
+    CO.Verify = SafetyVerify::EachPass;
+    CO.Txn = &Txn;
+    CO.Memo = &Memo;
+    CO.PassMutator = [&Gates](const char *, ir::Function &) { ++Gates; };
+    CompileResult CR = C.compile(CO);
+    ASSERT_TRUE(CR.Ok) << CR.Errors;
+    ASSERT_FALSE(Txn.Rollbacks.empty()) << "seed " << Seed;
+    uint64_t Functions = CR.Module.Functions.size();
+    EXPECT_EQ(Memo.hits() + Memo.misses(),
+              2 * Functions + Gates + Txn.Rollbacks.size())
+        << "seed " << Seed;
+    // Each pass that ran still counts one checkpoint run.
+    EXPECT_EQ(CR.Stats.get("analysis.verify.runs"), 2 * Functions + Gates)
+        << "seed " << Seed;
+    EXPECT_TRUE(CR.SafetyDiags.empty()) << renderAll(CR.SafetyDiags);
+  }
 }
 
 //===----------------------------------------------------------------------===//

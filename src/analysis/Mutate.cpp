@@ -22,6 +22,18 @@ const char *gcsafe::analysis::mutationKindName(MutationKind K) {
   return "?";
 }
 
+bool gcsafe::analysis::parseMutationKindName(const std::string &Name,
+                                             MutationKind &Out) {
+  for (MutationKind K :
+       {MutationKind::DeleteKeepLive, MutationKind::DropKill,
+        MutationKind::HoistKill, MutationKind::ClobberBase})
+    if (Name == mutationKindName(K)) {
+      Out = K;
+      return true;
+    }
+  return false;
+}
+
 namespace {
 
 std::string describe(MutationKind K, const Function &F, uint32_t B,

@@ -48,6 +48,9 @@ enum class MutationKind : uint8_t {
 };
 
 const char *mutationKindName(MutationKind K);
+/// The inverse (the --corrupt-kind / corrupt_kind token); false on
+/// unknown names.
+bool parseMutationKindName(const std::string &Name, MutationKind &Out);
 
 struct Mutation {
   MutationKind Kind;

@@ -25,19 +25,14 @@ const std::string &gcsafe::driver::keyFingerprint() {
 
 bool gcsafe::driver::parseCompileModeName(const std::string &Text,
                                           CompileMode &Out) {
-  if (Text == "o2")
-    Out = CompileMode::O2;
-  else if (Text == "safe")
-    Out = CompileMode::O2Safe;
-  else if (Text == "safepost")
-    Out = CompileMode::O2SafePost;
-  else if (Text == "debug")
-    Out = CompileMode::Debug;
-  else if (Text == "checked")
-    Out = CompileMode::DebugChecked;
-  else
-    return false;
-  return true;
+  for (CompileMode M : {CompileMode::O2, CompileMode::O2Safe,
+                        CompileMode::O2SafePost, CompileMode::Debug,
+                        CompileMode::DebugChecked})
+    if (Text == compileModeToken(M)) {
+      Out = M;
+      return true;
+    }
+  return false;
 }
 
 const char *gcsafe::driver::compileModeToken(CompileMode Mode) {
@@ -51,12 +46,10 @@ const char *gcsafe::driver::compileModeToken(CompileMode Mode) {
   return "?";
 }
 
-bool gcsafe::driver::knownMachineName(const std::string &Name) {
-  return Name == "sparc2" || Name == "sparc10" || Name == "pentium90";
-}
-
-RequestContext::RequestContext(RequestOptions O, support::TraceBuffer *Trace)
-    : Opts(std::move(O)), Comp(Opts.Name, Opts.Source), Trace(Trace) {
+RequestContext::RequestContext(RequestOptions O, support::TraceBuffer *Trace,
+                               vm::VMOptions Host)
+    : Opts(std::move(O)), Host(std::move(Host)), Comp(Opts.Name, Opts.Source),
+      Trace(Trace) {
   if (!Opts.FailInjectSpec.empty()) {
     if (support::FaultInjector::parse(Opts.FailInjectSpec, Faults,
                                       FaultParseError))
@@ -68,40 +61,31 @@ RequestContext::RequestContext(RequestOptions O, support::TraceBuffer *Trace)
 
 RequestContext::~RequestContext() = default;
 
-bool RequestContext::parse(std::string &Error) {
-  if (Comp.parse())
-    return true;
-  Error = Comp.renderedDiagnostics();
-  return false;
-}
-
 RequestOutcome RequestContext::execute() {
   RequestOutcome Out;
+  auto Fail = [&Out](int ExitCode, std::string Error) {
+    Out.ExitCode = ExitCode;
+    Out.Error = std::move(Error);
+    return std::move(Out);
+  };
+  auto SafetyText = [](const CompileResult &CR) {
+    std::string Text;
+    for (const analysis::SafetyDiag &D : CR.SafetyDiags)
+      Text += analysis::formatSafetyDiag(D) + "\n";
+    return Text;
+  };
 
-  if (!FaultParseError.empty()) {
-    Out.ExitCode = support::ExitUsage;
-    Out.Error = "bad fail-inject spec: " + FaultParseError;
-    return Out;
-  }
-  vm::VMOptions VO;
-  if (Opts.MachineName == "sparc2")
-    VO.Model = vm::sparc2();
-  else if (Opts.MachineName == "sparc10" || Opts.MachineName.empty())
+  if (!FaultParseError.empty())
+    return Fail(support::ExitUsage, "bad fail-inject spec: " + FaultParseError);
+  vm::VMOptions VO = Host;
+  if (Opts.MachineName.empty())
     VO.Model = vm::sparc10();
-  else if (Opts.MachineName == "pentium90")
-    VO.Model = vm::pentium90();
-  else {
-    Out.ExitCode = support::ExitUsage;
-    Out.Error = "unknown machine '" + Opts.MachineName + "'";
-    return Out;
-  }
+  else if (!vm::machineModelByName(Opts.MachineName, VO.Model))
+    return Fail(support::ExitUsage,
+                "unknown machine '" + Opts.MachineName + "'");
 
-  std::string ParseError;
-  if (!parse(ParseError)) {
-    Out.ExitCode = support::ExitError;
-    Out.Error = ParseError;
-    return Out;
-  }
+  if (!Comp.parse())
+    return Fail(support::ExitError, Comp.renderedDiagnostics());
 
   CompileOptions CO;
   CO.Mode = Opts.Mode;
@@ -111,7 +95,7 @@ RequestOutcome RequestContext::execute() {
   CO.VerifyIREachPass = Opts.VerifyIREachPass;
   CO.Memo = Opts.Memo;
 
-  CompileResult CR;
+  CompileResult &CR = Out.Compile;
   if (Opts.SelfHeal) {
     SelfHealOptions SH;
     SH.StartRung = Opts.StartRung;
@@ -122,55 +106,39 @@ RequestOutcome RequestContext::execute() {
     Out.Degraded = Heal.Degraded;
     Out.Rung = optRungName(Heal.Rung);
     Out.Quarantined = Heal.Quarantined;
-    if (CR.Ok && !Heal.Ok) {
-      // Every rung failed final verification — unsafe code with nowhere
-      // left to descend (the gcsafe-cc exit-3 path).
-      Out.ExitCode = support::ExitSafetyViolation;
-      for (const analysis::SafetyDiag &D : CR.SafetyDiags)
-        Out.Error += analysis::formatSafetyDiag(D) + "\n";
-      return Out;
-    }
+    // Every rung failed final verification — unsafe code with nowhere
+    // left to descend.
+    if (CR.Ok && !Heal.Ok)
+      return Fail(support::ExitSafetyViolation, SafetyText(CR));
   } else {
     CR = Comp.compile(CO);
   }
-  if (!CR.Ok) {
-    Out.ExitCode = support::ExitError;
-    Out.Error = CR.Errors;
-    return Out;
-  }
-  std::vector<std::string> VerifyErrors;
-  if (!ir::verifyModule(CR.Module, VerifyErrors)) {
-    Out.ExitCode = support::ExitError;
-    for (const std::string &E : VerifyErrors)
-      Out.Error += "IR verifier: " + E + "\n";
-    return Out;
-  }
-  if (!CR.IRVerifyErrors.empty()) {
-    Out.ExitCode = support::ExitError;
-    for (const std::string &E : CR.IRVerifyErrors)
-      Out.Error += "IR verifier: " + E + "\n";
-    return Out;
+  if (!CR.Ok)
+    return Fail(support::ExitError, CR.Errors);
+  // The final module's structural check, else the each-pass one's.
+  std::vector<std::string> IRErrors;
+  if (ir::verifyModule(CR.Module, IRErrors))
+    IRErrors = CR.IRVerifyErrors;
+  if (!IRErrors.empty()) {
+    std::string Text;
+    for (const std::string &E : IRErrors)
+      Text += "IR verifier: " + E + "\n";
+    return Fail(support::ExitError, Text);
   }
   if (Opts.Verify != SafetyVerify::None) {
     Out.Lint = buildLintReport(Opts.Name, Opts.Mode,
                                Opts.Verify == SafetyVerify::EachPass, CR,
                                &Comp.buffer());
     Out.HasLint = true;
-    if (!CR.SafetyOk) {
-      Out.ExitCode = support::ExitSafetyViolation;
-      for (const analysis::SafetyDiag &D : CR.SafetyDiags)
-        Out.Error += analysis::formatSafetyDiag(D) + "\n";
-      Out.Report =
-          buildRunReport(Opts.Name, Opts.Mode, Opts.MachineName, CR, nullptr);
-      Out.HasReport = true;
-      return Out;
-    }
   }
-
-  if (!Opts.Run) {
+  // A safety violation (possible only with Verify on) and a compile-only
+  // request end here, with a report of the compile alone.
+  if (!Opts.Run || !CR.SafetyOk) {
     Out.Report =
         buildRunReport(Opts.Name, Opts.Mode, Opts.MachineName, CR, nullptr);
     Out.HasReport = true;
+    if (!CR.SafetyOk)
+      return Fail(support::ExitSafetyViolation, SafetyText(CR));
     Out.Ok = true;
     Out.ExitCode = Out.Degraded ? support::ExitDegradedSuccess
                                 : support::ExitSuccess;
@@ -186,19 +154,18 @@ RequestOutcome RequestContext::execute() {
   if (UseFaults)
     VO.Faults = &Faults;
   vm::VM Machine(CR.Module, VO);
-  vm::RunResult R = Machine.run();
+  const vm::RunResult &R = Out.Run.emplace(Machine.run());
   Out.Report = buildRunReport(Opts.Name, Opts.Mode, Opts.MachineName, CR, &R);
   Out.HasReport = true;
-  if (R.WatchdogTimeout) {
-    Out.ExitCode = support::ExitWatchdogTimeout;
-    Out.Error = R.Error;
-    return Out;
-  }
-  if (!R.Ok) {
-    Out.ExitCode = support::ExitError;
-    Out.Error = "runtime error: " + R.Error;
-    return Out;
-  }
+  if (R.WatchdogTimeout)
+    return Fail(support::ExitWatchdogTimeout, R.Error);
+  if (!R.Ok)
+    return Fail(support::ExitError, "runtime error: " + R.Error);
+  if (R.Gc.AuditViolations)
+    return Fail(support::ExitError,
+                "heap audit found " + std::to_string(R.Gc.AuditViolations) +
+                    " violation(s) over " + std::to_string(R.Gc.AuditsRun) +
+                    " audit(s)");
   Out.Ok = true;
   // A degraded-but-correct run reports ExitDegradedSuccess in place of 0;
   // a nonzero program exit always wins.

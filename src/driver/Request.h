@@ -14,9 +14,12 @@
 /// VerifyMemo and, when traced, the lock-free event ring. gcsafe-serve runs one context per request on its worker
 /// pool; gcsafe-batch does the same, one forked sandbox per context.
 ///
-/// The exit-code mapping is the gcsafe-cc contract (support/ExitCodes.h):
-/// parse/compile/run errors are 1, safety violations 3, degraded success
-/// 5, watchdog timeouts 6, and otherwise the guest program's own status.
+/// gcsafe-cc is a client too: it keeps flag parsing, the source-only
+/// outputs and output routing, and takes everything from compile to exit
+/// code from execute(). That makes this file the one copy of the exit-code
+/// contract (support/ExitCodes.h): parse/compile/run errors and heap-audit
+/// violations are 1, safety violations 3, degraded success 5, watchdog
+/// timeouts 6, and otherwise the guest program's own status.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,7 @@
 #include "support/Trace.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,6 +102,11 @@ struct RequestOutcome {
   /// gcsafe-lint-v1 (present when Verify was requested).
   support::Json Lint;
   bool HasLint = false;
+  /// The compile, once the frontend parsed, and the run, when the VM ran:
+  /// what gcsafe-cc's --dump-ir, --stats and audit and fault summaries
+  /// print from.
+  CompileResult Compile;
+  std::optional<vm::RunResult> Run;
 };
 
 /// One request's private state. Not copyable; not shared across threads.
@@ -105,27 +114,33 @@ class RequestContext {
 public:
   /// \p Trace, when non-null, receives the compile's and the run's
   /// events (the service's ring when it stitches traces); null traces
-  /// nothing.
+  /// nothing. \p Host carries the VM settings the wire format does not
+  /// (OOM policy and retries, heap-page cap, heap audit, profiler); the
+  /// request's machine, GC schedule, watchdogs, trace and faults are
+  /// overlaid onto it.
   explicit RequestContext(RequestOptions Opts,
-                          support::TraceBuffer *Trace = nullptr);
+                          support::TraceBuffer *Trace = nullptr,
+                          vm::VMOptions Host = {});
   RequestContext(const RequestContext &) = delete;
   RequestContext &operator=(const RequestContext &) = delete;
   ~RequestContext();
 
-  /// Frontend only; false on parse errors (Error holds the diagnostics).
-  /// Idempotent — execute() reuses the parse.
-  bool parse(std::string &Error);
-
   /// Middle end (+ VM when Opts.Run) with the gcsafe-cc exit-code
-  /// contract. Safe to call without parse(); parse errors become an
+  /// contract. Parses first if nobody has; parse errors become an
   /// ExitError outcome.
   RequestOutcome execute();
 
   const RequestOptions &options() const { return Opts; }
   const SelfHealReport &healReport() const { return Heal; }
+  /// The frontend: parse() it for the source-only outputs (annotated
+  /// source, AST, edits) or to learn whether the source parses; execute()
+  /// reuses that parse.
+  Compilation &compilation() { return Comp; }
+  const support::FaultInjector &faults() const { return Faults; }
 
 private:
   RequestOptions Opts;
+  vm::VMOptions Host;
   Compilation Comp;
   support::FaultInjector Faults;
   bool UseFaults = false;
@@ -151,8 +166,6 @@ bool parseCompileModeName(const std::string &Text, CompileMode &Out);
 /// The inverse: the protocol/CLI token for \p Mode (not the display name
 /// compileModeName returns).
 const char *compileModeToken(CompileMode Mode);
-/// True when \p Name is a known cost model (sparc2, sparc10, pentium90).
-bool knownMachineName(const std::string &Name);
 
 } // namespace driver
 } // namespace gcsafe

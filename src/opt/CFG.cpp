@@ -219,13 +219,14 @@ Liveness::Liveness(const Function &FIn, const CFGInfo &CFG, Uses Kind)
   size_t N = F.Blocks.size();
   LiveIn.assign(N, RegSet(F.NumRegs));
   LiveOut.assign(N, RegSet(F.NumRegs));
-  KLBases.assign(F.NumRegs, {});
 
   if (Kind == KeepLiveExtended)
     for (const BasicBlock &B : F.Blocks)
       for (const Instruction &I : B.Insts)
         if (I.Op == Opcode::KeepLive && I.Dst != NoReg && I.B.isReg() &&
             I.B.Reg != I.Dst) {
+          if (KLBases.empty())
+            KLBases.resize(F.NumRegs);
           std::vector<uint32_t> &Bases = KLBases[I.Dst];
           if (std::find(Bases.begin(), Bases.end(), I.B.Reg) == Bases.end())
             Bases.push_back(I.B.Reg);
@@ -254,7 +255,10 @@ Liveness::Liveness(const Function &FIn, const CFGInfo &CFG, Uses Kind)
 void Liveness::step(const Instruction &I, RegSet &Live) const {
   if (I.Dst != NoReg)
     Live.clear(I.Dst);
-  forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
+  if (KLBases.empty())
+    forEachUse(I, [&](uint32_t R) { Live.set(R); });
+  else
+    forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
 }
 
 void Liveness::liveAfter(uint32_t B, std::vector<RegSet> &Out) const {
@@ -279,6 +283,10 @@ unsigned Liveness::maxPressure(uint32_t B) const {
 }
 
 void Liveness::expandUse(uint32_t R, RegSet &S) const {
+  if (KLBases.empty()) {
+    S.set(R);
+    return;
+  }
   // Follow the KEEP_LIVE base chains: wherever a KeepLive destination is
   // live, all its bases are live too. Terminates because sets only grow;
   // the common single-base case stays iterative.

@@ -154,9 +154,10 @@ private:
 
   const ir::Function &F;
   std::vector<RegSet> LiveIn, LiveOut;
-  /// KeepLive destination -> base registers; all empty in the plain
-  /// instance. Several KeepLives may write the same destination along
-  /// different paths; treating the mapping as a set (rather than
+  /// KeepLive destination -> base registers. Not allocated in the plain
+  /// instance, nor when F has no KeepLive: a use is then just set, with no
+  /// chain to chase. Several KeepLives may write the same destination
+  /// along different paths; treating the mapping as a set (rather than
   /// last-writer-wins) keeps the extension conservative — every base any
   /// of them pins stays live wherever the destination is live.
   std::vector<std::vector<uint32_t>> KLBases;

@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include "analysis/Mutate.h"
+
 #include <cassert>
 
 using namespace gcsafe;
@@ -28,20 +30,6 @@ uint64_t getUInt(const Json &J, const char *Key, uint64_t Default = 0) {
 bool getBool(const Json &J, const char *Key, bool Default = false) {
   const Json *V = J.get(Key);
   return V && V->isBool() ? V->asBool() : Default;
-}
-
-bool parseCorruptKind(const std::string &K, int &Out) {
-  if (K == "delete_keep_live")
-    Out = 0;
-  else if (K == "drop_kill")
-    Out = 1;
-  else if (K == "hoist_kill")
-    Out = 2;
-  else if (K == "clobber_base")
-    Out = 3;
-  else
-    return false;
-  return true;
 }
 
 } // namespace
@@ -112,7 +100,8 @@ bool gcsafe::serve::parseRequestLine(const std::string &Line,
   }
   std::string Machine;
   if (getString(J, "machine", Machine)) {
-    if (!driver::knownMachineName(Machine)) {
+    vm::MachineModel Model;
+    if (!vm::machineModelByName(Machine, Model)) {
       Error = "unknown machine '" + Machine + "'";
       return false;
     }
@@ -152,10 +141,13 @@ bool gcsafe::serve::parseRequestLine(const std::string &Line,
   R.DeadlineNs = getUInt(J, "deadline_ms") * 1000000ull;
   getString(J, "fail_inject", R.FailInjectSpec);
   std::string Corrupt;
-  if (getString(J, "corrupt_kind", Corrupt) &&
-      !parseCorruptKind(Corrupt, R.CorruptKind)) {
-    Error = "unknown corrupt_kind '" + Corrupt + "'";
-    return false;
+  if (getString(J, "corrupt_kind", Corrupt)) {
+    analysis::MutationKind Kind;
+    if (!analysis::parseMutationKindName(Corrupt, Kind)) {
+      Error = "unknown corrupt_kind '" + Corrupt + "'";
+      return false;
+    }
+    R.CorruptKind = static_cast<int>(Kind);
   }
   R.GcInstructionPeriod = getUInt(J, "gc_period");
   R.GcAllocTrigger = getUInt(J, "gc_alloc_trigger");

@@ -549,8 +549,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                              Opts.StitchTraces ? &Flight : nullptr);
 
   ServeResult Result;
-  std::string ParseError;
-  bool Parsed = Ctx.parse(ParseError);
+  bool Parsed = Ctx.compilation().parse();
   if (Opts.Isolate) {
     uint64_t IsoStartNs = support::monotonicNowNs();
     Result = isolatedCompile(Request, DeadlineAtNs, TraceId);

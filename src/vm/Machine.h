@@ -114,6 +114,21 @@ inline MachineModel pentium90() {
   return M;
 }
 
+/// The cost model a --machine= token names ("sparc2", "sparc10",
+/// "pentium90"); false on unknown names. The one name table for the CLI,
+/// the serve protocol and the driver.
+inline bool machineModelByName(const std::string &Token, MachineModel &Out) {
+  if (Token == "sparc2")
+    Out = sparc2();
+  else if (Token == "sparc10")
+    Out = sparc10();
+  else if (Token == "pentium90")
+    Out = pentium90();
+  else
+    return false;
+  return true;
+}
+
 } // namespace vm
 } // namespace gcsafe
 

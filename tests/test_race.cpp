@@ -247,7 +247,9 @@ TEST(TraceRingRace, DumpUnderFireParsesAndIsSane) {
 
   // Dump mid-hammer, exactly as the fatal-signal handler would (the same
   // word-wise seqlock reads; only write(2) under the hood).
-  std::string Path = ::testing::TempDir() + "race_flightrec.json";
+  // Per-process names: concurrent runs of this binary share TempDir().
+  std::string Path = ::testing::TempDir() + "race_flightrec_" +
+                     std::to_string(getpid()) + ".json";
   ASSERT_TRUE(Ring.dumpToFile(Path, "signal", "victim", "victim#1", 11));
   Stop.store(true, std::memory_order_release);
   for (std::thread &T : Pool)
@@ -355,7 +357,8 @@ TEST(RankLint, LegalNestingRecordsForwardEdgesOnly) {
   }
   EXPECT_EQ(G.get("violations")->get("rank_inversions")->asInt(), 0);
 
-  std::string Path = ::testing::TempDir() + "race_lockgraph.json";
+  std::string Path = ::testing::TempDir() + "race_lockgraph_" +
+                     std::to_string(getpid()) + ".json";
   ASSERT_TRUE(support::writeLockGraph(Path));
   std::ifstream In(Path);
   std::stringstream Buf;

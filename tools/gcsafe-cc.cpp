@@ -12,26 +12,17 @@
 //   gcsafe-cc --run --mode=safe file.c    # compile + execute
 //   gcsafe-cc --dump-ir --mode=o2 file.c  # print the optimized IR
 //
-// Options:
-//   --safe | --checked        annotation output mode (default --safe)
-//   --run                     execute instead of printing source
-//   --mode=o2|safe|safepost|debug|checked   compilation mode for
-//                             --run/--dump-ir (default safe)
-//   --machine=sparc2|sparc10|pentium90      cost model (default sparc10)
-//   --gc-period=N             collect every N instructions
-//   --gc-alloc-trigger=N      collect every N allocations
-//   --no-opt1 .. --opt4       annotator optimization toggles
-//   --slow-bases              optimization 3 heuristic
-//   --stats                   print annotation and pass statistics
-//   --dump-ir                 print the compiled module
+// The options are listed by --help and in docs/CLI.md. This file keeps flag
+// parsing, the source-only outputs and output routing; everything from
+// compile to exit code is driver::RequestContext::execute, the same request
+// path gcsafe-serve and gcsafe-batch run.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Mutate.h"
 #include "cfront/ASTPrinter.h"
-#include "driver/Pipeline.h"
-#include "driver/SelfHeal.h"
+#include "driver/Request.h"
 #include "rewrite/EditList.h"
-#include "ir/Verify.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Profile.h"
@@ -41,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -134,6 +126,20 @@ bool startsWith(const char *Arg, const char *Prefix, const char *&Rest) {
   return true;
 }
 
+/// Matches "--NAME" and "--NAME=FILE"; \p Path becomes "" or FILE.
+bool outputFlag(const char *Arg, const char *Name,
+                std::optional<std::string> &Path) {
+  size_t Len = std::strlen(Name);
+  if (std::strncmp(Arg, Name, Len) != 0 || (Arg[Len] && Arg[Len] != '='))
+    return false;
+  Path = Arg[Len] ? Arg + Len + 1 : "";
+  return true;
+}
+
+bool toStdout(const std::optional<std::string> &Path) {
+  return Path && (Path->empty() || *Path == "-");
+}
+
 /// Writes \p Text to \p Path, with "-" (or empty) meaning stdout.
 bool writeReport(const std::string &Path, const std::string &Text) {
   if (Path.empty() || Path == "-") {
@@ -154,28 +160,15 @@ bool writeReport(const std::string &Path, const std::string &Text) {
 
 int main(int argc, char **argv) {
   annotate::AnnotationMode OutputMode = annotate::AnnotationMode::GCSafe;
-  driver::CompileMode Mode = driver::CompileMode::O2Safe;
-  vm::VMOptions VO;
-  annotate::AnnotatorOptions Annot;
-  bool Run = false, DumpIR = false, DumpAST = false, DumpEdits = false,
-       Stats = false;
-  bool StatsJson = false, TraceJson = false, TraceChrome = false;
-  bool ProfileJson = false, ProfileFolded = false;
-  driver::SafetyVerify Verify = driver::SafetyVerify::None;
-  bool LintJson = false, VerifyIREachPass = false;
-  std::string LintJsonPath;
-  std::string StatsJsonPath, TraceJsonPath, TraceChromePath, MachineName =
-                                                                "sparc10";
-  std::string ProfileJsonPath, ProfileFoldedPath;
+  driver::RequestOptions Req;
+  vm::VMOptions Host;
+  bool DumpIR = false, DumpAST = false, DumpEdits = false, Stats = false;
+  // Requested reports and where they go ("" or "-" is stdout).
+  std::optional<std::string> StatsJson, TraceJson, TraceChrome, ProfileJson,
+      ProfileFolded, LintJson;
   uint64_t ProfilePeriod = 0;
   size_t TraceCapacity = 4096;
   std::string InputPath;
-  support::FaultInjector Faults;
-  bool UseFaults = false;
-  bool SelfHeal = false;
-  driver::OptRung StartRung = driver::OptRung::Full;
-  uint64_t PassDeadlineNs = 0, GcDeadlineNs = 0, VmDeadlineNs = 0;
-  int CorruptKind = -1;
 
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
@@ -185,7 +178,7 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--checked")) {
       OutputMode = annotate::AnnotationMode::Checked;
     } else if (!std::strcmp(Arg, "--run")) {
-      Run = true;
+      Req.Run = true;
     } else if (!std::strcmp(Arg, "--dump-ir")) {
       DumpIR = true;
     } else if (!std::strcmp(Arg, "--dump-ast")) {
@@ -194,156 +187,117 @@ int main(int argc, char **argv) {
       DumpEdits = true;
     } else if (!std::strcmp(Arg, "--stats")) {
       Stats = true;
-    } else if (!std::strcmp(Arg, "--stats-json")) {
-      StatsJson = true;
-    } else if (startsWith(Arg, "--stats-json=", Rest)) {
-      StatsJson = true;
-      StatsJsonPath = Rest;
-    } else if (!std::strcmp(Arg, "--trace-json")) {
-      TraceJson = true;
-    } else if (startsWith(Arg, "--trace-json=", Rest)) {
-      TraceJson = true;
-      TraceJsonPath = Rest;
+    } else if (outputFlag(Arg, "--stats-json", StatsJson) ||
+               outputFlag(Arg, "--trace-json", TraceJson) ||
+               outputFlag(Arg, "--profile-json", ProfileJson) ||
+               outputFlag(Arg, "--lint-json", LintJson)) {
+      // outputFlag recorded the destination.
     } else if (startsWith(Arg, "--trace-chrome=", Rest)) {
-      TraceChrome = true;
-      TraceChromePath = Rest;
+      TraceChrome = Rest;
     } else if (startsWith(Arg, "--trace-capacity=", Rest)) {
       TraceCapacity = std::strtoull(Rest, nullptr, 10);
       if (!TraceCapacity) {
         std::fprintf(stderr, "--trace-capacity must be positive\n");
         return support::ExitUsage;
       }
-    } else if (!std::strcmp(Arg, "--profile-json")) {
-      ProfileJson = true;
-    } else if (startsWith(Arg, "--profile-json=", Rest)) {
-      ProfileJson = true;
-      ProfileJsonPath = Rest;
     } else if (startsWith(Arg, "--profile-period=", Rest)) {
       ProfilePeriod = std::strtoull(Rest, nullptr, 10);
     } else if (startsWith(Arg, "--profile-folded=", Rest)) {
-      ProfileFolded = true;
-      ProfileFoldedPath = Rest;
+      ProfileFolded = Rest;
     } else if (!std::strcmp(Arg, "--verify-safety")) {
-      Verify = driver::SafetyVerify::Final;
+      Req.Verify = driver::SafetyVerify::Final;
     } else if (startsWith(Arg, "--verify-safety=", Rest)) {
       if (!std::strcmp(Rest, "each-pass"))
-        Verify = driver::SafetyVerify::EachPass;
+        Req.Verify = driver::SafetyVerify::EachPass;
       else if (!std::strcmp(Rest, "final"))
-        Verify = driver::SafetyVerify::Final;
+        Req.Verify = driver::SafetyVerify::Final;
       else {
         std::fprintf(stderr, "unknown --verify-safety mode '%s'\n", Rest);
         return support::ExitUsage;
       }
-    } else if (!std::strcmp(Arg, "--lint-json")) {
-      LintJson = true;
-    } else if (startsWith(Arg, "--lint-json=", Rest)) {
-      LintJson = true;
-      LintJsonPath = Rest;
     } else if (startsWith(Arg, "--verify-ir=", Rest)) {
       if (!std::strcmp(Rest, "each-pass"))
-        VerifyIREachPass = true;
+        Req.VerifyIREachPass = true;
       else {
         std::fprintf(stderr, "unknown --verify-ir mode '%s'\n", Rest);
         return support::ExitUsage;
       }
     } else if (!std::strcmp(Arg, "--no-opt1")) {
-      Annot.SkipCopies = false;
+      Req.Annot.SkipCopies = false;
     } else if (!std::strcmp(Arg, "--no-opt2")) {
-      Annot.SpecializeIncDec = false;
+      Req.Annot.SpecializeIncDec = false;
     } else if (!std::strcmp(Arg, "--slow-bases")) {
-      Annot.PreferSlowBases = true;
+      Req.Annot.PreferSlowBases = true;
     } else if (!std::strcmp(Arg, "--at-calls-only")) {
-      Annot.Trigger = annotate::GcTrigger::AtCallsOnly;
+      Req.Annot.Trigger = annotate::GcTrigger::AtCallsOnly;
     } else if (startsWith(Arg, "--mode=", Rest)) {
-      std::string M = Rest;
-      if (M == "o2")
-        Mode = driver::CompileMode::O2;
-      else if (M == "safe")
-        Mode = driver::CompileMode::O2Safe;
-      else if (M == "safepost")
-        Mode = driver::CompileMode::O2SafePost;
-      else if (M == "debug")
-        Mode = driver::CompileMode::Debug;
-      else if (M == "checked")
-        Mode = driver::CompileMode::DebugChecked;
-      else {
+      if (!driver::parseCompileModeName(Rest, Req.Mode)) {
         std::fprintf(stderr, "unknown mode '%s'\n", Rest);
         return support::ExitUsage;
       }
     } else if (startsWith(Arg, "--machine=", Rest)) {
-      std::string M = Rest;
-      MachineName = M;
-      if (M == "sparc2")
-        VO.Model = vm::sparc2();
-      else if (M == "sparc10")
-        VO.Model = vm::sparc10();
-      else if (M == "pentium90")
-        VO.Model = vm::pentium90();
-      else {
+      if (!vm::machineModelByName(Rest, Host.Model)) {
         std::fprintf(stderr, "unknown machine '%s'\n", Rest);
         return support::ExitUsage;
       }
+      Req.MachineName = Rest;
     } else if (startsWith(Arg, "--gc-period=", Rest)) {
-      VO.GcInstructionPeriod = std::strtoull(Rest, nullptr, 10);
+      Req.GcInstructionPeriod = std::strtoull(Rest, nullptr, 10);
     } else if (startsWith(Arg, "--gc-alloc-trigger=", Rest)) {
-      VO.GcAllocTrigger = std::strtoull(Rest, nullptr, 10);
+      Req.GcAllocTrigger = std::strtoull(Rest, nullptr, 10);
     } else if (startsWith(Arg, "--gc-call-period=", Rest)) {
-      VO.GcCallPeriod = std::strtoull(Rest, nullptr, 10);
+      Req.GcCallPeriod = std::strtoull(Rest, nullptr, 10);
     } else if (startsWith(Arg, "--oom-policy=", Rest)) {
       std::string P = Rest;
       if (P == "graceful")
-        VO.GcOomPolicy = gc::OomPolicy::Graceful;
+        Host.GcOomPolicy = gc::OomPolicy::Graceful;
       else if (P == "fail")
-        VO.GcOomPolicy = gc::OomPolicy::Fail;
+        Host.GcOomPolicy = gc::OomPolicy::Fail;
       else if (P == "abort")
-        VO.GcOomPolicy = gc::OomPolicy::Abort;
+        Host.GcOomPolicy = gc::OomPolicy::Abort;
       else {
         std::fprintf(stderr, "unknown OOM policy '%s'\n", Rest);
         return support::ExitUsage;
       }
     } else if (startsWith(Arg, "--oom-retries=", Rest)) {
-      VO.GcOomRetries =
+      Host.GcOomRetries =
           static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
     } else if (startsWith(Arg, "--max-heap-pages=", Rest)) {
-      VO.GcMaxHeapPages = std::strtoull(Rest, nullptr, 10);
+      Host.GcMaxHeapPages = std::strtoull(Rest, nullptr, 10);
     } else if (!std::strcmp(Arg, "--heap-audit")) {
-      VO.GcAuditEachCollection = true;
+      Host.GcAuditEachCollection = true;
     } else if (!std::strcmp(Arg, "--self-heal")) {
-      SelfHeal = true;
+      Req.SelfHeal = true;
     } else if (startsWith(Arg, "--opt-rung=", Rest)) {
-      SelfHeal = true;
-      if (!driver::parseOptRung(Rest, StartRung)) {
+      Req.SelfHeal = true;
+      if (!driver::parseOptRung(Rest, Req.StartRung)) {
         std::fprintf(stderr, "unknown --opt-rung '%s'\n", Rest);
         return support::ExitUsage;
       }
     } else if (startsWith(Arg, "--pass-deadline=", Rest)) {
-      SelfHeal = true;
-      PassDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
+      Req.SelfHeal = true;
+      Req.PassDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
     } else if (startsWith(Arg, "--gc-deadline=", Rest)) {
-      GcDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
+      Req.GcDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
     } else if (startsWith(Arg, "--vm-deadline=", Rest)) {
-      VmDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
+      Req.VmDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
     } else if (startsWith(Arg, "--corrupt-kind=", Rest)) {
-      std::string K = Rest;
-      if (K == "delete_keep_live")
-        CorruptKind = 0;
-      else if (K == "drop_kill")
-        CorruptKind = 1;
-      else if (K == "hoist_kill")
-        CorruptKind = 2;
-      else if (K == "clobber_base")
-        CorruptKind = 3;
-      else {
+      analysis::MutationKind Kind;
+      if (!analysis::parseMutationKindName(Rest, Kind)) {
         std::fprintf(stderr, "unknown --corrupt-kind '%s'\n", Rest);
         return support::ExitUsage;
       }
+      Req.CorruptKind = static_cast<int>(Kind);
     } else if (startsWith(Arg, "--fail-inject=", Rest)) {
+      // Checked here so a bad spec is a usage error before any input is
+      // read; the request context parses its own injector from the text.
+      support::FaultInjector Probe;
       std::string Error;
-      if (!support::FaultInjector::parse(Rest, Faults, Error)) {
+      if (!support::FaultInjector::parse(Rest, Probe, Error)) {
         std::fprintf(stderr, "bad --fail-inject spec: %s\n", Error.c_str());
         return support::ExitUsage;
       }
-      UseFaults = true;
+      Req.FailInjectSpec = Rest;
     } else if (!std::strcmp(Arg, "--help") || !std::strcmp(Arg, "-h")) {
       usage();
       return support::ExitSuccess;
@@ -365,22 +319,17 @@ int main(int argc, char **argv) {
   // execute); --trace-json/--trace-chrome alone still need the middle end
   // to produce phase/pass events.
   if (StatsJson || ProfileJson || ProfileFolded)
-    Run = true;
+    Req.Run = true;
   // A lint report is the verifier's output; asking for one turns it on.
-  if (LintJson && Verify == driver::SafetyVerify::None)
-    Verify = driver::SafetyVerify::Final;
+  if (LintJson && Req.Verify == driver::SafetyVerify::None)
+    Req.Verify = driver::SafetyVerify::Final;
   support::TraceBuffer Trace(TraceCapacity);
   support::TraceBuffer *TraceSink =
       (TraceJson || TraceChrome) ? &Trace : nullptr;
-  VO.Trace = TraceSink;
-  VO.VmDeadlineNs = VmDeadlineNs;
-  VO.GcDeadlineNs = GcDeadlineNs;
-  if (UseFaults)
-    VO.Faults = &Faults;
   support::Profiler Prof;
   Prof.SamplePeriodCycles = ProfilePeriod;
   if (ProfileJson || ProfileFolded || ProfilePeriod)
-    VO.Profile = &Prof;
+    Host.Profile = &Prof;
   // Writes the requested trace exports. The ring silently overwrites its
   // oldest events; surface that whenever a trace is actually written out.
   auto WriteTraces = [&]() {
@@ -390,40 +339,41 @@ int main(int argc, char **argv) {
                    "(capacity %zu); raise --trace-capacity\n",
                    static_cast<unsigned long long>(Trace.dropped()),
                    Trace.capacity());
-    if (TraceJson) {
-      if (TraceJsonPath.empty() || TraceJsonPath == "-") {
-        std::fflush(stdout);
-        Trace.dumpTo(STDOUT_FILENO, "export", "", "", 0);
-      } else if (!Trace.dumpToFile(TraceJsonPath, "export", "", "", 0)) {
-        std::fprintf(stderr, "gcsafe-cc: cannot write '%s'\n",
-                     TraceJsonPath.c_str());
-        return false;
-      }
+    if (toStdout(TraceJson)) {
+      std::fflush(stdout);
+      Trace.dumpTo(STDOUT_FILENO, "export", "", "", 0);
+    } else if (TraceJson &&
+               !Trace.dumpToFile(*TraceJson, "export", "", "", 0)) {
+      std::fprintf(stderr, "gcsafe-cc: cannot write '%s'\n",
+                   TraceJson->c_str());
+      return false;
     }
     return !TraceChrome ||
-           writeReport(TraceChromePath,
-                       support::traceToChromeJson(Trace).dump());
+           writeReport(*TraceChrome, support::traceToChromeJson(Trace).dump());
   };
 
-  std::string Source;
-  if (InputPath == "-") {
+  {
     std::stringstream SS;
-    SS << std::cin.rdbuf();
-    Source = SS.str();
-  } else {
-    std::ifstream In(InputPath);
-    if (!In) {
-      std::fprintf(stderr, "gcsafe-cc: cannot open '%s'\n",
-                   InputPath.c_str());
-      return support::ExitError;
+    if (InputPath == "-") {
+      SS << std::cin.rdbuf();
+    } else {
+      std::ifstream In(InputPath);
+      if (!In) {
+        std::fprintf(stderr, "gcsafe-cc: cannot open '%s'\n",
+                     InputPath.c_str());
+        return support::ExitError;
+      }
+      SS << In.rdbuf();
     }
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Source = SS.str();
+    Req.Source = SS.str();
   }
-
-  driver::Compilation Comp(InputPath == "-" ? "<stdin>" : InputPath,
-                           std::move(Source));
+  Req.Name = InputPath == "-" ? "<stdin>" : InputPath;
+  const bool SourceOnly = !Req.Run && !DumpIR && !TraceSink &&
+                          Req.Verify == driver::SafetyVerify::None &&
+                          !Req.VerifyIREachPass;
+  driver::RequestContext Ctx(std::move(Req), TraceSink, Host);
+  const driver::RequestOptions &Opts = Ctx.options();
+  driver::Compilation &Comp = Ctx.compilation();
   if (!Comp.parse()) {
     std::fputs(Comp.renderedDiagnostics().c_str(), stderr);
     return support::ExitError;
@@ -435,14 +385,14 @@ int main(int argc, char **argv) {
 
   if (DumpAST) {
     std::fputs(cfront::printTranslationUnit(Comp.tu()).c_str(), stdout);
-    if (!Run && !DumpIR)
+    if (!Opts.Run && !DumpIR)
       return support::ExitSuccess;
   }
 
   if (DumpEdits) {
     // The paper's "list of insertions and deletions, sorted by character
     // position in the original source string".
-    auto Map = Comp.annotate(Annot);
+    auto Map = Comp.annotate(Opts.Annot);
     rewrite::EditList Edits;
     annotate::renderAnnotationEdits(Comp.buffer(), Map, OutputMode, Edits);
     Edits.forEachSorted([&](uint32_t Pos, uint32_t DeleteLen,
@@ -455,16 +405,15 @@ int main(int argc, char **argv) {
         std::printf(" insert \"%s\"", Text.c_str());
       std::printf("\n");
     });
-    if (!Run && !DumpIR)
+    if (!Opts.Run && !DumpIR)
       return support::ExitSuccess;
   }
 
-  if (!Run && !DumpIR && !TraceJson && !TraceChrome &&
-      Verify == driver::SafetyVerify::None && !VerifyIREachPass) {
-    std::string Out = Comp.annotatedSource(OutputMode, Annot);
+  if (SourceOnly) {
+    std::string Out = Comp.annotatedSource(OutputMode, Opts.Annot);
     std::fputs(Out.c_str(), stdout);
     if (Stats) {
-      auto Map = Comp.annotate(Annot);
+      auto Map = Comp.annotate(Opts.Annot);
       const auto &S = Map.stats();
       std::fprintf(stderr,
                    "annotations: %u keep_lives, %u incdec, %u compound, "
@@ -477,21 +426,10 @@ int main(int argc, char **argv) {
     return support::ExitSuccess;
   }
 
-  driver::CompileOptions CO;
-  CO.Mode = Mode;
-  CO.Annot = Annot;
-  CO.Trace = TraceSink;
-  CO.Verify = Verify;
-  CO.VerifyIREachPass = VerifyIREachPass;
-  driver::CompileResult CR;
-  driver::SelfHealReport Heal;
-  if (SelfHeal) {
-    driver::SelfHealOptions SH;
-    SH.StartRung = StartRung;
-    SH.PassDeadlineNs = PassDeadlineNs;
-    SH.Faults = UseFaults ? &Faults : nullptr;
-    SH.CorruptKind = CorruptKind;
-    CR = driver::compileSelfHealing(Comp, CO, SH, Heal);
+  driver::RequestOutcome Out = Ctx.execute();
+  const driver::CompileResult &CR = Out.Compile;
+  if (Opts.SelfHeal) {
+    const driver::SelfHealReport &Heal = Ctx.healReport();
     for (const std::string &Line : Heal.Log)
       std::fprintf(stderr, "gcsafe-cc: self-heal: %s\n", Line.c_str());
     if (Heal.Degraded)
@@ -500,47 +438,27 @@ int main(int argc, char **argv) {
                    "attempt(s), %zu rollback(s), %zu quarantined pass(es)\n",
                    driver::optRungName(Heal.Rung), Heal.Attempts,
                    Heal.Rollbacks.size(), Heal.Quarantined.size());
-    if (CR.Ok && !Heal.Ok) {
-      // Every rung failed final verification — unsafe code with nowhere
-      // left to descend.
-      for (const analysis::SafetyDiag &D : CR.SafetyDiags)
-        std::fprintf(stderr, "safety: %s\n",
-                     analysis::formatSafetyDiag(D).c_str());
-      return support::ExitSafetyViolation;
-    }
-  } else {
-    CR = Comp.compile(CO);
   }
-  if (!CR.Ok) {
-    std::fputs(CR.Errors.c_str(), stderr);
-    return support::ExitError;
-  }
-  std::vector<std::string> VerifyErrors;
-  if (!ir::verifyModule(CR.Module, VerifyErrors)) {
-    for (const std::string &E : VerifyErrors)
-      std::fprintf(stderr, "IR verifier: %s\n", E.c_str());
-    return support::ExitError;
-  }
-  if (!CR.IRVerifyErrors.empty()) {
-    for (const std::string &E : CR.IRVerifyErrors)
-      std::fprintf(stderr, "IR verifier: %s\n", E.c_str());
-    return support::ExitError;
-  }
-  if (Verify != driver::SafetyVerify::None) {
+  auto PrintSafetyDiags = [&] {
     for (const analysis::SafetyDiag &D : CR.SafetyDiags)
       std::fprintf(stderr, "safety: %s\n",
                    analysis::formatSafetyDiag(D).c_str());
-    if (LintJson) {
-      support::Json Report = driver::buildLintReport(
-          InputPath == "-" ? "<stdin>" : InputPath, Mode,
-          Verify == driver::SafetyVerify::EachPass, CR, &Comp.buffer());
-      if (!writeReport(LintJsonPath, Report.dump()))
-        return support::ExitError;
-    }
-    // Exit code 3 is the stable "safety verification failed" status —
-    // distinct from 1 (compile/runtime error) and 2 (usage).
+  };
+  if (!Out.HasReport) {
+    // The compile itself failed: every self-heal rung failed final
+    // verification (3), or a compile or IR-verifier error (1).
+    if (Out.ExitCode == support::ExitSafetyViolation)
+      PrintSafetyDiags();
+    else
+      std::fputs(Out.Error.c_str(), stderr);
+    return Out.ExitCode;
+  }
+  if (Out.HasLint) {
+    PrintSafetyDiags();
+    if (LintJson && !writeReport(*LintJson, Out.Lint.dump()))
+      return support::ExitError;
     if (!CR.SafetyOk)
-      return support::ExitSafetyViolation;
+      return Out.ExitCode;
   }
 
   if (DumpIR)
@@ -555,46 +473,27 @@ int main(int argc, char **argv) {
                  CR.OptStats.Hoisted, CR.OptStats.Fused,
                  CR.OptStats.KillsInserted);
 
-  if (!Run) {
-    if (StatsJson) {
-      driver::CompileResult &CC = CR;
-      support::Json Report = driver::buildRunReport(
-          InputPath == "-" ? "<stdin>" : InputPath, Mode, MachineName, CC,
-          nullptr);
-      if (!writeReport(StatsJsonPath, Report.dump()))
-        return support::ExitError;
-    }
+  if (!Out.Run) {
     if (TraceSink && !WriteTraces())
       return support::ExitError;
-    return SelfHeal && Heal.Degraded ? support::ExitDegradedSuccess
-                                     : support::ExitSuccess;
+    return Out.ExitCode;
   }
 
-  vm::VM Machine(CR.Module, VO);
-  vm::RunResult R = Machine.run();
+  const vm::RunResult &R = *Out.Run;
   // With the report on stdout, the program's output lives inside it; echo
   // only when the report goes elsewhere.
-  bool ReportOnStdout =
-      (StatsJson && (StatsJsonPath.empty() || StatsJsonPath == "-")) ||
-      (TraceJson && (TraceJsonPath.empty() || TraceJsonPath == "-")) ||
-      (ProfileJson && (ProfileJsonPath.empty() || ProfileJsonPath == "-"));
-  if (!ReportOnStdout)
+  if (!toStdout(StatsJson) && !toStdout(TraceJson) && !toStdout(ProfileJson))
     std::fputs(R.Output.c_str(), stdout);
-  if (StatsJson) {
-    support::Json Report = driver::buildRunReport(
-        InputPath == "-" ? "<stdin>" : InputPath, Mode, MachineName, CR, &R);
-    if (!writeReport(StatsJsonPath, Report.dump()))
-      return support::ExitError;
-  }
+  if (StatsJson && !writeReport(*StatsJson, Out.Report.dump()))
+    return support::ExitError;
   if (ProfileJson) {
-    support::Json Report =
-        Prof.toJson(InputPath == "-" ? "<stdin>" : InputPath,
-                    driver::compileModeName(Mode), MachineName);
-    if (!writeReport(ProfileJsonPath, Report.dump()))
+    support::Json Report = Prof.toJson(
+        Opts.Name, driver::compileModeName(Opts.Mode), Opts.MachineName);
+    if (!writeReport(*ProfileJson, Report.dump()))
       return support::ExitError;
   }
   if (ProfileFolded &&
-      !writeReport(ProfileFoldedPath, Prof.Cycles.foldedOutput()))
+      !writeReport(*ProfileFolded, Prof.Cycles.foldedOutput()))
     return support::ExitError;
   if (TraceSink && !WriteTraces())
     return support::ExitError;
@@ -604,30 +503,26 @@ int main(int argc, char **argv) {
                  "audit(s)\n",
                  static_cast<unsigned long long>(R.Gc.AuditViolations),
                  static_cast<unsigned long long>(R.Gc.AuditsRun));
-  if (UseFaults && Stats)
+  if (!Opts.FailInjectSpec.empty() && Stats)
     std::fprintf(stderr,
                  "fault injection: %llu hits, %llu fires; recovery: %llu "
                  "emergency collections, %llu retries, %llu alloc failures\n",
-                 static_cast<unsigned long long>(Faults.totalHits()),
-                 static_cast<unsigned long long>(Faults.totalFires()),
+                 static_cast<unsigned long long>(Ctx.faults().totalHits()),
+                 static_cast<unsigned long long>(Ctx.faults().totalFires()),
                  static_cast<unsigned long long>(R.Gc.EmergencyCollections),
                  static_cast<unsigned long long>(R.Gc.OomRetriesPerformed),
                  static_cast<unsigned long long>(R.Gc.AllocFailures));
-  if (R.WatchdogTimeout) {
-    std::fprintf(stderr, "gcsafe-cc: %s\n", R.Error.c_str());
-    return support::ExitWatchdogTimeout;
+  if (!Out.Ok) {
+    // A heap-audit failure was summarized just above.
+    if (!R.Ok)
+      std::fprintf(stderr, "gcsafe-cc: %s\n", Out.Error.c_str());
+    return Out.ExitCode;
   }
-  if (!R.Ok) {
-    std::fprintf(stderr, "gcsafe-cc: runtime error: %s\n", R.Error.c_str());
-    return support::ExitError;
-  }
-  if (R.Gc.AuditViolations)
-    return support::ExitError;
   if (Stats || R.CheckViolations || R.FreedAccesses)
     std::fprintf(stderr,
                  "[%s on %s] cycles=%llu instructions=%llu collections=%llu "
                  "checks=%llu violations=%llu freed-accesses=%llu exit=%ld\n",
-                 driver::compileModeName(Mode), VO.Model.Name.c_str(),
+                 driver::compileModeName(Opts.Mode), Host.Model.Name.c_str(),
                  static_cast<unsigned long long>(R.Cycles),
                  static_cast<unsigned long long>(R.InstructionsExecuted),
                  static_cast<unsigned long long>(R.Collections),
@@ -635,10 +530,5 @@ int main(int argc, char **argv) {
                  static_cast<unsigned long long>(R.CheckViolations),
                  static_cast<unsigned long long>(R.FreedAccesses),
                  R.ExitCode);
-  // A degraded-but-correct run reports ExitDegradedSuccess in place of 0;
-  // a nonzero program exit always wins (the program's status is the
-  // contract the caller cares about first).
-  if (R.ExitCode == 0 && SelfHeal && Heal.Degraded)
-    return support::ExitDegradedSuccess;
-  return static_cast<int>(R.ExitCode & 0xFF);
+  return Out.ExitCode;
 }

@@ -149,26 +149,28 @@ struct DaemonState {
   std::atomic<uint64_t> ActiveConns{0};
 };
 
-/// Resolves a compile future under the daemon-side deadline guard: even
-/// if the request wedged somewhere no watchdog covers, the client gets a
-/// typed "deadline" response within the budget plus a small grace.
-serve::ServeResult waitForResult(serve::CompileService &Svc,
-                                 std::future<serve::ServeResult> &F,
-                                 uint64_t DeadlineNs) {
-  (void)Svc;
-  if (DeadlineNs) {
-    uint64_t GraceNs = 500 * 1000000ull;
-    if (F.wait_for(std::chrono::nanoseconds(DeadlineNs + GraceNs)) !=
-        std::future_status::ready) {
-      serve::ServeResult R;
-      R.Ok = false;
-      R.Status = "deadline";
-      R.ExitCode = support::ExitWatchdogTimeout;
-      R.Error = "request exceeded its deadline (daemon guard)";
-      return R;
-    }
+/// The response line of a compile request already submitted as \p F,
+/// under the daemon-side deadline guard: even if the request wedged
+/// somewhere no watchdog covers, the client gets a typed "deadline"
+/// response within the budget plus a small grace.
+std::string compileResponse(const serve::ServeRequest &Req,
+                            std::future<serve::ServeResult> &F) {
+  uint64_t DeadlineNs = Req.Compile.DeadlineNs, GraceNs = 500 * 1000000ull;
+  serve::ServeResult R;
+  if (DeadlineNs &&
+      F.wait_for(std::chrono::nanoseconds(DeadlineNs + GraceNs)) !=
+          std::future_status::ready) {
+    R.Status = "deadline";
+    R.ExitCode = support::ExitWatchdogTimeout;
+    R.Error = "request exceeded its deadline (daemon guard)";
+  } else {
+    R = F.get();
   }
-  return F.get();
+  // The daemon-guard result is built here, not by the service, so the
+  // echoed id is whatever the client sent (possibly nothing).
+  if (R.RequestId.empty())
+    R.RequestId = Req.Compile.RequestId;
+  return serve::renderCompileResponse(Req.Id, R);
 }
 
 /// Handles one already-parsed request against the service and returns
@@ -180,14 +182,8 @@ std::string handleRequest(serve::CompileService &Svc,
                           uint64_t ActiveConns, bool &Shutdown, bool &Drain) {
   switch (Req.Op) {
   case serve::ServeOp::Compile: {
-    uint64_t DeadlineNs = Req.Compile.DeadlineNs;
     std::future<serve::ServeResult> F = Svc.submit(Req.Compile, Req.UseCache);
-    serve::ServeResult R = waitForResult(Svc, F, DeadlineNs);
-    // The daemon-guard result is built here, not by the service, so the
-    // echoed id is whatever the client sent (possibly nothing).
-    if (R.RequestId.empty())
-      R.RequestId = Req.Compile.RequestId;
-    return serve::renderCompileResponse(Req.Id, R);
+    return compileResponse(Req, F);
   }
   case serve::ServeOp::Stats:
     return serve::buildStatsResponse(Req.Id, Svc.statsSnapshot()).dump(0);
@@ -212,18 +208,14 @@ std::string handleRequest(serve::CompileService &Svc,
 }
 
 /// --once: pipeline compile requests through the pool, then write every
-/// response in input order. A stats request observes all compiles that
-/// preceded it in the input (their futures are resolved first).
+/// response in input order. A stats or metrics request observes all
+/// compiles that preceded it in the input (their futures are resolved
+/// first).
 int runOnce(serve::CompileService &Svc) {
   struct Pending {
-    bool Ready = false;
-    std::string Response;              ///< Valid when Ready.
-    std::future<serve::ServeResult> F; ///< Valid when !Ready && IsCompile.
-    bool IsCompile = false;
-    uint64_t DeadlineNs = 0;
-    std::string Id;
-    std::string Rid; ///< Client request_id, for the daemon-guard echo.
-    serve::ServeOp Op = serve::ServeOp::Ping;
+    serve::ServeRequest Req;
+    std::string Response;              ///< Set when answered at read time.
+    std::future<serve::ServeResult> F; ///< Compiles only.
   };
   std::vector<Pending> Order;
   bool Shutdown = false;
@@ -231,56 +223,32 @@ int runOnce(serve::CompileService &Svc) {
   while (!Shutdown && std::getline(std::cin, Line)) {
     if (Line.empty())
       continue;
-    serve::ServeRequest Req;
-    std::string Error;
     Pending P;
-    if (!serve::parseRequestLine(Line, Req, Error)) {
-      P.Ready = true;
-      P.Response = serve::buildErrorResponse(Req.Id, Error).dump(0);
-    } else if (Req.Op == serve::ServeOp::Health) {
+    std::string Error;
+    if (!serve::parseRequestLine(Line, P.Req, Error))
+      P.Response = serve::buildErrorResponse(P.Req.Id, Error).dump(0);
+    else if (P.Req.Op == serve::ServeOp::Health)
       // Readiness is a point-in-time property: answer with the state at
       // read time, not after the whole batch resolved.
-      P.Ready = true;
-      P.Response = serve::buildHealthResponse(Req.Id, Svc.health(), 0).dump(0);
-    } else if (Req.Op == serve::ServeOp::Compile) {
-      P.IsCompile = true;
-      P.Id = Req.Id;
-      P.Rid = Req.Compile.RequestId;
-      P.DeadlineNs = Req.Compile.DeadlineNs;
-      P.F = Svc.submit(Req.Compile, Req.UseCache);
-    } else {
-      P.Id = Req.Id;
-      P.Op = Req.Op;
-      if (Req.Op == serve::ServeOp::Drain)
+      P.Response =
+          serve::buildHealthResponse(P.Req.Id, Svc.health(), 0).dump(0);
+    else if (P.Req.Op == serve::ServeOp::Compile)
+      P.F = Svc.submit(P.Req.Compile, P.Req.UseCache);
+    else if (P.Req.Op == serve::ServeOp::Drain ||
+             P.Req.Op == serve::ServeOp::Shutdown) {
+      if (P.Req.Op == serve::ServeOp::Drain)
         Svc.drain(); // queued compiles still finish; new ones are shed
-      if (Req.Op == serve::ServeOp::Shutdown ||
-          Req.Op == serve::ServeOp::Drain)
-        Shutdown = true; // stop reading; pending compiles still finish
+      Shutdown = true; // stop reading; pending compiles still finish
     }
     Order.push_back(std::move(P));
   }
   for (Pending &P : Order) {
-    std::string Response;
-    if (P.Ready)
-      Response = std::move(P.Response);
-    else if (P.IsCompile) {
-      serve::ServeResult R = waitForResult(Svc, P.F, P.DeadlineNs);
-      if (R.RequestId.empty())
-        R.RequestId = P.Rid;
-      Response = serve::renderCompileResponse(P.Id, R);
-    } else if (P.Op == serve::ServeOp::Stats)
-      Response = serve::buildStatsResponse(P.Id, Svc.statsSnapshot()).dump(0);
-    else if (P.Op == serve::ServeOp::Metrics)
-      // Like stats: a metrics request observes every compile that
-      // preceded it in the input.
-      Response =
-          serve::buildMetricsResponse(P.Id, Svc.metricsSnapshot()).dump(0);
-    else
-      Response = serve::buildAckResponse(
-                     P.Id, P.Op == serve::ServeOp::Shutdown ? "shutdown"
-                           : P.Op == serve::ServeOp::Drain  ? "drain"
-                                                            : "ping")
-                     .dump(0);
+    bool Ignored = false;
+    std::string Response =
+        !P.Response.empty() ? std::move(P.Response)
+        : P.Req.Op == serve::ServeOp::Compile
+            ? compileResponse(P.Req, P.F)
+            : handleRequest(Svc, P.Req, 0, Ignored, Ignored);
     Response.push_back('\n');
     std::fwrite(Response.data(), 1, Response.size(), stdout);
   }

@@ -19,7 +19,7 @@
 
 #include "analysis/Mutate.h"
 #include "analysis/SafetyVerifier.h"
-#include "driver/Pipeline.h"
+#include "driver/Request.h"
 #include "support/ExitCodes.h"
 
 #include <cstdio>
@@ -124,20 +124,13 @@ int main(int argc, char **argv) {
   }
 
   std::vector<driver::CompileMode> Modes;
+  driver::CompileMode One;
   if (ModeArg == "all") {
     Modes = {driver::CompileMode::O2, driver::CompileMode::O2Safe,
              driver::CompileMode::O2SafePost, driver::CompileMode::Debug,
              driver::CompileMode::DebugChecked};
-  } else if (ModeArg == "o2") {
-    Modes = {driver::CompileMode::O2};
-  } else if (ModeArg == "safe") {
-    Modes = {driver::CompileMode::O2Safe};
-  } else if (ModeArg == "safepost") {
-    Modes = {driver::CompileMode::O2SafePost};
-  } else if (ModeArg == "debug") {
-    Modes = {driver::CompileMode::Debug};
-  } else if (ModeArg == "checked") {
-    Modes = {driver::CompileMode::DebugChecked};
+  } else if (driver::parseCompileModeName(ModeArg, One)) {
+    Modes = {One};
   } else {
     std::fprintf(stderr, "safety_mutate: unknown mode '%s'\n",
                  ModeArg.c_str());

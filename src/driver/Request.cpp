@@ -35,6 +35,11 @@ bool gcsafe::driver::parseCompileModeName(const std::string &Text,
   return false;
 }
 
+std::string gcsafe::driver::heapAuditSummary(const gc::CollectorStats &Gc) {
+  return "heap audit found " + std::to_string(Gc.AuditViolations) +
+         " violation(s) over " + std::to_string(Gc.AuditsRun) + " audit(s)";
+}
+
 const char *gcsafe::driver::compileModeToken(CompileMode Mode) {
   switch (Mode) {
   case CompileMode::O2: return "o2";
@@ -151,8 +156,7 @@ RequestOutcome RequestContext::execute() {
   VO.GcDeadlineNs = Opts.GcDeadlineNs;
   VO.VmDeadlineNs = Opts.VmDeadlineNs;
   VO.Trace = Trace;
-  if (UseFaults)
-    VO.Faults = &Faults;
+  VO.Faults = UseFaults ? &Faults : nullptr;
   vm::VM Machine(CR.Module, VO);
   const vm::RunResult &R = Out.Run.emplace(Machine.run());
   Out.Report = buildRunReport(Opts.Name, Opts.Mode, Opts.MachineName, CR, &R);
@@ -162,10 +166,7 @@ RequestOutcome RequestContext::execute() {
   if (!R.Ok)
     return Fail(support::ExitError, "runtime error: " + R.Error);
   if (R.Gc.AuditViolations)
-    return Fail(support::ExitError,
-                "heap audit found " + std::to_string(R.Gc.AuditViolations) +
-                    " violation(s) over " + std::to_string(R.Gc.AuditsRun) +
-                    " audit(s)");
+    return Fail(support::ExitError, heapAuditSummary(R.Gc));
   Out.Ok = true;
   // A degraded-but-correct run reports ExitDegradedSuccess in place of 0;
   // a nonzero program exit always wins.

@@ -115,9 +115,10 @@ public:
   /// \p Trace, when non-null, receives the compile's and the run's
   /// events (the service's ring when it stitches traces); null traces
   /// nothing. \p Host carries the VM settings the wire format does not
-  /// (OOM policy and retries, heap-page cap, heap audit, profiler); the
-  /// request's machine, GC schedule, watchdogs, trace and faults are
-  /// overlaid onto it.
+  /// (OOM policy and retries, heap-page cap, heap audit, profiler).
+  /// execute() overwrites its Model, GC schedule (GcInstructionPeriod,
+  /// GcAllocTrigger, GcCallPeriod), GcDeadlineNs, VmDeadlineNs, Trace and
+  /// Faults from the request, so whatever the caller set there is ignored.
   explicit RequestContext(RequestOptions Opts,
                           support::TraceBuffer *Trace = nullptr,
                           vm::VMOptions Host = {});
@@ -166,6 +167,10 @@ bool parseCompileModeName(const std::string &Text, CompileMode &Out);
 /// The inverse: the protocol/CLI token for \p Mode (not the display name
 /// compileModeName returns).
 const char *compileModeToken(CompileMode Mode);
+
+/// "heap audit found N violation(s) over M audit(s)": execute()'s error
+/// for a run whose heap audit failed, and gcsafe-cc's stderr line for it.
+std::string heapAuditSummary(const gc::CollectorStats &Gc);
 
 } // namespace driver
 } // namespace gcsafe

@@ -255,10 +255,7 @@ Liveness::Liveness(const Function &FIn, const CFGInfo &CFG, Uses Kind)
 void Liveness::step(const Instruction &I, RegSet &Live) const {
   if (I.Dst != NoReg)
     Live.clear(I.Dst);
-  if (KLBases.empty())
-    forEachUse(I, [&](uint32_t R) { Live.set(R); });
-  else
-    forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
+  forEachUse(I, [&](uint32_t R) { expandUse(R, Live); });
 }
 
 void Liveness::liveAfter(uint32_t B, std::vector<RegSet> &Out) const {

@@ -162,6 +162,9 @@ int main(int argc, char **argv) {
   annotate::AnnotationMode OutputMode = annotate::AnnotationMode::GCSafe;
   driver::RequestOptions Req;
   vm::VMOptions Host;
+  // Validated here for the usage error; only its name is printed (execute()
+  // resolves Req.MachineName itself).
+  vm::MachineModel Machine = vm::sparc10();
   bool DumpIR = false, DumpAST = false, DumpEdits = false, Stats = false;
   // Requested reports and where they go ("" or "-" is stdout).
   std::optional<std::string> StatsJson, TraceJson, TraceChrome, ProfileJson,
@@ -236,7 +239,7 @@ int main(int argc, char **argv) {
         return support::ExitUsage;
       }
     } else if (startsWith(Arg, "--machine=", Rest)) {
-      if (!vm::machineModelByName(Rest, Host.Model)) {
+      if (!vm::machineModelByName(Rest, Machine)) {
         std::fprintf(stderr, "unknown machine '%s'\n", Rest);
         return support::ExitUsage;
       }
@@ -498,11 +501,8 @@ int main(int argc, char **argv) {
   if (TraceSink && !WriteTraces())
     return support::ExitError;
   if (R.Gc.AuditViolations)
-    std::fprintf(stderr,
-                 "gcsafe-cc: heap audit found %llu violation(s) over %llu "
-                 "audit(s)\n",
-                 static_cast<unsigned long long>(R.Gc.AuditViolations),
-                 static_cast<unsigned long long>(R.Gc.AuditsRun));
+    std::fprintf(stderr, "gcsafe-cc: %s\n",
+                 driver::heapAuditSummary(R.Gc).c_str());
   if (!Opts.FailInjectSpec.empty() && Stats)
     std::fprintf(stderr,
                  "fault injection: %llu hits, %llu fires; recovery: %llu "
@@ -522,7 +522,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "[%s on %s] cycles=%llu instructions=%llu collections=%llu "
                  "checks=%llu violations=%llu freed-accesses=%llu exit=%ld\n",
-                 driver::compileModeName(Opts.Mode), Host.Model.Name.c_str(),
+                 driver::compileModeName(Opts.Mode), Machine.Name.c_str(),
                  static_cast<unsigned long long>(R.Cycles),
                  static_cast<unsigned long long>(R.InstructionsExecuted),
                  static_cast<unsigned long long>(R.Collections),

@@ -97,50 +97,6 @@ public:
   void visitStmt(const Stmt *S);
 
 private:
-  template <typename Callable>
-  static void forEachChild(const Expr *E, Callable Fn) {
-    switch (E->kind()) {
-    case ExprKind::Paren:
-      Fn(cast<ParenExpr>(E)->inner());
-      return;
-    case ExprKind::Unary:
-      Fn(cast<UnaryExpr>(E)->sub());
-      return;
-    case ExprKind::Binary:
-      Fn(cast<BinaryExpr>(E)->lhs());
-      Fn(cast<BinaryExpr>(E)->rhs());
-      return;
-    case ExprKind::Assign:
-      Fn(cast<AssignExpr>(E)->lhs());
-      Fn(cast<AssignExpr>(E)->rhs());
-      return;
-    case ExprKind::Conditional:
-      Fn(cast<ConditionalExpr>(E)->cond());
-      Fn(cast<ConditionalExpr>(E)->thenExpr());
-      Fn(cast<ConditionalExpr>(E)->elseExpr());
-      return;
-    case ExprKind::Call: {
-      const auto *CE = cast<CallExpr>(E);
-      Fn(CE->callee());
-      for (const Expr *Arg : CE->args())
-        Fn(Arg);
-      return;
-    }
-    case ExprKind::Cast:
-      Fn(cast<CastExpr>(E)->sub());
-      return;
-    case ExprKind::Member:
-      Fn(cast<MemberExpr>(E)->base());
-      return;
-    case ExprKind::Index:
-      Fn(cast<IndexExpr>(E)->base());
-      Fn(cast<IndexExpr>(E)->index());
-      return;
-    default:
-      return;
-    }
-  }
-
   void warn(const Expr *E, const std::string &Message) {
     Diags.warning(SourceLocation(E->range().Begin), Message);
   }

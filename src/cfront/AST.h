@@ -635,6 +635,54 @@ struct TranslationUnit {
   }
 };
 
+/// Calls \p Fn on each direct subexpression of \p E.
+template <typename Callable>
+void forEachChild(const Expr *E, Callable Fn) {
+  switch (E->kind()) {
+  case ExprKind::IntLiteral:
+  case ExprKind::FloatLiteral:
+  case ExprKind::StringLiteral:
+  case ExprKind::DeclRef:
+    return;
+  case ExprKind::Paren:
+    Fn(cast<ParenExpr>(E)->inner());
+    return;
+  case ExprKind::Unary:
+    Fn(cast<UnaryExpr>(E)->sub());
+    return;
+  case ExprKind::Binary:
+    Fn(cast<BinaryExpr>(E)->lhs());
+    Fn(cast<BinaryExpr>(E)->rhs());
+    return;
+  case ExprKind::Assign:
+    Fn(cast<AssignExpr>(E)->lhs());
+    Fn(cast<AssignExpr>(E)->rhs());
+    return;
+  case ExprKind::Conditional:
+    Fn(cast<ConditionalExpr>(E)->cond());
+    Fn(cast<ConditionalExpr>(E)->thenExpr());
+    Fn(cast<ConditionalExpr>(E)->elseExpr());
+    return;
+  case ExprKind::Call: {
+    const auto *CE = cast<CallExpr>(E);
+    Fn(CE->callee());
+    for (const Expr *Arg : CE->args())
+      Fn(Arg);
+    return;
+  }
+  case ExprKind::Cast:
+    Fn(cast<CastExpr>(E)->sub());
+    return;
+  case ExprKind::Member:
+    Fn(cast<MemberExpr>(E)->base());
+    return;
+  case ExprKind::Index:
+    Fn(cast<IndexExpr>(E)->base());
+    Fn(cast<IndexExpr>(E)->index());
+    return;
+  }
+}
+
 } // namespace cfront
 } // namespace gcsafe
 

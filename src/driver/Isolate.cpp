@@ -16,18 +16,6 @@
 using namespace gcsafe;
 using namespace gcsafe::driver;
 
-driver::OptRung gcsafe::driver::lowerRung(OptRung R) {
-  switch (R) {
-  case OptRung::Full:
-  case OptRung::Quarantined:
-    return OptRung::PeepholeOnly;
-  case OptRung::PeepholeOnly:
-  case OptRung::Unoptimized:
-    return OptRung::Unoptimized;
-  }
-  return OptRung::Unoptimized;
-}
-
 const char *gcsafe::driver::outcomeForExit(int ExitCode) {
   switch (ExitCode) {
   case support::ExitSuccess: return "ok";

@@ -58,11 +58,6 @@ struct SandboxOutcome {
 SandboxOutcome runInSandbox(const std::function<int(int PayloadFd)> &Child,
                             uint64_t TimeoutMs);
 
-/// One step down the degradation ladder for a crash retry: a
-/// failure at full optimization often clears at a simpler rung.
-/// Quarantined re-enters at PeepholeOnly; Unoptimized is the floor.
-OptRung lowerRung(OptRung R);
-
 /// Maps a worker exit code (support/ExitCodes.h) to a triage outcome
 /// token: "ok", "degraded", "usage", "safety", "timeout", "overloaded",
 /// "crashed", or "error".

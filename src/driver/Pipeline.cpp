@@ -50,6 +50,8 @@ bool VerifyMemo::lookup(const std::string &Key, const char *Pass,
 void VerifyMemo::insert(const std::string &Key, bool Ok,
                         std::vector<analysis::SafetyDiag> Diags) {
   support::RankedGuard Lock(Mu);
+  if (Map.size() >= MaxEntries)
+    Map.clear();
   Map.emplace(Key, Entry{Ok, std::move(Diags)});
 }
 

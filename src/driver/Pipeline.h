@@ -116,6 +116,11 @@ struct PassTransactions {
 /// compile service (serve::CompileService).
 class VerifyMemo {
 public:
+  /// The most entries a memo holds: an insert into a full memo first
+  /// clears it, so a long-lived daemon's memo stays bounded. A verdict is a
+  /// pure function of the IR, so a dropped entry only costs a re-verify.
+  static constexpr size_t MaxEntries = 4096;
+
   /// True when a result for \p Key is recorded; appends the recorded
   /// diagnostics (re-attributed to \p Pass) to \p Out and returns the
   /// recorded verdict in \p OkOut.

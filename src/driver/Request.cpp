@@ -2,12 +2,209 @@
 
 #include "driver/Request.h"
 
+#include "analysis/Mutate.h"
 #include "ir/Verify.h"
 #include "support/ExitCodes.h"
 #include "vm/VM.h"
 
+#include <cstdlib>
+#include <cstring>
+
 using namespace gcsafe;
 using namespace gcsafe::driver;
+
+namespace {
+
+using Opts = RequestOptions;
+using F = RequestField;
+using Text = const char *;
+
+void bit(std::string &Out, bool B) { Out += B ? '1' : '0'; }
+
+/// Rows in canonical-flag-string order; the tokens and that order are the
+/// key format keyFingerprint() versions.
+const RequestField Fields[] = {
+    {"--mode", "mode", "mode", F::Name,
+     [](Opts &O, Text T, bool) { return parseCompileModeName(T, O.Mode); },
+     [](const Opts &O, std::string &Out) { Out += compileModeToken(O.Mode); },
+     nullptr, true},
+    {"--machine", "machine", "machine", F::Name,
+     [](Opts &O, Text T, bool) {
+       vm::MachineModel M;
+       if (!vm::machineModelByName(T, M))
+         return false;
+       O.MachineName = T;
+       return true;
+     },
+     [](const Opts &O, std::string &Out) { Out += O.MachineName; }},
+    {"--run", "run", "run", F::Switch,
+     [](Opts &O, Text, bool) { return O.Run = true; },
+     [](const Opts &O, std::string &Out) { bit(Out, O.Run); }, nullptr, true},
+    // The default, "none", has a protocol spelling only: gcsafe-cc omits
+    // the flag.
+    {"--verify-safety", "verify", "verify", F::Name,
+     [](Opts &O, Text T, bool Json) {
+       std::string_view V = T;
+       O.Verify = V == "final"       ? SafetyVerify::Final
+                  : V == "each-pass" ? SafetyVerify::EachPass
+                                     : SafetyVerify::None;
+       return O.Verify != SafetyVerify::None || (Json && V == "none");
+     },
+     [](const Opts &O, std::string &Out) {
+       Out += std::to_string(static_cast<int>(O.Verify));
+     },
+     nullptr, false, false, "final"},
+    {"--verify-ir=each-pass", "verify_ir", "verify_ir", F::Switch,
+     [](Opts &O, Text, bool) { return O.VerifyIREachPass = true; },
+     [](const Opts &O, std::string &Out) { bit(Out, O.VerifyIREachPass); }},
+    {"--self-heal", "self_heal", "self_heal", F::Switch,
+     [](Opts &O, Text, bool) { return O.SelfHeal = true; },
+     [](const Opts &O, std::string &Out) { bit(Out, O.SelfHeal); }},
+    {"--opt-rung", "opt_rung", "rung", F::Name,
+     [](Opts &O, Text T, bool) { return parseOptRung(T, O.StartRung); },
+     [](const Opts &O, std::string &Out) { Out += optRungName(O.StartRung); },
+     nullptr, false, true},
+    {"--pass-deadline", "pass_deadline_ms", "pass_deadline", F::Millis,
+     nullptr, nullptr, &Opts::PassDeadlineNs, true, true},
+    // Parsed per request by RequestContext: a bad spec is its error.
+    {"--fail-inject", "fail_inject", "fail_inject", F::Name,
+     [](Opts &O, Text T, bool) {
+       O.FailInjectSpec = T;
+       return true;
+     },
+     [](const Opts &O, std::string &Out) { Out += O.FailInjectSpec; },
+     nullptr, true},
+    {"--corrupt-kind", "corrupt_kind", "corrupt_kind", F::Name,
+     [](Opts &O, Text T, bool) {
+       analysis::MutationKind K;
+       if (!analysis::parseMutationKindName(T, K))
+         return false;
+       O.CorruptKind = static_cast<int>(K);
+       return true;
+     },
+     [](const Opts &O, std::string &Out) {
+       Out += std::to_string(O.CorruptKind);
+     }},
+    {"--gc-period", "gc_period", "gc_period", F::Count, nullptr, nullptr,
+     &Opts::GcInstructionPeriod, true},
+    {"--gc-alloc-trigger", "gc_alloc_trigger", "gc_alloc_trigger", F::Count,
+     nullptr, nullptr, &Opts::GcAllocTrigger, true},
+    {"--gc-call-period", "gc_call_period", "gc_call_period", F::Count,
+     nullptr, nullptr, &Opts::GcCallPeriod},
+    {"--gc-deadline", "gc_deadline_ms", "gc_deadline", F::Millis, nullptr,
+     nullptr, &Opts::GcDeadlineNs, true},
+    {"--vm-deadline", "vm_deadline_ms", "vm_deadline", F::Millis, nullptr,
+     nullptr, &Opts::VmDeadlineNs, true},
+    {nullptr, "deadline_ms", "deadline", F::Millis, nullptr, nullptr,
+     &Opts::DeadlineNs},
+    {"--no-opt1", "no_opt1", "no_opt1", F::Switch,
+     [](Opts &O, Text, bool) {
+       O.Annot.SkipCopies = false;
+       return true;
+     },
+     [](const Opts &O, std::string &Out) { bit(Out, !O.Annot.SkipCopies); }},
+    {"--no-opt2", "no_opt2", "no_opt2", F::Switch,
+     [](Opts &O, Text, bool) {
+       O.Annot.SpecializeIncDec = false;
+       return true;
+     },
+     [](const Opts &O, std::string &Out) {
+       bit(Out, !O.Annot.SpecializeIncDec);
+     }},
+    {"--slow-bases", "slow_bases", "slow_bases", F::Switch,
+     [](Opts &O, Text, bool) { return O.Annot.PreferSlowBases = true; },
+     [](const Opts &O, std::string &Out) {
+       bit(Out, O.Annot.PreferSlowBases);
+     }},
+    {"--at-calls-only", "at_calls_only", "at_calls_only", F::Switch,
+     [](Opts &O, Text, bool) {
+       O.Annot.Trigger = annotate::GcTrigger::AtCallsOnly;
+       return true;
+     },
+     [](const Opts &O, std::string &Out) {
+       bit(Out, O.Annot.Trigger == annotate::GcTrigger::AtCallsOnly);
+     }},
+};
+
+/// Sets \p Row's field from either surface: \p T for a Switch or Name row,
+/// \p N for a Count or Millis row. False on an unknown value.
+bool apply(const RequestField &Row, Opts &O, Text T, uint64_t N, bool Json) {
+  if (Row.Num)
+    O.*Row.Num = Row.K == F::Millis ? N * 1000000ull : N;
+  else if (!Row.Parse(O, T, Json))
+    return false;
+  if (Row.Heals)
+    O.SelfHeal = true;
+  return true;
+}
+
+} // namespace
+
+std::span<const RequestField> gcsafe::driver::requestFields() {
+  return Fields;
+}
+
+bool gcsafe::driver::flagValue(const char *Arg, const char *Name,
+                               const char *&Value) {
+  size_t Len = std::strlen(Name);
+  if (std::strncmp(Arg, Name, Len) || Arg[Len] != '=')
+    return false;
+  Value = Arg + Len + 1;
+  return true;
+}
+
+bool gcsafe::driver::parseRequestFlag(const char *Arg, RequestOptions &O,
+                                      std::string &Error, bool Batch) {
+  for (const RequestField &Row : Fields) {
+    Text T = nullptr;
+    if (!Row.Flag || (Batch && !Row.Batch) ||
+        (std::strcmp(Arg, Row.Flag) && !flagValue(Arg, Row.Flag, T)))
+      continue;
+    if (!T && Row.K != F::Switch)
+      T = Row.Bare;
+    // A Switch takes no value and the other kinds need one: either mistake
+    // is an unknown option.
+    if (Row.K == F::Switch ? T != nullptr : T == nullptr)
+      return false;
+    if (!apply(Row, O, T, T ? std::strtoull(T, nullptr, 10) : 0, false))
+      Error = "unknown " + std::string(Row.Flag) + " '" + T + "'";
+    return true;
+  }
+  return false;
+}
+
+bool gcsafe::driver::parseRequestFields(const support::Json &J,
+                                        RequestOptions &O,
+                                        std::string &Error) {
+  for (const RequestField &Row : Fields) {
+    const support::Json *V = J.get(Row.Key);
+    if (!V || !(Row.Num ? V->isNumber()
+                : Row.K == F::Switch ? V->isBool() && V->asBool()
+                                     : V->isString()))
+      continue;
+    Text T = V->isString() ? V->asString().c_str() : nullptr;
+    if (!apply(Row, O, T, Row.Num ? uint64_t(V->asInt()) : 0, true)) {
+      Error = "unknown " + std::string(Row.Key) + " '" + T + "'";
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string gcsafe::driver::canonicalFlagString(const RequestOptions &O) {
+  std::string Out;
+  for (const RequestField &Row : Fields) {
+    if (!Out.empty())
+      Out += ';';
+    Out += Row.Token;
+    Out += '=';
+    if (Row.Num)
+      Out += std::to_string(O.*Row.Num);
+    else
+      Row.Print(O, Out);
+  }
+  return Out;
+}
 
 namespace gcsafe::driver {
 /// The 32-hex hash of src/, generated at build time (BuildFingerprint.cmake).
@@ -83,9 +280,7 @@ RequestOutcome RequestContext::execute() {
   if (!FaultParseError.empty())
     return Fail(support::ExitUsage, "bad fail-inject spec: " + FaultParseError);
   vm::VMOptions VO = Host;
-  if (Opts.MachineName.empty())
-    VO.Model = vm::sparc10();
-  else if (!vm::machineModelByName(Opts.MachineName, VO.Model))
+  if (!vm::machineModelByName(Opts.MachineName, VO.Model))
     return Fail(support::ExitUsage,
                 "unknown machine '" + Opts.MachineName + "'");
 

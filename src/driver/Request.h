@@ -14,7 +14,7 @@
 /// VerifyMemo and, when traced, the lock-free event ring. gcsafe-serve runs one context per request on its worker
 /// pool; gcsafe-batch does the same, one forked sandbox per context.
 ///
-/// gcsafe-cc is a client too: it keeps flag parsing, the source-only
+/// gcsafe-cc is a client too: it keeps its own flags, the source-only
 /// outputs and output routing, and takes everything from compile to exit
 /// code from execute(). That makes this file the one copy of the exit-code
 /// contract (support/ExitCodes.h): parse/compile/run errors and heap-audit
@@ -34,15 +34,16 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace gcsafe {
 namespace driver {
 
-/// Everything that parameterizes one compile request. The flag surface is
-/// gcsafe-cc's, minus the output-routing options (a request's reports are
-/// returned, not written to files).
+/// Everything that parameterizes one compile request; each knob is a row
+/// of requestFields(). Output routing is not here: a request's reports are
+/// returned, not written to files.
 struct RequestOptions {
   std::string Name = "<request>";
   /// Service-level trace identity (the serve protocol's request_id):
@@ -83,6 +84,54 @@ struct RequestOptions {
   /// Shared cross-request verification memo (may be null).
   VerifyMemo *Memo = nullptr;
 };
+
+/// One compile knob of RequestOptions as every surface spells it: the
+/// gcsafe-cc and gcsafe-batch flags, the serve protocol's JSON keys and the
+/// cache key all read requestFields(), so a knob added as a row is accepted
+/// and keyed everywhere. Name, RequestId and Source label or carry a
+/// request and are not rows.
+struct RequestField {
+  enum Kind : uint8_t {
+    Switch, ///< --flag; JSON true
+    Name,   ///< --flag=TEXT; JSON string
+    Count,  ///< --flag=N; JSON number
+    Millis, ///< --flag=MS; JSON number; stored in ns
+  };
+  const char *Flag;  ///< CLI spelling without "=VALUE"; null: protocol only
+  const char *Key;   ///< the serve protocol's JSON key
+  const char *Token; ///< the field's name in the canonical flag string
+  Kind K;
+  /// Switch/Name: sets the field from \p Text (null for a Switch) as
+  /// surface \p Json spells it. False: unknown text.
+  bool (*Parse)(RequestOptions &O, const char *Text, bool Json) = nullptr;
+  /// Switch/Name: appends the field's canonical value.
+  void (*Print)(const RequestOptions &O, std::string &Out) = nullptr;
+  uint64_t RequestOptions::*Num = nullptr; ///< Count/Millis: the field
+  bool Batch = false; ///< gcsafe-batch takes the flag too
+  bool Heals = false; ///< setting the field turns on SelfHeal
+  const char *Bare = nullptr; ///< Name: what a bare CLI flag means, if any
+};
+
+/// The rows, in canonical-flag-string order.
+std::span<const RequestField> requestFields();
+
+/// The gcsafe tools' one flag matcher: true when \p Arg is "NAME=VALUE"
+/// for \p Name, with \p Value pointing at VALUE.
+bool flagValue(const char *Arg, const char *Name, const char *&Value);
+
+/// Applies \p Arg if it spells a request field (\p Batch: one gcsafe-batch
+/// takes). False if it spells none; true with \p Error on an unknown value.
+bool parseRequestFlag(const char *Arg, RequestOptions &O, std::string &Error,
+                      bool Batch = false);
+
+/// Applies every request field the JSON object \p J holds; a value of the
+/// wrong JSON type is ignored. False, with \p Error, on an unknown value.
+bool parseRequestFields(const support::Json &J, RequestOptions &O,
+                        std::string &Error);
+
+/// "mode=safe;machine=sparc10;...": every row's token and value in table
+/// order, the flag half of the cache key (docs/SERVING.md §3).
+std::string canonicalFlagString(const RequestOptions &O);
 
 /// The result of one request: the stable exit code, the degradation
 /// outcome, and the reports a client would otherwise get from gcsafe-cc's

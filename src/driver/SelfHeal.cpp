@@ -21,19 +21,25 @@ const char *gcsafe::driver::optRungName(OptRung R) {
 }
 
 bool gcsafe::driver::parseOptRung(const std::string &Text, OptRung &Out) {
-  if (Text == "full") {
-    Out = OptRung::Full;
-    return true;
-  }
-  if (Text == "peephole") {
-    Out = OptRung::PeepholeOnly;
-    return true;
-  }
-  if (Text == "unoptimized") {
-    Out = OptRung::Unoptimized;
-    return true;
-  }
+  for (OptRung R :
+       {OptRung::Full, OptRung::PeepholeOnly, OptRung::Unoptimized})
+    if (Text == optRungName(R)) {
+      Out = R;
+      return true;
+    }
   return false;
+}
+
+OptRung gcsafe::driver::lowerRung(OptRung R) {
+  switch (R) {
+  case OptRung::Full:
+  case OptRung::Quarantined:
+    return OptRung::PeepholeOnly;
+  case OptRung::PeepholeOnly:
+  case OptRung::Unoptimized:
+    return OptRung::Unoptimized;
+  }
+  return OptRung::Unoptimized;
 }
 
 namespace {
@@ -49,19 +55,6 @@ opt::OptLevel rungLevel(OptRung R) {
     return opt::OptLevel::O0;
   }
   return opt::OptLevel::O0;
-}
-
-OptRung nextAttempt(OptRung R) {
-  switch (R) {
-  case OptRung::Full:
-  case OptRung::Quarantined:
-    return OptRung::PeepholeOnly;
-  case OptRung::PeepholeOnly:
-    return OptRung::Unoptimized;
-  case OptRung::Unoptimized:
-    return OptRung::Unoptimized;
-  }
-  return OptRung::Unoptimized;
 }
 
 } // namespace
@@ -132,7 +125,7 @@ gcsafe::driver::compileSelfHealing(Compilation &C, const CompileOptions &Base,
       break;
     }
 
-    OptRung Next = nextAttempt(Rung);
+    OptRung Next = lowerRung(Rung);
     std::ostringstream OS;
     OS << "descend: " << optRungName(Rung) << " -> " << optRungName(Next)
        << " (" << Why << ")";

@@ -57,6 +57,12 @@ const char *optRungName(OptRung R);
 /// attempt) and is rejected. Returns false on unknown names.
 bool parseOptRung(const std::string &Text, OptRung &Out);
 
+/// One step down the ladder: the self-heal descent after a rung fails
+/// verification, and an isolated crash retry (a failure at full
+/// optimization often clears at a simpler rung). Quarantined re-enters at
+/// PeepholeOnly; Unoptimized is the floor.
+OptRung lowerRung(OptRung R);
+
 struct SelfHealOptions {
   /// Rung the ladder starts at (a batch retry re-enters one rung lower).
   OptRung StartRung = OptRung::Full;

@@ -2,9 +2,9 @@
 
 #include "serve/Protocol.h"
 
-#include "analysis/Mutate.h"
-
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace gcsafe;
 using namespace gcsafe::serve;
@@ -22,20 +22,11 @@ bool getString(const Json &J, const char *Key, std::string &Out) {
   return true;
 }
 
-uint64_t getUInt(const Json &J, const char *Key, uint64_t Default = 0) {
-  const Json *V = J.get(Key);
-  return V && V->isNumber() ? static_cast<uint64_t>(V->asInt()) : Default;
-}
-
-bool getBool(const Json &J, const char *Key, bool Default = false) {
-  const Json *V = J.get(Key);
-  return V && V->isBool() ? V->asBool() : Default;
-}
-
 } // namespace
 
 bool gcsafe::serve::parseRequestLine(const std::string &Line,
                                      ServeRequest &Out, std::string &Error) {
+  Out = ServeRequest();
   Json J;
   if (!Json::parse(Line, J, Error))
     return false;
@@ -53,36 +44,21 @@ bool gcsafe::serve::parseRequestLine(const std::string &Line,
 
   std::string Op = "compile";
   getString(J, "op", Op);
-  if (Op == "stats") {
-    Out.Op = ServeOp::Stats;
-    return true;
-  }
-  if (Op == "metrics") {
-    Out.Op = ServeOp::Metrics;
-    return true;
-  }
-  if (Op == "ping") {
-    Out.Op = ServeOp::Ping;
-    return true;
-  }
-  if (Op == "health") {
-    Out.Op = ServeOp::Health;
-    return true;
-  }
-  if (Op == "drain") {
-    Out.Op = ServeOp::Drain;
-    return true;
-  }
-  if (Op == "shutdown") {
-    Out.Op = ServeOp::Shutdown;
-    return true;
-  }
-  if (Op != "compile") {
+  static const std::pair<const char *, ServeOp> Ops[] = {
+      {"compile", ServeOp::Compile}, {"stats", ServeOp::Stats},
+      {"metrics", ServeOp::Metrics}, {"ping", ServeOp::Ping},
+      {"health", ServeOp::Health},   {"drain", ServeOp::Drain},
+      {"shutdown", ServeOp::Shutdown}};
+  auto It = std::find_if(std::begin(Ops), std::end(Ops),
+                         [&Op](const auto &P) { return Op == P.first; });
+  if (It == std::end(Ops)) {
     Error = "unknown op '" + Op + "'";
     return false;
   }
+  Out.Op = It->second;
+  if (Out.Op != ServeOp::Compile)
+    return true;
 
-  Out.Op = ServeOp::Compile;
   driver::RequestOptions &R = Out.Compile;
   if (!getString(J, "source", R.Source)) {
     Error = "compile request without a \"source\" string";
@@ -93,74 +69,10 @@ bool gcsafe::serve::parseRequestLine(const std::string &Line,
   // generates one when absent, and the response always echoes it.
   getString(J, "request_id", R.RequestId);
 
-  std::string Mode;
-  if (getString(J, "mode", Mode) && !driver::parseCompileModeName(Mode, R.Mode)) {
-    Error = "unknown mode '" + Mode + "'";
+  if (!driver::parseRequestFields(J, R, Error))
     return false;
-  }
-  std::string Machine;
-  if (getString(J, "machine", Machine)) {
-    vm::MachineModel Model;
-    if (!vm::machineModelByName(Machine, Model)) {
-      Error = "unknown machine '" + Machine + "'";
-      return false;
-    }
-    R.MachineName = Machine;
-  }
-
-  R.Run = getBool(J, "run");
-  std::string Verify;
-  if (getString(J, "verify", Verify)) {
-    if (Verify == "final")
-      R.Verify = driver::SafetyVerify::Final;
-    else if (Verify == "each-pass")
-      R.Verify = driver::SafetyVerify::EachPass;
-    else if (Verify == "none")
-      R.Verify = driver::SafetyVerify::None;
-    else {
-      Error = "unknown verify mode '" + Verify + "'";
-      return false;
-    }
-  }
-  R.VerifyIREachPass = getBool(J, "verify_ir");
-  R.SelfHeal = getBool(J, "self_heal");
-  std::string Rung;
-  if (getString(J, "opt_rung", Rung)) {
-    R.SelfHeal = true;
-    if (!driver::parseOptRung(Rung, R.StartRung)) {
-      Error = "unknown opt_rung '" + Rung + "'";
-      return false;
-    }
-  }
-  if (uint64_t Ms = getUInt(J, "pass_deadline_ms")) {
-    R.SelfHeal = true;
-    R.PassDeadlineNs = Ms * 1000000ull;
-  }
-  R.GcDeadlineNs = getUInt(J, "gc_deadline_ms") * 1000000ull;
-  R.VmDeadlineNs = getUInt(J, "vm_deadline_ms") * 1000000ull;
-  R.DeadlineNs = getUInt(J, "deadline_ms") * 1000000ull;
-  getString(J, "fail_inject", R.FailInjectSpec);
-  std::string Corrupt;
-  if (getString(J, "corrupt_kind", Corrupt)) {
-    analysis::MutationKind Kind;
-    if (!analysis::parseMutationKindName(Corrupt, Kind)) {
-      Error = "unknown corrupt_kind '" + Corrupt + "'";
-      return false;
-    }
-    R.CorruptKind = static_cast<int>(Kind);
-  }
-  R.GcInstructionPeriod = getUInt(J, "gc_period");
-  R.GcAllocTrigger = getUInt(J, "gc_alloc_trigger");
-  R.GcCallPeriod = getUInt(J, "gc_call_period");
-  if (getBool(J, "no_opt1"))
-    R.Annot.SkipCopies = false;
-  if (getBool(J, "no_opt2"))
-    R.Annot.SpecializeIncDec = false;
-  if (getBool(J, "slow_bases"))
-    R.Annot.PreferSlowBases = true;
-  if (getBool(J, "at_calls_only"))
-    R.Annot.Trigger = annotate::GcTrigger::AtCallsOnly;
-  Out.UseCache = getBool(J, "cache", true);
+  const Json *Cache = J.get("cache");
+  Out.UseCache = !Cache || !Cache->isBool() || Cache->asBool();
   return true;
 }
 

@@ -52,8 +52,9 @@ struct ServeRequest {
   bool UseCache = true;
 };
 
-/// Parses one request line. False (with \p Error) on malformed JSON,
-/// unknown op/mode/machine, or a compile without source.
+/// Parses one request line into a fresh \p Out, compile knobs through
+/// driver::parseRequestFields. False (with \p Error) on malformed JSON, an
+/// unknown op or field value, or a compile without source.
 bool parseRequestLine(const std::string &Line, ServeRequest &Out,
                       std::string &Error);
 

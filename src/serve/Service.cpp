@@ -12,41 +12,11 @@
 #include <cctype>
 #include <chrono>
 #include <csignal>
-#include <sstream>
 
 #include <unistd.h>
 
 using namespace gcsafe;
 using namespace gcsafe::serve;
-
-std::string
-gcsafe::serve::canonicalFlagString(const driver::RequestOptions &O) {
-  // Every field that can change the outcome of a compile, in a fixed
-  // order. Adding a field here is a cache-format change: old and new
-  // processes simply stop sharing entries, which is always safe.
-  std::ostringstream OS;
-  OS << "mode=" << driver::compileModeToken(O.Mode)
-     << ";machine=" << O.MachineName << ";run=" << (O.Run ? 1 : 0)
-     << ";verify=" << static_cast<int>(O.Verify)
-     << ";verify_ir=" << (O.VerifyIREachPass ? 1 : 0)
-     << ";self_heal=" << (O.SelfHeal ? 1 : 0)
-     << ";rung=" << driver::optRungName(O.StartRung)
-     << ";pass_deadline=" << O.PassDeadlineNs
-     << ";fail_inject=" << O.FailInjectSpec
-     << ";corrupt_kind=" << O.CorruptKind
-     << ";gc_period=" << O.GcInstructionPeriod
-     << ";gc_alloc_trigger=" << O.GcAllocTrigger
-     << ";gc_call_period=" << O.GcCallPeriod
-     << ";gc_deadline=" << O.GcDeadlineNs
-     << ";vm_deadline=" << O.VmDeadlineNs
-     << ";deadline=" << O.DeadlineNs
-     << ";no_opt1=" << (O.Annot.SkipCopies ? 0 : 1)
-     << ";no_opt2=" << (O.Annot.SpecializeIncDec ? 0 : 1)
-     << ";slow_bases=" << (O.Annot.PreferSlowBases ? 1 : 0)
-     << ";at_calls_only="
-     << (O.Annot.Trigger == annotate::GcTrigger::AtCallsOnly ? 1 : 0);
-  return OS.str();
-}
 
 support::Json gcsafe::serve::serveResultToJson(const ServeResult &Result) {
   using support::Json;
@@ -184,7 +154,7 @@ void clampWatchdogs(driver::RequestOptions &O, uint64_t DeadlineAtNs) {
 
 CompileService::CompileService(ServiceOptions O)
     : Opts(O), Cache(O.CacheMaxEntries), StartNs(support::monotonicNowNs()),
-      Flight(O.FlightCapacity ? O.FlightCapacity : 2048) {
+      Flight(FlightCapacity) {
   if (!Opts.StoreDir.empty()) {
     Store::Options SO;
     SO.Dir = Opts.StoreDir;

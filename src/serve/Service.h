@@ -80,8 +80,6 @@ struct ServiceOptions {
   /// injectors it is shared across threads; the service serializes every
   /// consult behind a mutex. Must outlive the service. May be null.
   support::FaultInjector *Faults = nullptr;
-  /// Capacity of the service's lock-free event ring (support/Trace.h).
-  size_t FlightCapacity = 2048;
   /// When non-empty, every request that ends "crashed" dumps the event
   /// ring to DIR/flightrec-<request_id>.json (gcsafe-flightrec-v1), so a
   /// post-mortem can read the victim's last events. The directory must
@@ -164,10 +162,9 @@ struct ServiceHealth {
   bool Isolate = false;
 };
 
-/// The canonical flag string entering the cache key: every
-/// compilation-relevant RequestOptions field in a fixed order
-/// (docs/SERVING.md documents the invalidation rules this implies).
-std::string canonicalFlagString(const driver::RequestOptions &Opts);
+/// The canonical flag string entering the cache key, derived from the
+/// request-field table (driver/Request.h).
+using driver::canonicalFlagString;
 
 /// Serialization of a ServeResult as the durable store's payload (and
 /// back); a cache hit is expanded from its rendered bytes first.
@@ -294,6 +291,7 @@ private:
 
   /// The service's one event ring: lock-free, safe to record from any
   /// worker and dump from a signal.
+  static constexpr size_t FlightCapacity = 2048;
   support::TraceBuffer Flight;
 
   /// Per-stage latency histograms (support::Histogram is not

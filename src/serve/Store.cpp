@@ -182,7 +182,7 @@ void Store::ioError(const char *Op, const std::string &Detail) {
     support::RankedGuard Lock(Mu);
     ++Counters.IoErrors;
     Consecutive = ++ConsecutiveIoErrors;
-    if (!Counters.Degraded && ConsecutiveIoErrors >= Opts.IoErrorLimit) {
+    if (!Counters.Degraded && ConsecutiveIoErrors >= IoErrorLimit) {
       Counters.Degraded = true;
       DegradedNow = true;
     }

@@ -86,9 +86,9 @@ public:
     /// a string literal ("store.hit", ...), so the sink may keep it by
     /// pointer — the service records it in its event ring.
     std::function<void(const char *Stage, uint64_t Value)> Event;
-    /// Consecutive IO errors before degrading to memory-only mode.
-    unsigned IoErrorLimit = 3;
   };
+  /// Consecutive IO errors before degrading to memory-only mode.
+  static constexpr unsigned IoErrorLimit = 3;
 
   explicit Store(Options O);
   Store(const Store &) = delete;

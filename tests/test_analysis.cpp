@@ -671,6 +671,36 @@ TEST(SafetyPipeline, GateCommittedStatesAreNotVerifiedAgain) {
   }
 }
 
+TEST(SafetyPipeline, VerifyMemoStaysBoundedAndRecomputesEvictedVerdicts) {
+  // An unsafe function: its verdict and diagnostics are what a lookup
+  // after eviction must still produce.
+  ir::Function F =
+      makeFunction("f", 1, {{movImm(0, 5), kill(0), ret(0)}});
+  SafetyVerifyOptions VO;
+  VO.Pass = "(test)";
+  VO.CheckKillPlacement = false;
+  VerifyMemo Memo;
+  std::vector<SafetyDiag> First;
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, F, VO, First));
+  ASSERT_FALSE(First.empty());
+  EXPECT_EQ(Memo.misses(), 1u);
+  for (size_t I = 0; I <= VerifyMemo::MaxEntries; ++I) {
+    Memo.insert("filler-" + std::to_string(I), true, {});
+    ASSERT_LE(Memo.entries(), VerifyMemo::MaxEntries) << "insert " << I;
+  }
+  // The filler pushed the memo past its cap at least once, so f's entry
+  // is gone: the lookup misses and recomputes the same verdict.
+  std::vector<SafetyDiag> Again;
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, F, VO, Again));
+  EXPECT_EQ(Memo.misses(), 2u);
+  EXPECT_EQ(renderAll(Again), renderAll(First));
+  // ... and records it again, so the next lookup hits.
+  std::vector<SafetyDiag> Hit;
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, F, VO, Hit));
+  EXPECT_EQ(Memo.hits(), 1u);
+  EXPECT_EQ(renderAll(Hit), renderAll(First));
+}
+
 //===----------------------------------------------------------------------===//
 // gcsafe-lint-v1 report
 //===----------------------------------------------------------------------===//

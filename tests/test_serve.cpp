@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -328,6 +329,91 @@ TEST(ServeProtocol, CompileRequestRoundTrip) {
   EXPECT_TRUE(Req.Compile.SelfHeal);
   EXPECT_EQ(Req.Compile.GcAllocTrigger, 5u);
   EXPECT_FALSE(Req.UseCache);
+}
+
+TEST(RequestFields, EveryRowIsKeyedAndBothSpellingsAgree) {
+  // The key format (keyFingerprint() versions it): one token per row.
+  const std::string Default = canonicalFlagString(driver::RequestOptions());
+  EXPECT_EQ(Default,
+            "mode=safe;machine=sparc10;run=0;verify=0;verify_ir=0;"
+            "self_heal=0;rung=full;pass_deadline=0;fail_inject=;"
+            "corrupt_kind=-1;gc_period=0;gc_alloc_trigger=0;"
+            "gc_call_period=0;gc_deadline=0;vm_deadline=0;deadline=0;"
+            "no_opt1=0;no_opt2=0;slow_bases=0;at_calls_only=0");
+  // A non-default value for every Name row; Count and Millis rows take 7.
+  const std::map<std::string, std::string> Names = {
+      {"mode", "o2"},           {"machine", "sparc2"},
+      {"verify", "each-pass"},  {"opt_rung", "peephole"},
+      {"fail_inject", "7:opt.pass.corrupt@always"},
+      {"corrupt_kind", "drop_kill"}};
+  std::set<std::string> Keys;
+  for (const driver::RequestField &Row : driver::requestFields()) {
+    SCOPED_TRACE(Row.Key);
+    std::string Text = "7", Value = "7";
+    if (Row.K == driver::RequestField::Switch) {
+      Value = "true";
+    } else if (Row.K == driver::RequestField::Name) {
+      auto It = Names.find(Row.Key);
+      ASSERT_NE(It, Names.end()) << "add a sample value for the new row";
+      Text = It->second;
+      Value = "\"" + Text + "\"";
+    }
+    ServeRequest Req;
+    std::string Error;
+    ASSERT_TRUE(parseRequestLine(R"({"source":"","name":"n",")" +
+                                     std::string(Row.Key) + "\":" + Value +
+                                     "}",
+                                 Req, Error))
+        << Error;
+    const std::string FromJson = canonicalFlagString(Req.Compile);
+    EXPECT_NE(FromJson, Default);
+    EXPECT_TRUE(Keys.insert(FromJson).second) << "another row keys the same";
+    if (!Row.Flag)
+      continue;
+    std::string Arg = Row.Flag;
+    if (Row.K != driver::RequestField::Switch)
+      Arg += "=" + Text;
+    driver::RequestOptions FromCli;
+    ASSERT_TRUE(driver::parseRequestFlag(Arg.c_str(), FromCli, Error));
+    EXPECT_EQ(Error, "");
+    EXPECT_EQ(canonicalFlagString(FromCli), FromJson) << Arg;
+  }
+}
+
+TEST(RequestFields, EachSurfaceKeepsItsSpellings) {
+  driver::RequestOptions O;
+  std::string Error;
+  // Forms a flag does not take are unknown options, not bad values.
+  for (const char *Arg : {"--mode", "--run=1", "--gc-period", "--verify-ir",
+                          "--verify-ir=final", "--self-heal=1", "--safe"})
+    EXPECT_FALSE(driver::parseRequestFlag(Arg, O, Error)) << Arg;
+  // gcsafe-batch takes only its rows.
+  EXPECT_FALSE(driver::parseRequestFlag("--machine=sparc2", O, Error, true));
+  EXPECT_TRUE(driver::parseRequestFlag("--gc-alloc-trigger=3", O, Error, true));
+  EXPECT_EQ(O.GcAllocTrigger, 3u);
+  // A bare --verify-safety means final; "none" is the protocol's alone.
+  EXPECT_TRUE(driver::parseRequestFlag("--verify-safety", O, Error));
+  EXPECT_EQ(O.Verify, driver::SafetyVerify::Final);
+  EXPECT_TRUE(driver::parseRequestFlag("--verify-safety=none", O, Error));
+  EXPECT_EQ(Error, "unknown --verify-safety 'none'");
+  ServeRequest Req;
+  EXPECT_TRUE(parseRequestLine(R"({"source":"","verify":"none"})", Req,
+                               Error));
+  EXPECT_FALSE(parseRequestLine(R"({"source":"","opt_rung":"quarantined"})",
+                                Req, Error));
+  EXPECT_EQ(Error, "unknown opt_rung 'quarantined'");
+  // Both spellings of an implying field turn on self-heal, also at 0.
+  driver::RequestOptions Cli;
+  EXPECT_TRUE(driver::parseRequestFlag("--pass-deadline=0", Cli, Error));
+  EXPECT_TRUE(Cli.SelfHeal);
+  ASSERT_TRUE(parseRequestLine(R"({"source":"","pass_deadline_ms":0})", Req,
+                               Error));
+  EXPECT_TRUE(Req.Compile.SelfHeal);
+  // A value of the wrong JSON type is ignored, as before the table.
+  ASSERT_TRUE(parseRequestLine(
+      R"({"source":"","run":"yes","mode":3,"gc_period":"5"})", Req, Error));
+  EXPECT_EQ(canonicalFlagString(Req.Compile),
+            canonicalFlagString(driver::RequestOptions()));
 }
 
 TEST(ServeProtocol, RejectsMalformedRequests) {

@@ -73,6 +73,27 @@ def check(args, tmp):
         (spin, ["--run", "--vm-deadline=50"],
          {"run": True, "vm_deadline_ms": 50}, 6),
         (undeclared, [report], {"run": True}, 1),
+        # The annotator ablations and the rest of the GC schedule; a
+        # generous deadline_ms (no gcsafe-cc spelling) changes nothing.
+        (sample, [report, "--no-opt1", "--no-opt2", "--slow-bases",
+                  "--at-calls-only", "--gc-period=500", "--gc-call-period=3",
+                  "--gc-deadline=60000"],
+         {"run": True, "no_opt1": True, "no_opt2": True, "slow_bases": True,
+          "at_calls_only": True, "gc_period": 500, "gc_call_period": 3,
+          "gc_deadline_ms": 60000, "deadline_ms": 600000}, 0),
+        # An entry rung below full is a degraded success.
+        (sample, [report, lint, "--mode=debug", "--opt-rung=peephole",
+                  "--pass-deadline=60000", "--verify-ir=each-pass",
+                  "--verify-safety"],
+         {"mode": "debug", "run": True, "opt_rung": "peephole",
+          "pass_deadline_ms": 60000, "verify_ir": True, "verify": "final"},
+         5),
+        (sample, [report, "--mode=safepost", "--machine=sparc2",
+                  "--self-heal", "--fail-inject=" + corrupt,
+                  "--corrupt-kind=drop_kill"],
+         {"mode": "safepost", "machine": "sparc2", "run": True,
+          "self_heal": True, "fail_inject": corrupt,
+          "corrupt_kind": "drop_kill"}, 5),
     ]
     for path, flags, fields, want in cases:
         for p in (report_path, lint_path):

@@ -65,14 +65,6 @@ void usage() {
       "(docs/SERVING.md); identical inputs share one compile.\n");
 }
 
-bool startsWith(const char *Arg, const char *Prefix, const char *&Rest) {
-  size_t Len = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, Len) != 0)
-    return false;
-  Rest = Arg + Len;
-  return true;
-}
-
 struct InputState {
   std::string Path;
   std::vector<serve::SandboxAttempt> Attempts;
@@ -111,42 +103,27 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     const char *Rest = nullptr;
-    if (startsWith(Arg, "--jobs=", Rest)) {
+    std::string Error;
+    if (driver::parseRequestFlag(Arg, Base, Error, /*Batch=*/true)) {
+      // The service and the requests draw disjoint sites from one spec.
+      if (Error.empty() && driver::flagValue(Arg, "--fail-inject", Rest) &&
+          !support::FaultInjector::parse(Rest, ServiceFaults, Error))
+        Error = "bad --fail-inject spec: " + Error;
+      if (!Error.empty()) {
+        std::fprintf(stderr, "%s\n", Error.c_str());
+        return support::ExitUsage;
+      }
+    } else if (driver::flagValue(Arg, "--jobs", Rest)) {
       Jobs = static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
       if (!Jobs) {
         std::fprintf(stderr, "--jobs must be positive\n");
         return support::ExitUsage;
       }
-    } else if (startsWith(Arg, "--timeout=", Rest)) {
+    } else if (driver::flagValue(Arg, "--timeout", Rest)) {
       TimeoutMs = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--retries=", Rest)) {
+    } else if (driver::flagValue(Arg, "--retries", Rest)) {
       Retries = static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
-    } else if (startsWith(Arg, "--mode=", Rest)) {
-      if (!driver::parseCompileModeName(Rest, Base.Mode)) {
-        std::fprintf(stderr, "unknown mode '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-    } else if (!std::strcmp(Arg, "--run")) {
-      Base.Run = true;
-    } else if (startsWith(Arg, "--gc-period=", Rest)) {
-      Base.GcInstructionPeriod = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--gc-alloc-trigger=", Rest)) {
-      Base.GcAllocTrigger = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--pass-deadline=", Rest)) {
-      Base.PassDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--gc-deadline=", Rest)) {
-      Base.GcDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--vm-deadline=", Rest)) {
-      Base.VmDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--fail-inject=", Rest)) {
-      // The service and the requests draw disjoint sites from one spec.
-      std::string Error;
-      if (!support::FaultInjector::parse(Rest, ServiceFaults, Error)) {
-        std::fprintf(stderr, "bad --fail-inject spec: %s\n", Error.c_str());
-        return support::ExitUsage;
-      }
-      Base.FailInjectSpec = Rest;
-    } else if (startsWith(Arg, "--summary=", Rest)) {
+    } else if (driver::flagValue(Arg, "--summary", Rest)) {
       SummaryPath = Rest;
     } else if (!std::strcmp(Arg, "--allow-failures")) {
       AllowFailures = true;

@@ -12,14 +12,13 @@
 //   gcsafe-cc --run --mode=safe file.c    # compile + execute
 //   gcsafe-cc --dump-ir --mode=o2 file.c  # print the optimized IR
 //
-// The options are listed by --help and in docs/CLI.md. This file keeps flag
-// parsing, the source-only outputs and output routing; everything from
-// compile to exit code is driver::RequestContext::execute, the same request
-// path gcsafe-serve and gcsafe-batch run.
+// The options are listed by --help and in docs/CLI.md. Request flags go to
+// driver::parseRequestFlag; this file keeps the output and host-VM flags,
+// the source-only outputs and output routing. Compile to exit code is
+// driver::RequestContext::execute, as in gcsafe-serve and gcsafe-batch.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Mutate.h"
 #include "cfront/ASTPrinter.h"
 #include "driver/Request.h"
 #include "rewrite/EditList.h"
@@ -118,21 +117,13 @@ void usage() {
       "                             input; implies --run)\n");
 }
 
-bool startsWith(const char *Arg, const char *Prefix, const char *&Rest) {
-  size_t Len = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, Len) != 0)
-    return false;
-  Rest = Arg + Len;
-  return true;
-}
-
 /// Matches "--NAME" and "--NAME=FILE"; \p Path becomes "" or FILE.
 bool outputFlag(const char *Arg, const char *Name,
                 std::optional<std::string> &Path) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0 || (Arg[Len] && Arg[Len] != '='))
+  const char *File = "";
+  if (std::strcmp(Arg, Name) && !driver::flagValue(Arg, Name, File))
     return false;
-  Path = Arg[Len] ? Arg + Len + 1 : "";
+  Path = File;
   return true;
 }
 
@@ -162,9 +153,6 @@ int main(int argc, char **argv) {
   annotate::AnnotationMode OutputMode = annotate::AnnotationMode::GCSafe;
   driver::RequestOptions Req;
   vm::VMOptions Host;
-  // Validated here for the usage error; only its name is printed (execute()
-  // resolves Req.MachineName itself).
-  vm::MachineModel Machine = vm::sparc10();
   bool DumpIR = false, DumpAST = false, DumpEdits = false, Stats = false;
   // Requested reports and where they go ("" or "-" is stdout).
   std::optional<std::string> StatsJson, TraceJson, TraceChrome, ProfileJson,
@@ -176,12 +164,23 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     const char *Rest = nullptr;
-    if (!std::strcmp(Arg, "--safe")) {
+    std::string Error;
+    if (driver::parseRequestFlag(Arg, Req, Error)) {
+      // A fail-inject spec is checked here too, so a bad one is a usage
+      // error before any input is read; the request context parses its
+      // own injector from the text.
+      support::FaultInjector Probe;
+      if (Error.empty() && driver::flagValue(Arg, "--fail-inject", Rest) &&
+          !support::FaultInjector::parse(Rest, Probe, Error))
+        Error = "bad --fail-inject spec: " + Error;
+      if (!Error.empty()) {
+        std::fprintf(stderr, "%s\n", Error.c_str());
+        return support::ExitUsage;
+      }
+    } else if (!std::strcmp(Arg, "--safe")) {
       OutputMode = annotate::AnnotationMode::GCSafe;
     } else if (!std::strcmp(Arg, "--checked")) {
       OutputMode = annotate::AnnotationMode::Checked;
-    } else if (!std::strcmp(Arg, "--run")) {
-      Req.Run = true;
     } else if (!std::strcmp(Arg, "--dump-ir")) {
       DumpIR = true;
     } else if (!std::strcmp(Arg, "--dump-ast")) {
@@ -195,62 +194,19 @@ int main(int argc, char **argv) {
                outputFlag(Arg, "--profile-json", ProfileJson) ||
                outputFlag(Arg, "--lint-json", LintJson)) {
       // outputFlag recorded the destination.
-    } else if (startsWith(Arg, "--trace-chrome=", Rest)) {
+    } else if (driver::flagValue(Arg, "--trace-chrome", Rest)) {
       TraceChrome = Rest;
-    } else if (startsWith(Arg, "--trace-capacity=", Rest)) {
+    } else if (driver::flagValue(Arg, "--trace-capacity", Rest)) {
       TraceCapacity = std::strtoull(Rest, nullptr, 10);
       if (!TraceCapacity) {
         std::fprintf(stderr, "--trace-capacity must be positive\n");
         return support::ExitUsage;
       }
-    } else if (startsWith(Arg, "--profile-period=", Rest)) {
+    } else if (driver::flagValue(Arg, "--profile-period", Rest)) {
       ProfilePeriod = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--profile-folded=", Rest)) {
+    } else if (driver::flagValue(Arg, "--profile-folded", Rest)) {
       ProfileFolded = Rest;
-    } else if (!std::strcmp(Arg, "--verify-safety")) {
-      Req.Verify = driver::SafetyVerify::Final;
-    } else if (startsWith(Arg, "--verify-safety=", Rest)) {
-      if (!std::strcmp(Rest, "each-pass"))
-        Req.Verify = driver::SafetyVerify::EachPass;
-      else if (!std::strcmp(Rest, "final"))
-        Req.Verify = driver::SafetyVerify::Final;
-      else {
-        std::fprintf(stderr, "unknown --verify-safety mode '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-    } else if (startsWith(Arg, "--verify-ir=", Rest)) {
-      if (!std::strcmp(Rest, "each-pass"))
-        Req.VerifyIREachPass = true;
-      else {
-        std::fprintf(stderr, "unknown --verify-ir mode '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-    } else if (!std::strcmp(Arg, "--no-opt1")) {
-      Req.Annot.SkipCopies = false;
-    } else if (!std::strcmp(Arg, "--no-opt2")) {
-      Req.Annot.SpecializeIncDec = false;
-    } else if (!std::strcmp(Arg, "--slow-bases")) {
-      Req.Annot.PreferSlowBases = true;
-    } else if (!std::strcmp(Arg, "--at-calls-only")) {
-      Req.Annot.Trigger = annotate::GcTrigger::AtCallsOnly;
-    } else if (startsWith(Arg, "--mode=", Rest)) {
-      if (!driver::parseCompileModeName(Rest, Req.Mode)) {
-        std::fprintf(stderr, "unknown mode '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-    } else if (startsWith(Arg, "--machine=", Rest)) {
-      if (!vm::machineModelByName(Rest, Machine)) {
-        std::fprintf(stderr, "unknown machine '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-      Req.MachineName = Rest;
-    } else if (startsWith(Arg, "--gc-period=", Rest)) {
-      Req.GcInstructionPeriod = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--gc-alloc-trigger=", Rest)) {
-      Req.GcAllocTrigger = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--gc-call-period=", Rest)) {
-      Req.GcCallPeriod = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--oom-policy=", Rest)) {
+    } else if (driver::flagValue(Arg, "--oom-policy", Rest)) {
       std::string P = Rest;
       if (P == "graceful")
         Host.GcOomPolicy = gc::OomPolicy::Graceful;
@@ -262,45 +218,13 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "unknown OOM policy '%s'\n", Rest);
         return support::ExitUsage;
       }
-    } else if (startsWith(Arg, "--oom-retries=", Rest)) {
+    } else if (driver::flagValue(Arg, "--oom-retries", Rest)) {
       Host.GcOomRetries =
           static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
-    } else if (startsWith(Arg, "--max-heap-pages=", Rest)) {
+    } else if (driver::flagValue(Arg, "--max-heap-pages", Rest)) {
       Host.GcMaxHeapPages = std::strtoull(Rest, nullptr, 10);
     } else if (!std::strcmp(Arg, "--heap-audit")) {
       Host.GcAuditEachCollection = true;
-    } else if (!std::strcmp(Arg, "--self-heal")) {
-      Req.SelfHeal = true;
-    } else if (startsWith(Arg, "--opt-rung=", Rest)) {
-      Req.SelfHeal = true;
-      if (!driver::parseOptRung(Rest, Req.StartRung)) {
-        std::fprintf(stderr, "unknown --opt-rung '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-    } else if (startsWith(Arg, "--pass-deadline=", Rest)) {
-      Req.SelfHeal = true;
-      Req.PassDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--gc-deadline=", Rest)) {
-      Req.GcDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--vm-deadline=", Rest)) {
-      Req.VmDeadlineNs = std::strtoull(Rest, nullptr, 10) * 1000000ull;
-    } else if (startsWith(Arg, "--corrupt-kind=", Rest)) {
-      analysis::MutationKind Kind;
-      if (!analysis::parseMutationKindName(Rest, Kind)) {
-        std::fprintf(stderr, "unknown --corrupt-kind '%s'\n", Rest);
-        return support::ExitUsage;
-      }
-      Req.CorruptKind = static_cast<int>(Kind);
-    } else if (startsWith(Arg, "--fail-inject=", Rest)) {
-      // Checked here so a bad spec is a usage error before any input is
-      // read; the request context parses its own injector from the text.
-      support::FaultInjector Probe;
-      std::string Error;
-      if (!support::FaultInjector::parse(Rest, Probe, Error)) {
-        std::fprintf(stderr, "bad --fail-inject spec: %s\n", Error.c_str());
-        return support::ExitUsage;
-      }
-      Req.FailInjectSpec = Rest;
     } else if (!std::strcmp(Arg, "--help") || !std::strcmp(Arg, "-h")) {
       usage();
       return support::ExitSuccess;
@@ -386,12 +310,8 @@ int main(int argc, char **argv) {
   if (Comp.diags().warningCount())
     std::fputs(Comp.renderedDiagnostics().c_str(), stderr);
 
-  if (DumpAST) {
+  if (DumpAST)
     std::fputs(cfront::printTranslationUnit(Comp.tu()).c_str(), stdout);
-    if (!Opts.Run && !DumpIR)
-      return support::ExitSuccess;
-  }
-
   if (DumpEdits) {
     // The paper's "list of insertions and deletions, sorted by character
     // position in the original source string".
@@ -408,9 +328,9 @@ int main(int argc, char **argv) {
         std::printf(" insert \"%s\"", Text.c_str());
       std::printf("\n");
     });
-    if (!Opts.Run && !DumpIR)
-      return support::ExitSuccess;
   }
+  if ((DumpAST || DumpEdits) && !Opts.Run && !DumpIR)
+    return support::ExitSuccess;
 
   if (SourceOnly) {
     std::string Out = Comp.annotatedSource(OutputMode, Opts.Annot);
@@ -518,6 +438,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "gcsafe-cc: %s\n", Out.Error.c_str());
     return Out.ExitCode;
   }
+  vm::MachineModel Machine; // the flag table validated the name
+  vm::machineModelByName(Opts.MachineName, Machine);
   if (Stats || R.CheckViolations || R.FreedAccesses)
     std::fprintf(stderr,
                  "[%s on %s] cycles=%llu instructions=%llu collections=%llu "

@@ -128,14 +128,6 @@ void usage() {
       "                      check_bench_json.py --lockgraph\n");
 }
 
-bool startsWith(const char *Arg, const char *Prefix, const char *&Rest) {
-  size_t Len = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, Len) != 0)
-    return false;
-  Rest = Arg + Len;
-  return true;
-}
-
 struct DaemonOptions {
   uint64_t ReadTimeoutMs = 30000;
   uint64_t WriteTimeoutMs = 30000;
@@ -441,17 +433,17 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     const char *Rest = nullptr;
-    if (startsWith(Arg, "--socket=", Rest)) {
+    if (driver::flagValue(Arg, "--socket", Rest)) {
       SocketPath = Rest;
     } else if (!std::strcmp(Arg, "--once")) {
       Once = true;
-    } else if (startsWith(Arg, "--workers=", Rest)) {
+    } else if (driver::flagValue(Arg, "--workers", Rest)) {
       SO.Workers = static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
       if (!SO.Workers) {
         std::fprintf(stderr, "--workers must be positive\n");
         return support::ExitUsage;
       }
-    } else if (startsWith(Arg, "--cache-max=", Rest)) {
+    } else if (driver::flagValue(Arg, "--cache-max", Rest)) {
       SO.CacheMaxEntries = std::strtoull(Rest, nullptr, 10);
       if (!SO.CacheMaxEntries) {
         std::fprintf(stderr, "--cache-max must be positive\n");
@@ -459,9 +451,9 @@ int main(int argc, char **argv) {
       }
     } else if (!std::strcmp(Arg, "--no-cache")) {
       SO.CacheEnabled = false;
-    } else if (startsWith(Arg, "--queue-max=", Rest)) {
+    } else if (driver::flagValue(Arg, "--queue-max", Rest)) {
       SO.QueueMax = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--store-dir=", Rest)) {
+    } else if (driver::flagValue(Arg, "--store-dir", Rest)) {
       SO.StoreDir = Rest;
       if (SO.StoreDir.empty()) {
         std::fprintf(stderr, "--store-dir needs a directory\n");
@@ -469,27 +461,27 @@ int main(int argc, char **argv) {
       }
     } else if (!std::strcmp(Arg, "--isolate")) {
       SO.Isolate = true;
-    } else if (startsWith(Arg, "--isolate-timeout=", Rest)) {
+    } else if (driver::flagValue(Arg, "--isolate-timeout", Rest)) {
       SO.IsolateTimeoutMs = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--isolate-retries=", Rest)) {
+    } else if (driver::flagValue(Arg, "--isolate-retries", Rest)) {
       SO.IsolateRetries =
           static_cast<unsigned>(std::strtoul(Rest, nullptr, 10));
-    } else if (startsWith(Arg, "--read-timeout=", Rest)) {
+    } else if (driver::flagValue(Arg, "--read-timeout", Rest)) {
       DO.ReadTimeoutMs = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--write-timeout=", Rest)) {
+    } else if (driver::flagValue(Arg, "--write-timeout", Rest)) {
       DO.WriteTimeoutMs = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--max-request=", Rest)) {
+    } else if (driver::flagValue(Arg, "--max-request", Rest)) {
       DO.MaxRequestBytes = std::strtoull(Rest, nullptr, 10);
-    } else if (startsWith(Arg, "--fail-inject=", Rest)) {
+    } else if (driver::flagValue(Arg, "--fail-inject", Rest)) {
       std::string Error;
       if (!support::FaultInjector::parse(Rest, ServiceFaults, Error)) {
         std::fprintf(stderr, "bad --fail-inject spec: %s\n", Error.c_str());
         return support::ExitUsage;
       }
       SO.Faults = &ServiceFaults;
-    } else if (startsWith(Arg, "--flightrec-dir=", Rest)) {
+    } else if (driver::flagValue(Arg, "--flightrec-dir", Rest)) {
       SO.FlightDir = Rest;
-    } else if (startsWith(Arg, "--trace-chrome=", Rest)) {
+    } else if (driver::flagValue(Arg, "--trace-chrome", Rest)) {
       ChromePath = Rest;
       // The per-request span tree is only interesting with the compiler's
       // own spans nested under it.
@@ -498,13 +490,13 @@ int main(int argc, char **argv) {
       MetricsText = true;
     } else if (!std::strcmp(Arg, "--stats")) {
       PrintStats = true;
-    } else if (startsWith(Arg, "--sched-seed=", Rest)) {
+    } else if (driver::flagValue(Arg, "--sched-seed", Rest)) {
       SchedSeed = std::strtoull(Rest, nullptr, 10);
       if (!SchedSeed) {
         std::fprintf(stderr, "--sched-seed must be positive\n");
         return support::ExitUsage;
       }
-    } else if (startsWith(Arg, "--lockgraph=", Rest)) {
+    } else if (driver::flagValue(Arg, "--lockgraph", Rest)) {
       LockGraphPath = Rest;
     } else if (!std::strcmp(Arg, "--help") || !std::strcmp(Arg, "-h")) {
       usage();

@@ -20,14 +20,21 @@
 // quarantine set, counters and trace event order under seeded pass
 // corruption, verifier timeouts and pass deadlines.
 //
+// A third, tests/golden/safety_diags.txt, pins the safety verifier's
+// output: every diagnostic (its formatted text and source offset, in
+// emission order) of every seeded mutant of the same workloads in the
+// safe modes, verified final and each-pass.
+//
 // Regenerate a golden (only when a change is meant to move a modeled
 // number or the optimizer's output) with:
 //   GCSAFE_UPDATE_GOLDEN=1 ./gcsafe_vm_equivalence_tests
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Mutate.h"
 #include "driver/Pipeline.h"
 #include "driver/SelfHeal.h"
+#include "ir/Verify.h"
 #include "support/FaultInject.h"
 #include "vm/VM.h"
 #include "workloads/Workloads.h"
@@ -220,6 +227,98 @@ std::string runPipelineSweep() {
   return Out;
 }
 
+/// One line per diagnostic: the formatted text and the source offset.
+std::string renderDiags(const char *Label,
+                        const std::vector<analysis::SafetyDiag> &Diags) {
+  std::string Out;
+  for (const analysis::SafetyDiag &D : Diags)
+    Out += std::string("  ") + Label + " " + analysis::formatSafetyDiag(D) +
+           " @" +
+           (D.SrcOffset == ~0u ? std::string("?")
+                               : std::to_string(D.SrcOffset)) +
+           "\n";
+  return Out;
+}
+
+/// Every mutant of analysis::enumerateMutations over the paper workloads
+/// in the safe modes, verified twice: final (layers 1 and 2 on the
+/// mutated function), and each-pass, where a pass mutator applies the
+/// mutant at the first pass whose output is the function's final IR. A
+/// mutant the structural IR verifier rejects (a hoisted kill ahead of a
+/// read) is verified final only: a build with assertions checks every
+/// compiled module against that verifier.
+/// Since insert_kills is the last pass, that checkpoint is the only one
+/// before (final); so each function's mutants after the first pass are
+/// swept each-pass as well, and every later pass that leaves the unsafe
+/// IR alone reports it again.
+std::string runSafetyDiagSweep() {
+  std::string Out;
+  for (const workloads::Workload *W : workloads::benchmarkSuite()) {
+    Compilation C(W->Name, W->Source);
+    for (CompileMode Mode : {CompileMode::O2Safe, CompileMode::O2SafePost}) {
+      std::string Prefix = std::string(W->Name) + " " + compileModeName(Mode);
+      CompileOptions CO;
+      CO.Mode = Mode;
+      CompileResult Clean = C.compile(CO);
+      EXPECT_TRUE(Clean.Ok) << Prefix << ": " << Clean.Errors;
+      for (const analysis::Mutation &Mu :
+           analysis::enumerateMutations(Clean.Module)) {
+        Out += Prefix + " " + Mu.Description + "\n";
+        const ir::Function &Target = Clean.Module.Functions[Mu.FunctionIndex];
+        ir::Function Mutant = Target;
+        EXPECT_TRUE(analysis::applyMutation(Mutant, Mu)) << Mu.Description;
+        std::vector<analysis::SafetyDiag> Final;
+        analysis::verifyFunctionSafety(Mutant, {}, Final);
+        Out += renderDiags("final", Final);
+        std::vector<std::string> IRErrors;
+        if (!ir::verifyFunction(Mutant, IRErrors)) {
+          Out += "  each-pass: not compiled, ill-formed IR\n";
+          continue;
+        }
+
+        std::string TargetIR = ir::printFunction(Target);
+        bool Applied = false;
+        CompileOptions EO = CO;
+        EO.Verify = SafetyVerify::EachPass;
+        EO.PassMutator = [&](const char *, ir::Function &F) {
+          if (!Applied && F.Name == Target.Name &&
+              ir::printFunction(F) == TargetIR)
+            Applied = analysis::applyMutation(F, Mu);
+        };
+        CompileResult CR = C.compile(EO);
+        EXPECT_TRUE(Applied) << Prefix << ": " << Mu.Description;
+        Out += renderDiags("each-pass", CR.SafetyDiags);
+      }
+
+      // The functions as the first pass leaves them, and their mutants.
+      std::vector<ir::Function> Entry;
+      CO.PassMutator = [&](const char *, ir::Function &F) {
+        if (Entry.empty() || Entry.back().Name != F.Name)
+          Entry.push_back(F);
+      };
+      C.compile(CO);
+      for (const ir::Function &Target : Entry) {
+        for (const analysis::Mutation &Mu :
+             analysis::enumerateFunctionMutations(Target)) {
+          Out += Prefix + " entry " + Mu.Description + "\n";
+          bool Seen = false;
+          CompileOptions EO = CO;
+          EO.Verify = SafetyVerify::EachPass;
+          EO.PassMutator = [&](const char *, ir::Function &F) {
+            if (!Seen && F.Name == Target.Name) {
+              Seen = true;
+              EXPECT_TRUE(analysis::applyMutation(F, Mu)) << Mu.Description;
+            }
+          };
+          CompileResult CR = C.compile(EO);
+          Out += renderDiags("each-pass", CR.SafetyDiags);
+        }
+      }
+    }
+  }
+  return Out;
+}
+
 /// Compares \p Actual line by line against tests/golden/\p Name, or
 /// rewrites that golden under GCSAFE_UPDATE_GOLDEN=1. A nonzero
 /// \p WantLines also pins the golden's length.
@@ -258,4 +357,8 @@ TEST(VMEquivalence, EveryCounterMatchesTheGolden) {
 
 TEST(VMEquivalence, PassPipelineMatchesTheGolden) {
   expectGolden("pass_pipeline.txt", runPipelineSweep());
+}
+
+TEST(VMEquivalence, SafetyDiagnosticsMatchTheGolden) {
+  expectGolden("safety_diags.txt", runSafetyDiagSweep());
 }

@@ -26,6 +26,12 @@
 ///                      hence the \ {d})
 ///   any other def of d facts(d) = ⊥                 (fresh value)
 ///
+/// The facts are bit vectors (Khedker, Sanyal and Karkare cast heap
+/// reference liveness the same way): only a KeepLive or register-Mov
+/// destination — a *candidate* — can carry a fact, so each program point
+/// holds one row of register bits per candidate, the join ORs the rows,
+/// and every transfer writes one whole row.
+///
 /// The distinction between a fact that the kill-insertion contract honors
 /// (d is literally a KeepLive destination, so opt::Liveness::expandUse
 /// extends its bases' live ranges) and one carried through copies matters
@@ -42,15 +48,28 @@
 #include "opt/CFG.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 namespace gcsafe {
 namespace analysis {
 
-/// Derived register -> the base registers it is pinned to.
-using BaseFacts = std::map<uint32_t, std::set<uint32_t>>;
+/// The derived-pointer facts at one program point, one row per candidate:
+/// row i (of BaseLiveness::candidates()[i]) holds the bases it is pinned
+/// to, in the Words 64-bit words from Bits[i * Words].
+struct BaseFacts {
+  uint32_t Words = 0;
+  std::vector<uint64_t> Bits;
+
+  bool test(uint32_t Row, uint32_t Base) const {
+    return (Bits[Row * Words + Base / 64] >> (Base % 64)) & 1;
+  }
+  void set(uint32_t Row, uint32_t Base) {
+    Bits[Row * Words + Base / 64] |= uint64_t(1) << (Base % 64);
+  }
+  void clear(uint32_t Row, uint32_t Base) {
+    Bits[Row * Words + Base / 64] &= ~(uint64_t(1) << (Base % 64));
+  }
+};
 
 class BaseLiveness {
 public:
@@ -62,22 +81,32 @@ public:
   /// Steps \p Facts forward across one instruction (the transfer function
   /// above). Exposed so the verifier can walk a block instruction by
   /// instruction from factsIn().
-  static void transfer(const ir::Instruction &I, BaseFacts &Facts);
+  void transfer(const ir::Instruction &I, BaseFacts &Facts) const;
+
+  /// The candidate registers, ascending.
+  const std::vector<uint32_t> &candidates() const { return Candidates; }
+
+  /// True when \p Derived is pinned to \p Base in \p Facts.
+  bool pinned(const BaseFacts &Facts, uint32_t Derived, uint32_t Base) const {
+    return RowOf[Derived] != NoRow && Facts.test(RowOf[Derived], Base);
+  }
 
   /// True when register \p Derived is a KeepLive destination whose
   /// transitive base closure (the one opt::Liveness::expandUse honors when
   /// kills are placed) contains \p Base. Facts carried only through copies
   /// are outside the kill-insertion contract.
-  bool inKillContract(uint32_t Derived, uint32_t Base) const;
-
-  /// Number of distinct derived registers that ever carry a fact.
-  unsigned derivedCount() const;
+  bool inKillContract(uint32_t Derived, uint32_t Base) const {
+    return RowOf[Derived] != NoRow && ContractBases.test(RowOf[Derived], Base);
+  }
 
 private:
+  static constexpr uint32_t NoRow = ~0u;
+  std::vector<uint32_t> Candidates;
+  std::vector<uint32_t> RowOf; ///< Register -> its row, or NoRow.
   std::vector<BaseFacts> FactsIn;
-  /// Flow-insensitive KeepLive closure: ContractBases[d] = every register
-  /// expandUse reaches from d, minus d itself. Empty for non-KL dests.
-  std::vector<std::set<uint32_t>> ContractBases;
+  /// Flow-insensitive KeepLive closure, per row: every register expandUse
+  /// reaches from the candidate, minus itself. Empty for non-KL dests.
+  BaseFacts ContractBases;
 };
 
 } // namespace analysis

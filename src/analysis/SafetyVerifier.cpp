@@ -47,13 +47,15 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
   Liveness Live(F, CFG, Liveness::Plain);
   BaseLiveness BL(F, CFG);
 
+  const std::vector<uint32_t> &Derived = BL.candidates();
   std::vector<RegSet> LiveAfter;
+  BaseFacts Facts;
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     const BasicBlock &B = F.Blocks[BId];
     if (B.Insts.empty())
       continue;
     Live.liveAfter(BId, LiveAfter);
-    BaseFacts Facts = BL.factsIn(BId);
+    Facts = BL.factsIn(BId);
 
     for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
       const Instruction &I = B.Insts[Idx];
@@ -62,8 +64,9 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
         if (I.A.isReg()) {
           uint32_t R = I.A.Reg;
           bool BaseDiag = false;
-          for (const auto &[D, Bases] : Facts) {
-            if (D == R || !LiveAfter[Idx].test(D) || !Bases.count(R) ||
+          for (uint32_t Row = 0; Row < Derived.size(); ++Row) {
+            uint32_t D = Derived[Row];
+            if (D == R || !Facts.test(Row, R) || !LiveAfter[Idx].test(D) ||
                 !BL.inKillContract(D, R))
               continue;
             BaseDiag = true;
@@ -91,15 +94,13 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
         // value; the paper's ++/-- expansion relies on this.
         bool Rebase = false;
         forEachUse(I, [&](uint32_t X) {
-          if (X == R)
-            Rebase = true;
-          auto It = Facts.find(X);
-          if (It != Facts.end() && It->second.count(R))
+          if (X == R || BL.pinned(Facts, X, R))
             Rebase = true;
         });
         if (!Rebase) {
-          for (const auto &[D, Bases] : Facts) {
-            if (D == R || !LiveAfter[Idx].test(D) || !Bases.count(R))
+          for (uint32_t Row = 0; Row < Derived.size(); ++Row) {
+            uint32_t D = Derived[Row];
+            if (D == R || !Facts.test(Row, R) || !LiveAfter[Idx].test(D))
               continue;
             std::ostringstream OS;
             OS << "definition clobbers " << regName(R)
@@ -111,7 +112,7 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
         }
       }
 
-      BaseLiveness::transfer(I, Facts);
+      BL.transfer(I, Facts);
     }
   }
 }
@@ -276,13 +277,8 @@ void KeepLiveContinuity::check(const Function &F, const char *Pass,
       OS << "KEEP_LIVE defining " << regName(Dst)
          << " disappeared during pass '" << Pass << "' although "
          << regName(Dst) << " still has " << DU->Uses[Dst] << " use(s)";
-      SafetyDiag D;
-      D.Function = F.Name;
-      D.Pass = Pass;
-      D.Kind = "keep_live_dropped";
-      D.Derived = Dst;
-      D.Message = OS.str();
-      Out.push_back(std::move(D));
+      Out.push_back(makeDiag(F, 0, 0, ~0u, Pass, "keep_live_dropped", Dst,
+                             NoReg, OS.str()));
     }
   }
   Snapshots[F.Name] = std::move(Current);

@@ -27,6 +27,51 @@ const char *gcsafe::driver::compileModeName(CompileMode Mode) {
   return "?";
 }
 
+namespace {
+
+/// Appends \p Diags to \p Out attributed to \p Pass: a verdict is a
+/// function of the IR alone, the pass attribution is the caller's
+/// pipeline position.
+void replayDiags(const std::vector<analysis::SafetyDiag> &Diags,
+                 const char *Pass, std::vector<analysis::SafetyDiag> &Out) {
+  for (const analysis::SafetyDiag &D : Diags) {
+    Out.push_back(D);
+    Out.back().Pass = Pass;
+  }
+}
+
+/// The memo key of \p F: a content hash of every field the verifier
+/// reads, plus the kill-placement flag.
+std::string memoKey(const ir::Function &F, bool KillPlacement) {
+  support::ContentHasher H;
+  auto Add = [&H](const auto &...V) { (H.update(&V, sizeof(V)), ...); };
+  auto AddValue = [&](const ir::Value &V) {
+    Add(V.Kind);
+    if (!V.isNone())
+      V.isReg() ? Add(V.Reg) : Add(V.Imm); // an FImm's bits
+  };
+  H.update(F.Name);
+  Add(KillPlacement, F.NumRegs, F.FrameSize, F.ReturnsValue,
+      F.ParamRegs.size());
+  for (uint32_t P : F.ParamRegs)
+    Add(P);
+  for (const ir::BasicBlock &B : F.Blocks) {
+    H.update(B.Name);
+    Add(B.Insts.size());
+    for (const ir::Instruction &I : B.Insts) {
+      Add(I.Op, I.Size, I.SignedLoad, I.Loc, I.Dst, I.Aux, I.Callee,
+          I.BuiltinCallee, I.Blk1, I.Blk2, I.Args.size());
+      for (const ir::Value *V : {&I.A, &I.B, &I.C})
+        AddValue(*V);
+      for (const ir::Value &V : I.Args)
+        AddValue(V);
+    }
+  }
+  return H.hex();
+}
+
+} // namespace
+
 bool VerifyMemo::lookup(const std::string &Key, const char *Pass,
                         std::vector<analysis::SafetyDiag> &Out,
                         bool &OkOut) {
@@ -38,12 +83,7 @@ bool VerifyMemo::lookup(const std::string &Key, const char *Pass,
   }
   Hits.fetch_add(1, std::memory_order_relaxed);
   OkOut = It->second.Ok;
-  for (analysis::SafetyDiag D : It->second.Diags) {
-    // The verdict is a function of the IR alone; the pass attribution is
-    // the caller's pipeline position, so rewrite it on replay.
-    D.Pass = Pass;
-    Out.push_back(std::move(D));
-  }
+  replayDiags(It->second.Diags, Pass, Out);
   return true;
 }
 
@@ -66,9 +106,7 @@ bool gcsafe::driver::verifyFunctionSafetyMemo(
     std::vector<analysis::SafetyDiag> &Out) {
   if (!Memo)
     return analysis::verifyFunctionSafety(F, Options, Out);
-  std::string Key = support::contentHash(ir::printFunction(F));
-  if (Options.CheckKillPlacement)
-    Key += "+kp";
+  std::string Key = memoKey(F, Options.CheckKillPlacement);
   bool Ok = true;
   if (Memo->lookup(Key, Options.Pass, Out, Ok))
     return Ok;
@@ -103,11 +141,8 @@ public:
   void checkSafety(const ir::Function &F, const char *Pass,
                    bool KillPlacement) {
     uint64_t StartNs = support::monotonicNowNs();
-    analysis::SafetyVerifyOptions VO;
-    VO.Pass = Pass;
-    VO.CheckKillPlacement = KillPlacement;
     size_t Before = Result.SafetyDiags.size();
-    verifyFunctionSafetyMemo(Options.Memo, F, VO, Result.SafetyDiags);
+    verify(F, Pass, KillPlacement, Result.SafetyDiags);
     uint64_t ElapsedNs = support::monotonicNowNs() - StartNs;
     SafetyNs += ElapsedNs;
     ++SafetyRuns;
@@ -140,6 +175,25 @@ public:
   unsigned SafetyRuns = 0;
 
 private:
+  /// The one entry point of the safety verifier: an IR equal to the one
+  /// this function was last verified on (with the same kill-placement
+  /// flag) replays that verdict, attributed to \p Pass; any other goes
+  /// through the memo and is kept for the next call.
+  bool verify(const ir::Function &F, const char *Pass, bool KillPlacement,
+              std::vector<analysis::SafetyDiag> &Out) {
+    Verdict &V = LastVerified[KillPlacement][F.Name];
+    if (V.IR != F) {
+      analysis::SafetyVerifyOptions VO;
+      VO.Pass = Pass;
+      VO.CheckKillPlacement = KillPlacement;
+      V.Diags.clear();
+      V.Ok = verifyFunctionSafetyMemo(Options.Memo, F, VO, V.Diags);
+      V.IR = F;
+    }
+    replayDiags(V.Diags, Pass, Out);
+    return V.Ok;
+  }
+
   void run(const opt::PassStep &Step, ir::Function &F, opt::PassStats &Total) {
     const char *Name = Step.Name;
     // 1. A quarantined pass is skipped.
@@ -237,11 +291,8 @@ private:
       return "deadline";
     if (Txn->Faults && Txn->Faults->shouldFail(VerifyTimeoutSite))
       return "verify_timeout";
-    analysis::SafetyVerifyOptions VO;
-    VO.Pass = Pass;
-    VO.CheckKillPlacement = std::strcmp(Pass, "insert_kills") == 0;
     std::vector<analysis::SafetyDiag> Diags;
-    if (!verifyFunctionSafetyMemo(Options.Memo, F, VO, Diags))
+    if (!verify(F, Pass, std::strcmp(Pass, "insert_kills") == 0, Diags))
       return "verify_failed:" + Diags.front().Kind;
     std::vector<std::string> IRErrors;
     if (!ir::verifyFunction(F, IRErrors, Pass))
@@ -264,6 +315,13 @@ private:
   size_t CorruptSite = 0, VerifyTimeoutSite = 0;
   /// Per-function KEEP_LIVE snapshots of the last committed state.
   analysis::KeepLiveContinuity Continuity;
+  struct Verdict {
+    ir::Function IR; ///< Empty (no name) until the first verify.
+    bool Ok = true;
+    std::vector<analysis::SafetyDiag> Diags;
+  };
+  /// Per kill-placement flag, each function's last verified IR.
+  std::unordered_map<std::string, Verdict> LastVerified[2];
 };
 
 } // namespace

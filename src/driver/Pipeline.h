@@ -105,15 +105,17 @@ struct PassTransactions {
 };
 
 /// Content-addressed memo of per-function safety-verifier results
-/// (docs/SERVING.md). Keyed on a stable hash of the function's printed IR
-/// plus the verification flags, so a function whose IR a pass left
-/// untouched — the overwhelmingly common case under each-pass
-/// verification — is never re-verified, within one compile or across
-/// requests. Verification is a pure function of (IR, options), so a memo
-/// shared across requests cannot leak per-request state; the recorded
-/// diagnostics' pass attribution is rewritten to the querying pass on
-/// replay. Thread-safe: one instance is shared by every worker of a
-/// compile service (serve::CompileService).
+/// (docs/SERVING.md). Keyed on a stable content hash of every field of the
+/// function the verifier reads (source offsets and parameters included)
+/// plus the kill-placement flag. Inside one compile the pass runner first
+/// replays the verdict of a function a pass left unchanged; the memo
+/// answers only for changed IR: a state seen by an earlier request, or
+/// earlier in this compile but not at the last checkpoint. Verification is
+/// a pure function of (IR, options), so a memo shared across requests
+/// cannot leak per-request state; the recorded diagnostics' pass
+/// attribution is rewritten to the querying pass on replay. Thread-safe:
+/// one instance is shared by every worker of a compile service
+/// (serve::CompileService).
 class VerifyMemo {
 public:
   /// The most entries a memo holds: an insert into a full memo first
@@ -146,8 +148,7 @@ private:
 
 /// Runs the per-function safety verifier through \p Memo (when non-null):
 /// a hit replays the recorded verdict and diagnostics, a miss verifies
-/// and records. The memo key is the stable content hash of the printed
-/// function IR plus the kill-placement flag.
+/// and records.
 bool verifyFunctionSafetyMemo(VerifyMemo *Memo, const ir::Function &F,
                               const analysis::SafetyVerifyOptions &Options,
                               std::vector<analysis::SafetyDiag> &Out);
@@ -177,7 +178,8 @@ struct CompileOptions {
   opt::OptLevel MaxOptLevel = opt::OptLevel::O2;
   /// Optional per-function verification memo (docs/SERVING.md). When set,
   /// every safety-verifier invocation — the each-pass checkpoints and the
-  /// transactional commit gate — first consults the memo by content hash.
+  /// transactional commit gate — that cannot replay the function's last
+  /// verdict consults the memo by content hash.
   VerifyMemo *Memo = nullptr;
 };
 

@@ -170,11 +170,13 @@ struct Instruction {
   bool isTerminator() const {
     return Op == Opcode::Jmp || Op == Opcode::Br || Op == Opcode::Ret;
   }
+  bool operator==(const Instruction &) const = default;
 };
 
 struct BasicBlock {
   std::string Name;
   std::vector<Instruction> Insts;
+  bool operator==(const BasicBlock &) const = default;
 };
 
 struct Function {
@@ -186,6 +188,8 @@ struct Function {
   bool ReturnsValue = false;
 
   uint32_t newReg() { return NumRegs++; }
+  /// Field-wise equality: every field any analysis reads, Loc included.
+  bool operator==(const Function &) const = default;
 };
 
 /// A statically allocated object (global variable or string literal).

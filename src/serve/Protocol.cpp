@@ -151,18 +151,14 @@ void gcsafe::serve::expandCached(ServeResult &R) {
   R.HasLint = Full.HasLint;
 }
 
-Json gcsafe::serve::buildCompileResponse(const std::string &Id,
-                                         const ServeResult &Result) {
+void gcsafe::serve::writeResultFields(const ServeResult &Result,
+                                     bool WithCacheKey, Json &J) {
   ServeResult Hit;
   if (Result.Cached && Result.Rendered) {
     Hit = Result;
     expandCached(Hit);
   }
   const ServeResult &R = Hit.Rendered ? Hit : Result;
-  Json J = responseHead(Id, "compile", R.Ok);
-  if (!R.RequestId.empty())
-    J["request_id"] = Json::string(R.RequestId);
-  J["cached"] = Json::boolean(R.Cached);
   J["exit_code"] = Json::integer(int64_t(R.ExitCode));
   J["degraded"] = Json::boolean(R.Degraded);
   J["rung"] = Json::string(R.Rung);
@@ -170,7 +166,8 @@ Json gcsafe::serve::buildCompileResponse(const std::string &Id,
   for (const std::string &P : R.Quarantined)
     Q.push(Json::string(P));
   J["quarantined"] = std::move(Q);
-  J["cache_key"] = Json::string(R.CacheKey);
+  if (WithCacheKey)
+    J["cache_key"] = Json::string(R.CacheKey);
   if (!R.Status.empty())
     J["status"] = Json::string(R.Status);
   if (!R.Error.empty())
@@ -179,6 +176,15 @@ Json gcsafe::serve::buildCompileResponse(const std::string &Id,
     J["report"] = R.Report;
   if (R.HasLint)
     J["lint"] = R.Lint;
+}
+
+Json gcsafe::serve::buildCompileResponse(const std::string &Id,
+                                         const ServeResult &R) {
+  Json J = responseHead(Id, "compile", R.Ok);
+  if (!R.RequestId.empty())
+    J["request_id"] = Json::string(R.RequestId);
+  J["cached"] = Json::boolean(R.Cached);
+  writeResultFields(R, /*WithCacheKey=*/true, J);
   return J;
 }
 

@@ -76,6 +76,12 @@ CacheEntryPtr renderCacheEntry(const ServeResult &R);
 /// Fills a cache hit's Rung, Quarantined, Status, Error, Report and Lint
 /// by parsing its rendered bytes; a no-op on any other result.
 void expandCached(ServeResult &R);
+/// Writes \p R's fields from "exit_code" through "lint" into \p J, a
+/// cache hit expanded first; the compile response and the store payload
+/// both render them here. \p WithCacheKey adds "cache_key" after
+/// "quarantined", where a compile response carries it.
+void writeResultFields(const ServeResult &R, bool WithCacheKey,
+                       support::Json &J);
 /// A stats response: the serve.* keys nested as a JSON tree.
 support::Json buildStatsResponse(const std::string &Id,
                                  const support::Stats &S);

@@ -19,30 +19,9 @@ using namespace gcsafe;
 using namespace gcsafe::serve;
 
 support::Json gcsafe::serve::serveResultToJson(const ServeResult &Result) {
-  using support::Json;
-  ServeResult Hit;
-  if (Result.Cached && Result.Rendered) {
-    Hit = Result;
-    expandCached(Hit);
-  }
-  const ServeResult &R = Hit.Rendered ? Hit : Result;
-  Json J = Json::object();
-  J["ok"] = Json::boolean(R.Ok);
-  J["exit_code"] = Json::integer(int64_t(R.ExitCode));
-  J["degraded"] = Json::boolean(R.Degraded);
-  J["rung"] = Json::string(R.Rung);
-  Json Q = Json::array();
-  for (const std::string &P : R.Quarantined)
-    Q.push(Json::string(P));
-  J["quarantined"] = std::move(Q);
-  if (!R.Status.empty())
-    J["status"] = Json::string(R.Status);
-  if (!R.Error.empty())
-    J["error"] = Json::string(R.Error);
-  if (R.HasReport)
-    J["report"] = R.Report;
-  if (R.HasLint)
-    J["lint"] = R.Lint;
+  support::Json J = support::Json::object();
+  J["ok"] = support::Json::boolean(Result.Ok);
+  writeResultFields(Result, /*WithCacheKey=*/false, J);
   return J;
 }
 

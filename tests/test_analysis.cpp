@@ -12,6 +12,7 @@
 #include "analysis/Mutate.h"
 #include "analysis/SafetyVerifier.h"
 #include "driver/Pipeline.h"
+#include "ir/Lower.h"
 #include "opt/CFG.h"
 #include "support/FaultInject.h"
 #include "workloads/Workloads.h"
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -136,6 +138,22 @@ std::string renderAll(const std::vector<SafetyDiag> &Diags) {
   return Out;
 }
 
+/// The registers \p Derived is pinned to in \p Facts, ascending.
+std::vector<uint32_t> bases(const ir::Function &F, const BaseLiveness &BL,
+                            const BaseFacts &Facts, uint32_t Derived) {
+  std::vector<uint32_t> Out;
+  for (uint32_t B = 0; B < F.NumRegs; ++B)
+    if (BL.pinned(Facts, Derived, B))
+      Out.push_back(B);
+  return Out;
+}
+
+/// True when no register carries a fact in \p Facts.
+bool noFacts(const BaseFacts &Facts) {
+  return std::all_of(Facts.Bits.begin(), Facts.Bits.end(),
+                     [](uint64_t W) { return W == 0; });
+}
+
 const std::vector<const Workload *> &allWorkloads() {
   static const std::vector<const Workload *> All = {
       &cordtest(), &cfrac(),      &gawk(),      &gawkBuggy(),
@@ -167,17 +185,18 @@ TEST(BaseLiveness, StraightLineFactsAndPlainLiveness) {
   opt::CFGInfo CFG(F);
   BaseLiveness BL(F, CFG);
 
-  EXPECT_TRUE(BL.factsIn(0).empty());
-  EXPECT_EQ(BL.derivedCount(), 1u);
+  EXPECT_TRUE(noFacts(BL.factsIn(0)));
+  // r2 is the one register that can carry a fact (and, below, does).
+  EXPECT_EQ(BL.candidates(), std::vector<uint32_t>{2u});
 
   // Walk the transfer function through the block.
   BaseFacts Facts = BL.factsIn(0);
-  BaseLiveness::transfer(F.Blocks[0].Insts[0], Facts);
-  BaseLiveness::transfer(F.Blocks[0].Insts[1], Facts);
-  EXPECT_TRUE(Facts.empty());
-  BaseLiveness::transfer(F.Blocks[0].Insts[2], Facts);
-  ASSERT_EQ(Facts.count(2u), 1u);
-  EXPECT_EQ(Facts[2], std::set<uint32_t>{0u});
+  BL.transfer(F.Blocks[0].Insts[0], Facts);
+  BL.transfer(F.Blocks[0].Insts[1], Facts);
+  EXPECT_TRUE(noFacts(Facts));
+  BL.transfer(F.Blocks[0].Insts[2], Facts);
+  EXPECT_EQ(bases(F, BL, Facts, 2), std::vector<uint32_t>{0u});
+  EXPECT_TRUE(bases(F, BL, Facts, 1).empty());
 
   // The kill-insertion contract covers the KeepLive destination only.
   EXPECT_TRUE(BL.inKillContract(2, 0));
@@ -205,9 +224,8 @@ TEST(BaseLiveness, CopiesCarryFactsOutsideTheContract) {
 
   BaseFacts Facts = BL.factsIn(0);
   for (const ir::Instruction &I : F.Blocks[0].Insts)
-    BaseLiveness::transfer(I, Facts);
-  ASSERT_EQ(Facts.count(2u), 1u);
-  EXPECT_EQ(Facts[2], std::set<uint32_t>{0u});
+    BL.transfer(I, Facts);
+  EXPECT_EQ(bases(F, BL, Facts, 2), std::vector<uint32_t>{0u});
 
   // Copy-carried facts are real derivations but outside the kill contract.
   EXPECT_TRUE(BL.inKillContract(1, 0));
@@ -224,8 +242,8 @@ TEST(BaseLiveness, WritebackSelfAnchors) {
 
   BaseFacts Facts = BL.factsIn(0);
   for (const ir::Instruction &I : F.Blocks[0].Insts)
-    BaseLiveness::transfer(I, Facts);
-  EXPECT_EQ(Facts.count(0u), 0u);
+    BL.transfer(I, Facts);
+  EXPECT_TRUE(bases(F, BL, Facts, 0).empty());
   EXPECT_TRUE(pointCheck(F).empty()) << renderAll(pointCheck(F));
 }
 
@@ -233,11 +251,13 @@ TEST(BaseLiveness, RedefinitionErasesTheFact) {
   ir::Function F = makeFunction(
       "f", 3,
       {{movImm(0, 100), keepLive(2, 0, 0), addImm(2, 2, 1), ret(2)}});
-  BaseFacts Facts;
-  BaseLiveness::transfer(F.Blocks[0].Insts[1], Facts);
-  EXPECT_EQ(Facts.count(2u), 1u);
-  BaseLiveness::transfer(F.Blocks[0].Insts[2], Facts);
-  EXPECT_EQ(Facts.count(2u), 0u);
+  opt::CFGInfo CFG(F);
+  BaseLiveness BL(F, CFG);
+  BaseFacts Facts = BL.factsIn(0);
+  BL.transfer(F.Blocks[0].Insts[1], Facts);
+  EXPECT_FALSE(bases(F, BL, Facts, 2).empty());
+  BL.transfer(F.Blocks[0].Insts[2], Facts);
+  EXPECT_TRUE(bases(F, BL, Facts, 2).empty());
 }
 
 TEST(BaseLiveness, MergeJoinsBaseSets) {
@@ -255,8 +275,7 @@ TEST(BaseLiveness, MergeJoinsBaseSets) {
   BaseLiveness BL(F, CFG);
 
   const BaseFacts &AtJoin = BL.factsIn(3);
-  ASSERT_EQ(AtJoin.count(3u), 1u);
-  EXPECT_EQ(AtJoin.at(3), (std::set<uint32_t>{1u, 2u}));
+  EXPECT_EQ(bases(F, BL, AtJoin, 3), (std::vector<uint32_t>{1u, 2u}));
 }
 
 TEST(PlainLiveness, LoopLivenessReachesTheHeader) {
@@ -636,11 +655,19 @@ TEST(SafetyPipeline, EachPassModeNamesTheOffendingPass) {
 }
 
 TEST(SafetyPipeline, GateCommittedStatesAreNotVerifiedAgain) {
-  // Under a commit gate with each-pass checkpoints, the verifier (here
-  // counted through the memo) runs for (lower), every gate, every
-  // rolled-back checkpoint and (final). A committed state passed the gate
-  // on the same IR, so its checkpoint only counts the run.
+  // Under a commit gate with each-pass checkpoints, the verifier runs for
+  // (lower), every gate, every rolled-back checkpoint and (final). A
+  // committed state passed the gate on the same IR, so its checkpoint only
+  // counts the run. Of those runs, a state equal to the last one the same
+  // function was verified on with the same kill-placement flag replays
+  // that verdict; exactly the others reach the memo.
   Compilation C(cordtest().Name, cordtest().Source);
+  ASSERT_TRUE(C.parse());
+  annotate::AnnotationMap Annotations = C.annotate();
+  ir::LowerOptions LO;
+  LO.SafetyMode = ir::LowerOptions::Safety::KeepLive;
+  LO.Annotations = &Annotations;
+  const ir::Module Lowered = ir::lowerTranslationUnit(C.tu(), LO, C.diags());
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
     support::FaultInjector Faults;
     std::string Error;
@@ -650,25 +677,106 @@ TEST(SafetyPipeline, GateCommittedStatesAreNotVerifiedAgain) {
     PassTransactions Txn;
     Txn.Faults = &Faults;
     VerifyMemo Memo;
-    uint64_t Gates = 0; // every pass that ran reaches the gate
+    // Every pass that ran, as it reached the gate (before the corruption
+    // failpoint), with the corruptions and rollbacks before it.
+    struct Gate {
+      std::string Pass;
+      ir::Function IR;
+      uint64_t Corruptions;
+      size_t Rollbacks;
+    };
+    std::vector<Gate> Gates;
     CompileOptions CO;
     CO.Mode = CompileMode::O2Safe;
     CO.Verify = SafetyVerify::EachPass;
     CO.Txn = &Txn;
     CO.Memo = &Memo;
-    CO.PassMutator = [&Gates](const char *, ir::Function &) { ++Gates; };
+    CO.PassMutator = [&](const char *Pass, ir::Function &F) {
+      Gates.push_back({Pass, F, Txn.CorruptionsApplied, Txn.Rollbacks.size()});
+    };
     CompileResult CR = C.compile(CO);
     ASSERT_TRUE(CR.Ok) << CR.Errors;
     ASSERT_FALSE(Txn.Rollbacks.empty()) << "seed " << Seed;
+
+    // The runner's replay rule over the same states. A corrupted state is
+    // unknown here (nullptr): it is verified, and equals nothing later.
+    std::map<std::string, ir::Function> Last[2], Committed;
+    uint64_t NotReplayed = 0;
+    auto Verify = [&](const std::string &Fn, const ir::Function *IR,
+                      bool KillPlacement) {
+      auto It = Last[KillPlacement].find(Fn);
+      if (IR && It != Last[KillPlacement].end() && It->second == *IR)
+        return;
+      ++NotReplayed;
+      if (IR)
+        Last[KillPlacement][Fn] = *IR;
+      else
+        Last[KillPlacement].erase(Fn);
+    };
+    for (ir::Function F : Lowered.Functions) {
+      Verify(F.Name, &F, false);
+      opt::removeUnreachableBlocks(F);
+      Committed[F.Name] = F;
+    }
+    for (size_t K = 0; K < Gates.size(); ++K) {
+      const Gate &G = Gates[K];
+      bool AtEnd = K + 1 == Gates.size();
+      bool Corrupted = (AtEnd ? Txn.CorruptionsApplied
+                              : Gates[K + 1].Corruptions) > G.Corruptions;
+      bool RolledBack =
+          (AtEnd ? Txn.Rollbacks.size() : Gates[K + 1].Rollbacks) >
+          G.Rollbacks;
+      Verify(G.IR.Name, Corrupted ? nullptr : &G.IR,
+             G.Pass == "insert_kills");
+      if (RolledBack) {
+        Verify(G.IR.Name, &Committed[G.IR.Name], false);
+      } else {
+        ASSERT_FALSE(Corrupted) << "seed " << Seed << ": committed corruption";
+        Committed[G.IR.Name] = G.IR;
+      }
+    }
+    for (const auto &[Name, F] : Committed)
+      Verify(Name, &F, !Txn.Quarantine.count("insert_kills"));
+
     uint64_t Functions = CR.Module.Functions.size();
-    EXPECT_EQ(Memo.hits() + Memo.misses(),
-              2 * Functions + Gates + Txn.Rollbacks.size())
+    EXPECT_EQ(Memo.hits() + Memo.misses(), NotReplayed) << "seed " << Seed;
+    EXPECT_LT(NotReplayed, 2 * Functions + Gates.size() + Txn.Rollbacks.size())
         << "seed " << Seed;
     // Each pass that ran still counts one checkpoint run.
-    EXPECT_EQ(CR.Stats.get("analysis.verify.runs"), 2 * Functions + Gates)
+    EXPECT_EQ(CR.Stats.get("analysis.verify.runs"),
+              2 * Functions + Gates.size())
         << "seed " << Seed;
     EXPECT_TRUE(CR.SafetyDiags.empty()) << renderAll(CR.SafetyDiags);
   }
+}
+
+TEST(SafetyPipeline, ASourceOffsetChangeForcesAFreshVerify) {
+  // Each-pass checkpoints replay the verdict of a function a pass left
+  // unchanged. A mutator that changes only one instruction's source
+  // offset after every pass makes every checkpoint a new state: every
+  // verifier run then reaches the memo, and none is replayed.
+  auto Lookups = [](bool MoveALoc) {
+    VerifyMemo Memo;
+    uint32_t Offset = 0;
+    CompileOptions CO;
+    CO.Mode = CompileMode::O2SafePost;
+    CO.Verify = SafetyVerify::EachPass;
+    CO.Memo = &Memo;
+    if (MoveALoc)
+      CO.PassMutator = [&Offset](const char *, ir::Function &F) {
+        F.Blocks[0].Insts[0].Loc = Offset++;
+      };
+    CompileResult CR = compileWorkload(displacedIndex(), CO);
+    EXPECT_TRUE(CR.Ok) << CR.Errors;
+    EXPECT_TRUE(CR.SafetyOk) << renderAll(CR.SafetyDiags);
+    return std::make_pair(Memo.hits() + Memo.misses(),
+                          CR.Stats.get("analysis.verify.runs"));
+  };
+  auto [Replayed, Runs] = Lookups(false);
+  EXPECT_LT(Replayed, Runs);
+  auto [Fresh, MovedRuns] = Lookups(true);
+  EXPECT_EQ(MovedRuns, Runs);
+  EXPECT_EQ(Fresh, Runs);
 }
 
 TEST(SafetyPipeline, VerifyMemoStaysBoundedAndRecomputesEvictedVerdicts) {
@@ -699,6 +807,50 @@ TEST(SafetyPipeline, VerifyMemoStaysBoundedAndRecomputesEvictedVerdicts) {
   EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, F, VO, Hit));
   EXPECT_EQ(Memo.hits(), 1u);
   EXPECT_EQ(renderAll(Hit), renderAll(First));
+}
+
+TEST(SafetyPipeline, VerifyMemoKeysOnSourceOffsets) {
+  // Two functions that differ only in the source offset of the offending
+  // kill: each diagnostic carries its own function's offset (and so its
+  // own lint line), never the one recorded for the other.
+  ir::Function A = makeFunction("f", 1, {{movImm(0, 5), kill(0), ret(0)}});
+  ir::Function B = A;
+  A.Blocks[0].Insts[1].Loc = 10;
+  B.Blocks[0].Insts[1].Loc = 20;
+  SafetyVerifyOptions VO;
+  VO.Pass = "(test)";
+  VO.CheckKillPlacement = false;
+  VerifyMemo Memo;
+  std::vector<SafetyDiag> DA, DB;
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, A, VO, DA));
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, B, VO, DB));
+  ASSERT_EQ(DA.size(), 1u) << renderAll(DA);
+  ASSERT_EQ(DB.size(), 1u) << renderAll(DB);
+  EXPECT_EQ(DA[0].SrcOffset, 10u);
+  EXPECT_EQ(DB[0].SrcOffset, 20u);
+  EXPECT_EQ(Memo.misses(), 2u);
+}
+
+TEST(SafetyPipeline, VerifyMemoKeysOnParameters) {
+  // r1 = 5; return r1 — once with an unused parameter r0, which the
+  // canonical placement kills at entry, and once without parameters. The
+  // kill-placement audit flags only the first; a verdict recorded for one
+  // must not be replayed for the other.
+  ir::Function WithParam = makeFunction("f", 2, {{movImm(1, 5), ret(1)}});
+  WithParam.ParamRegs = {0};
+  ir::Function NoParam = WithParam;
+  NoParam.ParamRegs.clear();
+  SafetyVerifyOptions VO;
+  VO.Pass = "(test)";
+  VerifyMemo Memo;
+  std::vector<SafetyDiag> DW, DN;
+  EXPECT_FALSE(verifyFunctionSafetyMemo(&Memo, WithParam, VO, DW));
+  ASSERT_EQ(DW.size(), 1u) << renderAll(DW);
+  EXPECT_EQ(DW[0].Kind, "kill_missing");
+  EXPECT_EQ(DW[0].Base, 0u);
+  EXPECT_TRUE(verifyFunctionSafetyMemo(&Memo, NoParam, VO, DN))
+      << renderAll(DN);
+  EXPECT_EQ(Memo.misses(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

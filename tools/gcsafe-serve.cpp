@@ -287,20 +287,25 @@ void serveConnection(serve::CompileService &Svc, int Fd,
                      const DaemonOptions &DO, DaemonState &State) {
   std::string Buffer;
   char Chunk[4096];
+  // A line over the cap is answered once with a protocol error, then the
+  // connection hangs up: a client streaming an unbounded line cannot hold
+  // memory hostage. The newline can land in the same chunk that crossed
+  // the cap, so a completed line gets the same rejection.
+  auto Oversized = [&](size_t Bytes) {
+    if (!DO.MaxRequestBytes || Bytes <= DO.MaxRequestBytes)
+      return false;
+    writeResponse(Svc, Fd,
+                  serve::buildErrorResponse(
+                      "", "request line exceeds " +
+                              std::to_string(DO.MaxRequestBytes) + " bytes")
+                      .dump(0));
+    return true;
+  };
   for (;;) {
     size_t NL;
     while ((NL = Buffer.find('\n')) == std::string::npos) {
-      if (DO.MaxRequestBytes && Buffer.size() > DO.MaxRequestBytes) {
-        // Answer once with a protocol error, then hang up: a client
-        // streaming an unbounded line cannot hold memory hostage.
-        writeResponse(Svc, Fd,
-                      serve::buildErrorResponse(
-                          "", "request line exceeds " +
-                                  std::to_string(DO.MaxRequestBytes) +
-                                  " bytes")
-                          .dump(0));
+      if (Oversized(Buffer.size()))
         return;
-      }
       ssize_t N = read(Fd, Chunk, sizeof(Chunk));
       if (N <= 0) // EOF, error, or SO_RCVTIMEO expiry (EAGAIN)
         return;
@@ -308,17 +313,8 @@ void serveConnection(serve::CompileService &Svc, int Fd,
     }
     std::string Line = Buffer.substr(0, NL);
     Buffer.erase(0, NL + 1);
-    if (DO.MaxRequestBytes && Line.size() > DO.MaxRequestBytes) {
-      // The newline can land in the same chunk that crossed the cap, so
-      // a completed line needs the same rejection as a streaming one.
-      writeResponse(Svc, Fd,
-                    serve::buildErrorResponse(
-                        "", "request line exceeds " +
-                                std::to_string(DO.MaxRequestBytes) +
-                                " bytes")
-                        .dump(0));
+    if (Oversized(Line.size()))
       return;
-    }
     if (Line.empty())
       continue;
     serve::ServeRequest Req;

@@ -59,24 +59,31 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
 
     for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
       const Instruction &I = B.Insts[Idx];
+      // Flags as \p Kind each derived pointer live after I and pinned to
+      // \p R (through the kill contract when \p Contract); true if any.
+      auto PinnedLive = [&](uint32_t R, bool Contract, const char *Kind,
+                            const char *Action) {
+        bool Any = false;
+        for (uint32_t Row = 0; Row < Derived.size(); ++Row) {
+          uint32_t D = Derived[Row];
+          if (D == R || !Facts.test(Row, R) || !LiveAfter[Idx].test(D) ||
+              (Contract && !BL.inKillContract(D, R)))
+            continue;
+          Any = true;
+          std::ostringstream OS;
+          OS << Action << regName(R) << " while derived pointer "
+             << regName(D) << " (KEEP_LIVE base " << regName(R)
+             << ") is still live";
+          Out.push_back(makeDiag(F, BId, Idx, I.Loc, Options.Pass, Kind, D,
+                                 R, OS.str()));
+        }
+        return Any;
+      };
 
       if (I.Op == Opcode::Kill) {
         if (I.A.isReg()) {
           uint32_t R = I.A.Reg;
-          bool BaseDiag = false;
-          for (uint32_t Row = 0; Row < Derived.size(); ++Row) {
-            uint32_t D = Derived[Row];
-            if (D == R || !Facts.test(Row, R) || !LiveAfter[Idx].test(D) ||
-                !BL.inKillContract(D, R))
-              continue;
-            BaseDiag = true;
-            std::ostringstream OS;
-            OS << "kill of " << regName(R) << " while derived pointer "
-               << regName(D) << " (KEEP_LIVE base " << regName(R)
-               << ") is still live";
-            Out.push_back(makeDiag(F, BId, Idx, I.Loc, Options.Pass,
-                                   "base_killed", D, R, OS.str()));
-          }
+          bool BaseDiag = PinnedLive(R, true, "base_killed", "kill of ");
           if (!BaseDiag && LiveAfter[Idx].test(R)) {
             std::ostringstream OS;
             OS << "kill of " << regName(R)
@@ -97,19 +104,8 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
           if (X == R || BL.pinned(Facts, X, R))
             Rebase = true;
         });
-        if (!Rebase) {
-          for (uint32_t Row = 0; Row < Derived.size(); ++Row) {
-            uint32_t D = Derived[Row];
-            if (D == R || !Facts.test(Row, R) || !LiveAfter[Idx].test(D))
-              continue;
-            std::ostringstream OS;
-            OS << "definition clobbers " << regName(R)
-               << " while derived pointer " << regName(D)
-               << " (KEEP_LIVE base " << regName(R) << ") is still live";
-            Out.push_back(makeDiag(F, BId, Idx, I.Loc, Options.Pass,
-                                   "base_clobbered", D, R, OS.str()));
-          }
-        }
+        if (!Rebase)
+          PinnedLive(R, false, "base_clobbered", "definition clobbers ");
       }
 
       BL.transfer(I, Facts);

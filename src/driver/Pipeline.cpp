@@ -59,8 +59,19 @@ std::string memoKey(const ir::Function &F, bool KillPlacement) {
     H.update(B.Name);
     Add(B.Insts.size());
     for (const ir::Instruction &I : B.Insts) {
-      Add(I.Op, I.Size, I.SignedLoad, I.Loc, I.Dst, I.Aux, I.Callee,
-          I.BuiltinCallee, I.Blk1, I.Blk2, I.Args.size());
+      // Fields most instructions leave at their defaults enter only when
+      // set, after a mask of the set groups that keeps the key unambiguous.
+      bool Aux = I.Aux != 0, Jump = I.Blk1 || I.Blk2,
+           Call = I.Callee != -1 || I.BuiltinCallee != ir::Builtin::None ||
+                  !I.Args.empty();
+      Add(I.Op, I.Size, I.SignedLoad, uint8_t(Aux | Jump << 1 | Call << 2),
+          I.Loc, I.Dst);
+      if (Aux)
+        Add(I.Aux);
+      if (Jump)
+        Add(I.Blk1, I.Blk2);
+      if (Call)
+        Add(I.Callee, I.BuiltinCallee, I.Args.size());
       for (const ir::Value *V : {&I.A, &I.B, &I.C})
         AddValue(*V);
       for (const ir::Value &V : I.Args)

@@ -683,6 +683,73 @@ void forEachChild(const Expr *E, Callable Fn) {
   }
 }
 
+/// Calls \p OnStmt on each direct substatement and \p OnExpr on each
+/// direct subexpression of \p S, in source order (a do's body before its
+/// condition; a for's init, condition, increment, body). A declaration's
+/// children are its initializers. Absent children are skipped.
+template <typename StmtFn, typename ExprFn>
+void forEachChild(const Stmt *S, StmtFn OnStmt, ExprFn OnExpr) {
+  switch (S->kind()) {
+  case StmtKind::Compound:
+    for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
+      OnStmt(Sub);
+    return;
+  case StmtKind::Decl:
+    for (const VarDecl *VD : cast<DeclStmt>(S)->decls())
+      if (VD->init())
+        OnExpr(VD->init());
+    return;
+  case StmtKind::Expr:
+    if (const Expr *E = cast<ExprStmt>(S)->expr())
+      OnExpr(E);
+    return;
+  case StmtKind::If: {
+    const auto *IS = cast<IfStmt>(S);
+    OnExpr(IS->cond());
+    OnStmt(IS->thenStmt());
+    if (IS->elseStmt())
+      OnStmt(IS->elseStmt());
+    return;
+  }
+  case StmtKind::While:
+    OnExpr(cast<WhileStmt>(S)->cond());
+    OnStmt(cast<WhileStmt>(S)->body());
+    return;
+  case StmtKind::Do:
+    OnStmt(cast<DoStmt>(S)->body());
+    OnExpr(cast<DoStmt>(S)->cond());
+    return;
+  case StmtKind::For: {
+    const auto *FS = cast<ForStmt>(S);
+    if (FS->init())
+      OnStmt(FS->init());
+    if (FS->cond())
+      OnExpr(FS->cond());
+    if (FS->inc())
+      OnExpr(FS->inc());
+    OnStmt(FS->body());
+    return;
+  }
+  case StmtKind::Return:
+    if (const Expr *V = cast<ReturnStmt>(S)->value())
+      OnExpr(V);
+    return;
+  case StmtKind::Break:
+  case StmtKind::Continue:
+    return;
+  case StmtKind::Switch:
+    OnExpr(cast<SwitchStmt>(S)->cond());
+    OnStmt(cast<SwitchStmt>(S)->body());
+    return;
+  case StmtKind::Case:
+    OnStmt(cast<CaseStmt>(S)->sub());
+    return;
+  case StmtKind::Default:
+    OnStmt(cast<DefaultStmt>(S)->sub());
+    return;
+  }
+}
+
 } // namespace cfront
 } // namespace gcsafe
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace gcsafe;
 using namespace gcsafe::cfront;
 
@@ -601,4 +603,41 @@ TEST(Parser, ForwardStructPointerField) {
                  "struct b { struct a *back; long v; };\n"
                  "long f(struct a *x) { return x->link->v; }\n");
   ASSERT_TRUE(F.Ok) << F.Diags.render(F.Buffer);
+}
+
+//===----------------------------------------------------------------------===//
+// AST walks
+//===----------------------------------------------------------------------===//
+
+TEST(ASTWalk, StatementChildrenInSourceOrder) {
+  FrontendTest F("long f(long n) {\n"
+                 "  long a = n + 1, b;\n"
+                 "  for (;;) break;\n"
+                 "  for (long i = 0; i < n; i++) continue;\n"
+                 "  if (n) a = 2; else a = 3;\n"
+                 "  while (a) a--;\n"
+                 "  do b = a; while (b);\n"
+                 "  switch (n) { case 1: a = 4; default: ; }\n"
+                 "  return a;\n"
+                 "}\n");
+  ASSERT_TRUE(F.Ok) << F.Diags.render(F.Buffer);
+  static const char *const Names[] = {
+      "Compound", "Decl",   "Expr",   "If",       "While", "Do",     "For",
+      "Return",   "Break",  "Continue", "Switch", "Case",  "Default"};
+  std::string Seq;
+  std::function<void(const Stmt *)> Walk = [&](const Stmt *S) {
+    Seq += std::string(Seq.empty() ? "" : " ") +
+           Names[static_cast<unsigned>(S->kind())];
+    forEachChild(S, Walk, [&](const Expr *E) {
+      SourceRange R = E->range();
+      Seq += " [" +
+             std::string(F.Buffer.text().substr(R.Begin, R.End - R.Begin)) +
+             "]";
+    });
+  };
+  Walk(F.TU.findFunction("f")->body());
+  EXPECT_EQ(Seq, "Compound Decl [n + 1] For Break For Decl [0] [i < n] [i++] "
+                 "Continue If [n] Expr [a = 2] Expr [a = 3] While [a] Expr "
+                 "[a--] Do Expr [b = a] [b] Switch [n] Compound Case Expr "
+                 "[a = 4] Default Expr Return [a]");
 }

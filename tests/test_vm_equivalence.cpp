@@ -25,6 +25,13 @@
 // emission order) of every seeded mutant of the same workloads in the
 // safe modes, verified final and each-pass.
 //
+// A fourth, tests/golden/annotate.txt, pins the source-level half: for the
+// same workloads, examples/sample_input.c and a source that trips every
+// source check, in GCSafe and Checked mode, with the paper's default
+// annotator options and with slow bases, the hashes of the rendered
+// source and of its sorted edit list, the annotator statistics and every
+// source-check warning.
+//
 // Regenerate a golden (only when a change is meant to move a modeled
 // number or the optimizer's output) with:
 //   GCSAFE_UPDATE_GOLDEN=1 ./gcsafe_vm_equivalence_tests
@@ -32,6 +39,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Mutate.h"
+#include "annotate/Annotator.h"
 #include "driver/Pipeline.h"
 #include "driver/SelfHeal.h"
 #include "ir/Verify.h"
@@ -319,6 +327,102 @@ std::string runSafetyDiagSweep() {
   return Out;
 }
 
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In) << "missing " << Path;
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// The annotator's counters, in declaration order.
+std::string describe(const annotate::AnnotatorStats &S) {
+  std::ostringstream OS;
+  OS << "keep_lives=" << S.KeepLives << " incdec=" << S.IncDecExpansions
+     << " compound=" << S.CompoundAssignExpansions
+     << " temps=" << S.TempsIntroduced << " skip_copies=" << S.SkippedCopies
+     << " skip_calls=" << S.SkippedCallResults
+     << " skip_nonheap=" << S.SkippedNonHeap
+     << " skip_atcalls=" << S.SkippedAtCallsOnly
+     << " slow_bases=" << S.SlowBaseSubstitutions
+     << " unhandled=" << S.UnhandledComplexLValues;
+  return OS.str();
+}
+
+/// Every source-check warning once, each under a different statement
+/// kind, so the golden pins the order the checks walk the body in.
+constexpr const char *HazardsSource = R"(int scanf(char *, ...);
+long fread(void *, long, long, void *);
+void *memcpy(void *, void *, long);
+struct cell { struct cell *next; long v; };
+struct cell *hazards(struct cell *c, long n) {
+  struct cell *cells[4];
+  long buf[4];
+  int t = (int)c;
+  for (t = (int)c->next; n; n--) scanf("%p", &c);
+  if (n) fread(cells, 8, 4, 0); else memcpy(buf, cells, 8);
+  while (n) c = c - 1;
+  do n = (long)(cells + 5); while (n);
+  switch (n) { case 1: scanf("%p", &c); default: c = c->next - 2; }
+  return c->next - 1;
+}
+)";
+
+/// The preprocessor's output over the paper workloads, the sample input
+/// and a source that trips every source check: per mode and annotator
+/// configuration, the rendered source and its edit list (hashed), the
+/// annotator statistics, and the source checks' warnings with their
+/// offsets.
+std::string runAnnotateSweep() {
+  std::vector<std::pair<std::string, std::string>> Inputs;
+  for (const workloads::Workload *W : workloads::benchmarkSuite())
+    Inputs.push_back({W->Name, W->Source});
+  Inputs.push_back({"sample_input.c",
+                    readFile(GCSAFE_EXAMPLES_DIR "/sample_input.c")});
+  Inputs.push_back({"hazards.c", HazardsSource});
+
+  annotate::AnnotatorOptions Paper;
+  annotate::AnnotatorOptions SlowBases;
+  SlowBases.PreferSlowBases = true;
+  const std::pair<const char *, annotate::AnnotatorOptions> Configs[] = {
+      {"paper", Paper}, {"slow_bases", SlowBases}};
+  const std::pair<const char *, annotate::AnnotationMode> AnnotModes[] = {
+      {"gcsafe", annotate::AnnotationMode::GCSafe},
+      {"checked", annotate::AnnotationMode::Checked}};
+
+  std::string Out;
+  for (const auto &[Name, Source] : Inputs) {
+    Compilation C(Name, Source);
+    EXPECT_TRUE(C.parse()) << Name << ": " << C.renderedDiagnostics();
+    for (const auto &[ConfigName, Options] : Configs) {
+      annotate::AnnotationMap Map = C.annotate(Options);
+      for (const auto &[ModeName, Mode] : AnnotModes) {
+        rewrite::EditList Edits;
+        annotate::renderAnnotationEdits(C.buffer(), Map, Mode, Edits);
+        std::string EditText;
+        Edits.forEachSorted(
+            [&](uint32_t Pos, uint32_t Len, const std::string &Text) {
+              EditText += std::to_string(Pos) + "," + std::to_string(Len) +
+                          "," + Text + "\n";
+            });
+        std::ostringstream OS;
+        OS << Name << " " << ModeName << " " << ConfigName
+           << ": source=" << std::hex
+           << fnv1a(Edits.apply(C.buffer().text())) << std::dec
+           << " edits=" << Edits.size() << "/" << std::hex << fnv1a(EditText)
+           << std::dec << " "
+           << describe(Map.stats()) << "\n";
+        Out += OS.str();
+      }
+    }
+    for (const Diagnostic &D : C.diags().diagnostics())
+      if (D.Level == DiagLevel::Warning)
+        Out += "  warning @" + std::to_string(D.Loc.Offset) + ": " +
+               D.Message + "\n";
+  }
+  return Out;
+}
+
 /// Compares \p Actual line by line against tests/golden/\p Name, or
 /// rewrites that golden under GCSAFE_UPDATE_GOLDEN=1. A nonzero
 /// \p WantLines also pins the golden's length.
@@ -361,4 +465,8 @@ TEST(VMEquivalence, PassPipelineMatchesTheGolden) {
 
 TEST(VMEquivalence, SafetyDiagnosticsMatchTheGolden) {
   expectGolden("safety_diags.txt", runSafetyDiagSweep());
+}
+
+TEST(VMEquivalence, AnnotatedSourceMatchesTheGolden) {
+  expectGolden("annotate.txt", runAnnotateSweep());
 }

@@ -146,72 +146,17 @@ private:
     forEachChild(E, [&](const Expr *Child) { collectExpr(Child); });
   }
 
+  /// A declaration binds its variables; its initializers are not walked
+  /// further (an assignment inside one does not rebind a pointer here).
   void collectStmt(const Stmt *S) {
-    switch (S->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
-        collectStmt(Sub);
-      return;
-    case StmtKind::Decl:
-      for (const VarDecl *VD : cast<DeclStmt>(S)->decls())
+    if (const auto *DS = dyn_cast<DeclStmt>(S)) {
+      for (const VarDecl *VD : DS->decls())
         if (VD->init() && VD->isPossibleHeapPointer())
           recordBinding(VD, VD->init());
       return;
-    case StmtKind::Expr:
-      if (const Expr *E = cast<ExprStmt>(S)->expr())
-        collectExpr(E);
-      return;
-    case StmtKind::If: {
-      const auto *IS = cast<IfStmt>(S);
-      collectExpr(IS->cond());
-      collectStmt(IS->thenStmt());
-      if (IS->elseStmt())
-        collectStmt(IS->elseStmt());
-      return;
     }
-    case StmtKind::While: {
-      const auto *WS = cast<WhileStmt>(S);
-      collectExpr(WS->cond());
-      collectStmt(WS->body());
-      return;
-    }
-    case StmtKind::Do: {
-      const auto *DS = cast<DoStmt>(S);
-      collectStmt(DS->body());
-      collectExpr(DS->cond());
-      return;
-    }
-    case StmtKind::For: {
-      const auto *FS = cast<ForStmt>(S);
-      if (FS->init())
-        collectStmt(FS->init());
-      if (FS->cond())
-        collectExpr(FS->cond());
-      if (FS->inc())
-        collectExpr(FS->inc());
-      collectStmt(FS->body());
-      return;
-    }
-    case StmtKind::Return:
-      if (const Expr *V = cast<ReturnStmt>(S)->value())
-        collectExpr(V);
-      return;
-    case StmtKind::Break:
-    case StmtKind::Continue:
-      return;
-    case StmtKind::Switch: {
-      const auto *SS = cast<SwitchStmt>(S);
-      collectExpr(SS->cond());
-      collectStmt(SS->body());
-      return;
-    }
-    case StmtKind::Case:
-      collectStmt(cast<CaseStmt>(S)->sub());
-      return;
-    case StmtKind::Default:
-      collectStmt(cast<DefaultStmt>(S)->sub());
-      return;
-    }
+    forEachChild(S, [&](const Stmt *Sub) { collectStmt(Sub); },
+                 [&](const Expr *E) { collectExpr(E); });
   }
 
   std::unordered_map<const VarDecl *, VarFlow> Info;
@@ -528,14 +473,11 @@ private:
     }
   }
 
+  /// Initializers of pointer variables and returned pointers are
+  /// annotation points; everything else is walked as is.
   void visitStmt(const Stmt *S) {
-    switch (S->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
-        visitStmt(Sub);
-      return;
-    case StmtKind::Decl:
-      for (const VarDecl *VD : cast<DeclStmt>(S)->decls()) {
+    if (const auto *DS = dyn_cast<DeclStmt>(S)) {
+      for (const VarDecl *VD : DS->decls()) {
         if (!VD->init())
           continue;
         if (VD->isPossibleHeapPointer())
@@ -544,67 +486,14 @@ private:
           visitExpr(VD->init());
       }
       return;
-    case StmtKind::Expr:
-      if (const Expr *E = cast<ExprStmt>(S)->expr())
-        visitExpr(E);
-      return;
-    case StmtKind::If: {
-      const auto *IS = cast<IfStmt>(S);
-      visitExpr(IS->cond());
-      visitStmt(IS->thenStmt());
-      if (IS->elseStmt())
-        visitStmt(IS->elseStmt());
+    }
+    if (const auto *RS = dyn_cast<ReturnStmt>(S);
+        RS && RS->value() && CurRetTy && CurRetTy->isObjectPointer()) {
+      annotatePoint(RS->value(), AnnotPosition::ReturnValue);
       return;
     }
-    case StmtKind::While: {
-      const auto *WS = cast<WhileStmt>(S);
-      visitExpr(WS->cond());
-      visitStmt(WS->body());
-      return;
-    }
-    case StmtKind::Do: {
-      const auto *DS = cast<DoStmt>(S);
-      visitStmt(DS->body());
-      visitExpr(DS->cond());
-      return;
-    }
-    case StmtKind::For: {
-      const auto *FS = cast<ForStmt>(S);
-      if (FS->init())
-        visitStmt(FS->init());
-      if (FS->cond())
-        visitExpr(FS->cond());
-      if (FS->inc())
-        visitExpr(FS->inc());
-      visitStmt(FS->body());
-      return;
-    }
-    case StmtKind::Return: {
-      const Expr *V = cast<ReturnStmt>(S)->value();
-      if (!V)
-        return;
-      if (CurRetTy && CurRetTy->isObjectPointer())
-        annotatePoint(V, AnnotPosition::ReturnValue);
-      else
-        visitExpr(V);
-      return;
-    }
-    case StmtKind::Break:
-    case StmtKind::Continue:
-      return;
-    case StmtKind::Switch: {
-      const auto *SS = cast<SwitchStmt>(S);
-      visitExpr(SS->cond());
-      visitStmt(SS->body());
-      return;
-    }
-    case StmtKind::Case:
-      visitStmt(cast<CaseStmt>(S)->sub());
-      return;
-    case StmtKind::Default:
-      visitStmt(cast<DefaultStmt>(S)->sub());
-      return;
-    }
+    forEachChild(S, [&](const Stmt *Sub) { visitStmt(Sub); },
+                 [&](const Expr *E) { visitExpr(E); });
   }
 
   const AnnotatorOptions &Opts;

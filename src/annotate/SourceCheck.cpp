@@ -94,7 +94,10 @@ public:
     forEachChild(E, [&](const Expr *Child) { visitExpr(Child); });
   }
 
-  void visitStmt(const Stmt *S);
+  void visitStmt(const Stmt *S) {
+    forEachChild(S, [&](const Stmt *Sub) { visitStmt(Sub); },
+                 [&](const Expr *E) { visitExpr(E); });
+  }
 
 private:
   void warn(const Expr *E, const std::string &Message) {
@@ -231,74 +234,6 @@ private:
   /// into an outer node's total — skipped to avoid duplicate reports.
   std::set<const Expr *> ChainInterior;
 };
-
-void CallWalker::visitStmt(const Stmt *S) {
-  switch (S->kind()) {
-  case StmtKind::Compound:
-    for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
-      visitStmt(Sub);
-    return;
-  case StmtKind::Decl:
-    for (const VarDecl *VD : cast<DeclStmt>(S)->decls())
-      if (VD->init())
-        visitExpr(VD->init());
-    return;
-  case StmtKind::Expr:
-    if (const Expr *E = cast<ExprStmt>(S)->expr())
-      visitExpr(E);
-    return;
-  case StmtKind::If: {
-    const auto *IS = cast<IfStmt>(S);
-    visitExpr(IS->cond());
-    visitStmt(IS->thenStmt());
-    if (IS->elseStmt())
-      visitStmt(IS->elseStmt());
-    return;
-  }
-  case StmtKind::While: {
-    const auto *WS = cast<WhileStmt>(S);
-    visitExpr(WS->cond());
-    visitStmt(WS->body());
-    return;
-  }
-  case StmtKind::Do: {
-    const auto *DS = cast<DoStmt>(S);
-    visitStmt(DS->body());
-    visitExpr(DS->cond());
-    return;
-  }
-  case StmtKind::For: {
-    const auto *FS = cast<ForStmt>(S);
-    if (FS->init())
-      visitStmt(FS->init());
-    if (FS->cond())
-      visitExpr(FS->cond());
-    if (FS->inc())
-      visitExpr(FS->inc());
-    visitStmt(FS->body());
-    return;
-  }
-  case StmtKind::Return:
-    if (const Expr *V = cast<ReturnStmt>(S)->value())
-      visitExpr(V);
-    return;
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
-  case StmtKind::Switch: {
-    const auto *SS = cast<SwitchStmt>(S);
-    visitExpr(SS->cond());
-    visitStmt(SS->body());
-    return;
-  }
-  case StmtKind::Case:
-    visitStmt(cast<CaseStmt>(S)->sub());
-    return;
-  case StmtKind::Default:
-    visitStmt(cast<DefaultStmt>(S)->sub());
-    return;
-  }
-}
 
 } // namespace
 

@@ -41,78 +41,6 @@ int64_t functionPointerValue(int32_t Index) { return 0x10000 + Index; }
 
 /// Collects variables whose address is taken (they must live in memory).
 void collectAddressTakenExpr(const Expr *E,
-                             std::unordered_map<const VarDecl *, bool> &Out);
-
-void collectAddressTakenStmt(const Stmt *S,
-                             std::unordered_map<const VarDecl *, bool> &Out) {
-  switch (S->kind()) {
-  case StmtKind::Compound:
-    for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
-      collectAddressTakenStmt(Sub, Out);
-    return;
-  case StmtKind::Decl:
-    for (const VarDecl *VD : cast<DeclStmt>(S)->decls())
-      if (VD->init())
-        collectAddressTakenExpr(VD->init(), Out);
-    return;
-  case StmtKind::Expr:
-    if (const Expr *E = cast<ExprStmt>(S)->expr())
-      collectAddressTakenExpr(E, Out);
-    return;
-  case StmtKind::If: {
-    const auto *IS = cast<IfStmt>(S);
-    collectAddressTakenExpr(IS->cond(), Out);
-    collectAddressTakenStmt(IS->thenStmt(), Out);
-    if (IS->elseStmt())
-      collectAddressTakenStmt(IS->elseStmt(), Out);
-    return;
-  }
-  case StmtKind::While: {
-    const auto *WS = cast<WhileStmt>(S);
-    collectAddressTakenExpr(WS->cond(), Out);
-    collectAddressTakenStmt(WS->body(), Out);
-    return;
-  }
-  case StmtKind::Do: {
-    const auto *DS = cast<DoStmt>(S);
-    collectAddressTakenStmt(DS->body(), Out);
-    collectAddressTakenExpr(DS->cond(), Out);
-    return;
-  }
-  case StmtKind::For: {
-    const auto *FS = cast<ForStmt>(S);
-    if (FS->init())
-      collectAddressTakenStmt(FS->init(), Out);
-    if (FS->cond())
-      collectAddressTakenExpr(FS->cond(), Out);
-    if (FS->inc())
-      collectAddressTakenExpr(FS->inc(), Out);
-    collectAddressTakenStmt(FS->body(), Out);
-    return;
-  }
-  case StmtKind::Return:
-    if (const Expr *V = cast<ReturnStmt>(S)->value())
-      collectAddressTakenExpr(V, Out);
-    return;
-  case StmtKind::Break:
-  case StmtKind::Continue:
-    return;
-  case StmtKind::Switch: {
-    const auto *SS = cast<SwitchStmt>(S);
-    collectAddressTakenExpr(SS->cond(), Out);
-    collectAddressTakenStmt(SS->body(), Out);
-    return;
-  }
-  case StmtKind::Case:
-    collectAddressTakenStmt(cast<CaseStmt>(S)->sub(), Out);
-    return;
-  case StmtKind::Default:
-    collectAddressTakenStmt(cast<DefaultStmt>(S)->sub(), Out);
-    return;
-  }
-}
-
-void collectAddressTakenExpr(const Expr *E,
                              std::unordered_map<const VarDecl *, bool> &Out) {
   if (const auto *UE = dyn_cast<UnaryExpr>(E)) {
     if (UE->op() == UnaryOp::AddrOf) {
@@ -133,46 +61,14 @@ void collectAddressTakenExpr(const Expr *E,
           Out[VD] = true;
     }
   }
-  switch (E->kind()) {
-  case ExprKind::Paren:
-    collectAddressTakenExpr(cast<ParenExpr>(E)->inner(), Out);
-    return;
-  case ExprKind::Unary:
-    collectAddressTakenExpr(cast<UnaryExpr>(E)->sub(), Out);
-    return;
-  case ExprKind::Binary:
-    collectAddressTakenExpr(cast<BinaryExpr>(E)->lhs(), Out);
-    collectAddressTakenExpr(cast<BinaryExpr>(E)->rhs(), Out);
-    return;
-  case ExprKind::Assign:
-    collectAddressTakenExpr(cast<AssignExpr>(E)->lhs(), Out);
-    collectAddressTakenExpr(cast<AssignExpr>(E)->rhs(), Out);
-    return;
-  case ExprKind::Conditional:
-    collectAddressTakenExpr(cast<ConditionalExpr>(E)->cond(), Out);
-    collectAddressTakenExpr(cast<ConditionalExpr>(E)->thenExpr(), Out);
-    collectAddressTakenExpr(cast<ConditionalExpr>(E)->elseExpr(), Out);
-    return;
-  case ExprKind::Call: {
-    const auto *CE = cast<CallExpr>(E);
-    collectAddressTakenExpr(CE->callee(), Out);
-    for (const Expr *Arg : CE->args())
-      collectAddressTakenExpr(Arg, Out);
-    return;
-  }
-  case ExprKind::Cast:
-    collectAddressTakenExpr(cast<CastExpr>(E)->sub(), Out);
-    return;
-  case ExprKind::Member:
-    collectAddressTakenExpr(cast<MemberExpr>(E)->base(), Out);
-    return;
-  case ExprKind::Index:
-    collectAddressTakenExpr(cast<IndexExpr>(E)->base(), Out);
-    collectAddressTakenExpr(cast<IndexExpr>(E)->index(), Out);
-    return;
-  default:
-    return;
-  }
+  forEachChild(E,
+               [&](const Expr *Child) { collectAddressTakenExpr(Child, Out); });
+}
+
+void collectAddressTakenStmt(const Stmt *S,
+                             std::unordered_map<const VarDecl *, bool> &Out) {
+  forEachChild(S, [&](const Stmt *Sub) { collectAddressTakenStmt(Sub, Out); },
+               [&](const Expr *E) { collectAddressTakenExpr(E, Out); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1360,43 +1256,12 @@ void FunctionLowering::lowerSwitch(const SwitchStmt *SS) {
 namespace {
 /// Prepares storage for every local declared anywhere in the body.
 void collectLocals(const Stmt *S, std::vector<const VarDecl *> &Out) {
-  switch (S->kind()) {
-  case StmtKind::Compound:
-    for (const Stmt *Sub : cast<CompoundStmt>(S)->body())
-      collectLocals(Sub, Out);
-    return;
-  case StmtKind::Decl:
-    for (const VarDecl *VD : cast<DeclStmt>(S)->decls())
-      Out.push_back(VD);
-    return;
-  case StmtKind::If:
-    collectLocals(cast<IfStmt>(S)->thenStmt(), Out);
-    if (cast<IfStmt>(S)->elseStmt())
-      collectLocals(cast<IfStmt>(S)->elseStmt(), Out);
-    return;
-  case StmtKind::While:
-    collectLocals(cast<WhileStmt>(S)->body(), Out);
-    return;
-  case StmtKind::Do:
-    collectLocals(cast<DoStmt>(S)->body(), Out);
-    return;
-  case StmtKind::For:
-    if (cast<ForStmt>(S)->init())
-      collectLocals(cast<ForStmt>(S)->init(), Out);
-    collectLocals(cast<ForStmt>(S)->body(), Out);
-    return;
-  case StmtKind::Switch:
-    collectLocals(cast<SwitchStmt>(S)->body(), Out);
-    return;
-  case StmtKind::Case:
-    collectLocals(cast<CaseStmt>(S)->sub(), Out);
-    return;
-  case StmtKind::Default:
-    collectLocals(cast<DefaultStmt>(S)->sub(), Out);
-    return;
-  default:
+  if (const auto *DS = dyn_cast<DeclStmt>(S)) {
+    Out.insert(Out.end(), DS->decls().begin(), DS->decls().end());
     return;
   }
+  forEachChild(S, [&](const Stmt *Sub) { collectLocals(Sub, Out); },
+               [](const Expr *) {});
 }
 } // namespace
 

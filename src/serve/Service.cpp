@@ -67,13 +67,15 @@ std::string fsSafeId(const std::string &Rid) {
 }
 
 /// The cache key of a request as received (docs/SERVING.md §3): the
-/// build fingerprint, the raw source and the canonical flag string. No
+/// build fingerprint, the raw source, the canonical flag string and the
+/// request name, which the cached reports print as their "input". No
 /// frontend runs — the annotator is a pure function of these, and the
 /// fingerprint covers every source file of the build.
 std::string requestKey(const driver::RequestOptions &R) {
   support::ContentHasher H(driver::keyFingerprint());
   H.update(R.Source);
   H.update(canonicalFlagString(R));
+  H.update(R.Name);
   return H.hex();
 }
 

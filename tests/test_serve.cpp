@@ -115,18 +115,39 @@ TEST(ServeCache, WarmIsByteIdenticalToCold) {
   EXPECT_EQ(S.get("serve.cache.insertions"), 1u);
 }
 
-// Only outcome-relevant inputs key the cache: the request name and the
-// trace-ring capacity change nothing about the compile, so they must not
-// invalidate (docs/SERVING.md "Cache invalidation").
+// Only outcome-relevant inputs key the cache: the trace-ring capacity
+// changes nothing about the response, so it must not invalidate
+// (docs/SERVING.md "Invalidation rules").
 TEST(ServeCache, OutcomeIrrelevantKnobsStillHit) {
   CompileService Svc;
   ServeResult A = Svc.compile(listRequest());
   driver::RequestOptions R = listRequest();
-  R.Name = "renamed";
   R.TraceCapacity = 64;
   ServeResult B = Svc.compile(R);
   EXPECT_EQ(B.CacheKey, A.CacheKey);
   EXPECT_TRUE(B.Cached);
+}
+
+// The request name is printed as the reports' "input", so a renamed but
+// otherwise identical request misses and answers with its own name; the
+// same name again still hits.
+TEST(ServeCache, RenamedRequestMissesAndReportsItsOwnInput) {
+  CompileService Svc;
+  ServeResult A = Svc.compile(listRequest());
+  driver::RequestOptions R = listRequest();
+  R.Name = "renamed";
+  ServeResult B = Svc.compile(R);
+  EXPECT_NE(B.CacheKey, A.CacheKey);
+  EXPECT_FALSE(B.Cached);
+  ASSERT_TRUE(B.HasReport);
+  EXPECT_EQ(B.Report.get("input")->asString(), "renamed");
+
+  ServeResult C = Svc.compile(R);
+  EXPECT_TRUE(C.Cached);
+  EXPECT_EQ(C.CacheKey, B.CacheKey);
+  expandCached(C);
+  ASSERT_TRUE(C.HasReport);
+  EXPECT_EQ(C.Report.get("input")->asString(), "renamed");
 }
 
 TEST(ServeCache, ModeChangeInvalidates) {

@@ -170,9 +170,10 @@ def ask_fresh(daemon, request):
 
 def compile_request(rid, source, deadline_ms=0):
     # The protocol id doubles as the trace request_id, so every crash can
-    # be attributed to a flight-recorder dump named after the victim.
+    # be attributed to a flight-recorder dump named after the victim. The
+    # name is in the cache key, so it stays fixed: repeats of a source hit.
     req = {"schema": "gcsafe-serve-v1", "op": "compile", "id": rid,
-           "request_id": rid, "name": rid, "source": source,
+           "request_id": rid, "name": "chaos.c", "source": source,
            "mode": "safepost", "run": True}
     if deadline_ms:
         req["deadline_ms"] = deadline_ms

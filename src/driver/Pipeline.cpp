@@ -457,7 +457,10 @@ CompileResult Compilation::compile(const CompileOptions &Options) {
         Options.Trace->emit("robust", "pass.quarantine", 0, 0, Q);
   }
 
-  if (WantSafety) {
+  // Under transactions the (final) verdict is the self-healing ladder's
+  // commit test; it replays the commit gate's verdicts where the IR is
+  // unchanged since the gate saw it.
+  if (WantSafety || Options.Txn) {
     // A transactionally quarantined insert_kills leaves registers unkilled
     // — pure false retention, which the placement audit would flag on
     // every register; skip layer 2 in that (already-degraded) case.

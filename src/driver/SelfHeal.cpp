@@ -2,7 +2,6 @@
 
 #include "driver/SelfHeal.h"
 
-#include "analysis/SafetyVerifier.h"
 #include "support/FaultInject.h"
 
 #include <sstream>
@@ -96,25 +95,10 @@ gcsafe::driver::compileSelfHealing(Compilation &C, const CompileOptions &Base,
       // degraded success rather than fail the compilation outright.
       Why = "verify_timeout";
       Committed = AtFloor;
+    } else if (CR.SafetyOk) {
+      Committed = true;
     } else {
-      analysis::SafetyVerifyOptions VO;
-      VO.Pass = "(selfheal)";
-      // A rolled-back insert_kills leaves registers unkilled — pure false
-      // retention, which is GC-safe; the placement audit would flag every
-      // missing kill, so it only gates rungs where insert_kills committed.
-      VO.CheckKillPlacement = !Txn.Quarantine.count("insert_kills");
-      std::vector<analysis::SafetyDiag> Diags;
-      bool Verified = true;
-      for (const ir::Function &F : CR.Module.Functions)
-        Verified = verifyFunctionSafetyMemo(Base.Memo, F, VO, Diags) &&
-                   Verified;
-      if (Verified) {
-        Committed = true;
-      } else {
-        Why = "verify_failed:" + Diags.front().Kind;
-        CR.SafetyDiags.insert(CR.SafetyDiags.end(), Diags.begin(),
-                              Diags.end());
-      }
+      Why = "verify_failed:" + CR.SafetyDiags.front().Kind;
     }
 
     if (Committed || AtFloor) {

@@ -58,11 +58,10 @@ Collector::~Collector() {
     delete D;
 }
 
-size_t Collector::paddedSize(size_t Size) const {
+size_t Collector::paddedSize(size_t Size) {
   if (Size == 0)
     Size = 1;
-  if (Config.OnePastEndSlack)
-    Size += 1;
+  Size += 1;
   return (Size + GranuleSize - 1) & ~(GranuleSize - 1);
 }
 
@@ -210,8 +209,7 @@ void Collector::initSmallPage(PageDescriptor *Desc, size_t ObjSize,
   // Poison the whole page before carving it into free slots so the audit's
   // poison-byte invariant (every free slot is PoisonByte beyond its
   // free-list header) holds for never-yet-allocated slots too.
-  if (Config.PoisonOnFree)
-    std::memset(Desc->PageStart, PoisonByte, PageSize);
+  std::memset(Desc->PageStart, PoisonByte, PageSize);
   for (unsigned I = 0; I < Desc->ObjCount; ++I)
     pushFreeSlot(Desc, I);
 }
@@ -576,8 +574,7 @@ void Collector::sweep() {
                       size_t(W * 64 + std::countr_zero(Dead)) * Desc->ObjSize;
           if (Config.Profile)
             Config.Profile->recordFree(Obj, CurEvent.Index);
-          if (Config.PoisonOnFree)
-            std::memset(Obj, PoisonByte, Desc->ObjSize);
+          std::memset(Obj, PoisonByte, Desc->ObjSize);
         }
       }
       if (Live == 0) {
@@ -609,8 +606,7 @@ void Collector::sweep() {
       ++Freed;
       if (Config.Profile)
         Config.Profile->recordFree(Desc->PageStart, CurEvent.Index);
-      if (Config.PoisonOnFree)
-        std::memset(Desc->PageStart, PoisonByte, Desc->LargeSize);
+      std::memset(Desc->PageStart, PoisonByte, Desc->LargeSize);
       Desc->clearAllocBit(0);
       releaseLargeRun(Desc);
       break;
@@ -645,8 +641,7 @@ void Collector::deallocate(void *P) {
     return;
   if (Config.Profile)
     Config.Profile->recordFree(L.Base, Stats.Collections);
-  if (Config.PoisonOnFree)
-    std::memset(L.Base, PoisonByte, L.Size);
+  std::memset(L.Base, PoisonByte, L.Size);
   L.Bits->clearAllocBit(L.Slot);
   if (L.Bits->Kind == PageKind::PK_Small)
     pushFreeSlot(L.Bits, L.Slot);
@@ -730,16 +725,14 @@ HeapAuditReport Collector::auditHeap() {
         // Freed (and never-allocated) slots must hold the poison pattern
         // beyond the free-list header; anything else means a client wrote
         // through a dangling pointer or the sweeper missed a slot.
-        if (Config.PoisonOnFree) {
-          const unsigned char *Bytes = reinterpret_cast<const unsigned char *>(
-              D->PageStart + size_t(Slot) * D->ObjSize);
-          for (size_t B = sizeof(FreeSlot); B < D->ObjSize; ++B) {
-            if (Bytes[B] != PoisonByte) {
-              Violate("small page %p slot %u: poison damaged at byte %zu "
-                      "(0x%02x)",
-                      (void *)D->PageStart, Slot, B, Bytes[B]);
-              break;
-            }
+        const unsigned char *Bytes = reinterpret_cast<const unsigned char *>(
+            D->PageStart + size_t(Slot) * D->ObjSize);
+        for (size_t B = sizeof(FreeSlot); B < D->ObjSize; ++B) {
+          if (Bytes[B] != PoisonByte) {
+            Violate("small page %p slot %u: poison damaged at byte %zu "
+                    "(0x%02x)",
+                    (void *)D->PageStart, Slot, B, Bytes[B]);
+            break;
           }
         }
       }

@@ -48,7 +48,7 @@
 namespace gcsafe {
 namespace gc {
 
-/// Byte written over freed objects when poisoning is enabled.
+/// Byte written over every freed (and never-allocated) object slot.
 constexpr unsigned char PoisonByte = 0xDD;
 
 /// What the allocator does when the heap cannot satisfy a request even
@@ -113,15 +113,6 @@ struct CollectorConfig {
 
   /// Collect after this many bytes allocated since the last collection.
   size_t BytesTrigger = 4 * 1024 * 1024;
-
-  /// Overwrite freed objects with PoisonByte during sweep.
-  bool PoisonOnFree = true;
-
-  /// Pad every object by one byte before size-class rounding so a pointer
-  /// one past the end still lies inside the object's slot (the paper's
-  /// "allocating all heap objects with at least one extra byte at the
-  /// end").
-  bool OnePastEndSlack = true;
 
   /// Recognize pointers to the interior of objects found in the heap. When
   /// false, heap-resident words must point to the first byte of an object
@@ -391,7 +382,10 @@ private:
 
   class MarkVisitor;
 
-  size_t paddedSize(size_t Size) const;
+  /// \p Size plus one byte, rounded to the granule: a pointer one past
+  /// the end still lies inside the object's slot (the paper's "allocating
+  /// all heap objects with at least one extra byte at the end").
+  static size_t paddedSize(size_t Size);
   void *allocateSmall(size_t Padded, bool Atomic);
   void *allocateLarge(size_t Padded, bool Atomic);
   void *allocateImpl(size_t Size, bool Atomic);

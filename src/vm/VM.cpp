@@ -255,7 +255,6 @@ struct VM::Code {
 VM::VM(const Module &MIn, VMOptions Options) : M(MIn), Opts(std::move(Options)) {
   gc::CollectorConfig GC;
   GC.AllocCountTrigger = Opts.GcAllocTrigger;
-  GC.PoisonOnFree = true;
   GC.AllInteriorPointers = Opts.AllInteriorPointers;
   GC.EventLimit = Opts.GcEventLimit;
   GC.Trace = Opts.Trace;
@@ -554,8 +553,7 @@ bool VM::failNullAccess(const char *What) {
     return failNullAccess(What);
   // The VM's own Stack and Globals are never heap pages, so the page-table
   // lookup would return false for them; skip it.
-  if (Opts.DetectFreedAccess &&
-      Addr - reinterpret_cast<uint64_t>(Stack.data()) >= Stack.size() &&
+  if (Addr - reinterpret_cast<uint64_t>(Stack.data()) >= Stack.size() &&
       Addr - reinterpret_cast<uint64_t>(Globals.data()) >= Globals.size() &&
       C->pointsToFreedObject(reinterpret_cast<const void *>(Addr)))
     ++Result.FreedAccesses;

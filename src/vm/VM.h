@@ -105,8 +105,6 @@ struct VMOptions {
   /// are unchanged; only the cycle charge differs.
   bool KeepLiveCostsCall = false;
 
-  /// Record loads/stores that touch freed (swept) heap objects.
-  bool DetectFreedAccess = true;
   /// Stop execution at the first checked-mode violation.
   bool HaltOnCheckViolation = false;
 

@@ -29,7 +29,9 @@
 
 #include "ir/IR.h"
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gcsafe {
@@ -61,6 +63,13 @@ public:
   }
 
   unsigned count() const;
+
+  /// Calls \p Fn on each member in ascending order, emptying the set.
+  template <typename Callable> void drain(Callable Fn) {
+    for (size_t W = 0; W < Words.size(); ++W)
+      for (uint64_t Bits = std::exchange(Words[W], 0); Bits; Bits &= Bits - 1)
+        Fn(uint32_t(W * 64 + std::countr_zero(Bits)));
+  }
 
 private:
   std::vector<uint64_t> Words;

@@ -967,6 +967,7 @@ void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
   CFGInfo CFG(F);
   Liveness LV(F, CFG, Liveness::KeepLiveExtended);
 
+  RegSet Closure(F.NumRegs); // empty between instructions
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     BasicBlock &B = F.Blocks[BId];
     size_t N = B.Insts.size();
@@ -980,20 +981,17 @@ void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
           DiesAt[RI].push_back(I.Dst); // dead on arrival
         Live.clear(I.Dst);
       }
-      RegSet Closure(F.NumRegs);
       forEachUse(I, [&](uint32_t R) { LV.expandUse(R, Closure); });
       // Any register in the closure not yet live dies here (this is its
       // last use going forward).
-      for (uint32_t R = 0; R < F.NumRegs; ++R) {
-        if (!Closure.test(R))
-          continue;
+      Closure.drain([&](uint32_t R) {
         // A register that is both read (directly or as a KEEP_LIVE base)
         // and written by this instruction must not be killed after it:
         // the kill would refer to the freshly written value.
         if (!Live.test(R) && !I.isTerminator() && R != I.Dst)
           DiesAt[RI].push_back(R);
         Live.set(R);
-      }
+      });
     }
 
     // Entry block: parameters never used die immediately.

@@ -146,8 +146,8 @@ private:
     forEachChild(E, [&](const Expr *Child) { collectExpr(Child); });
   }
 
-  /// A declaration binds its variables; its initializers are not walked
-  /// further (an assignment inside one does not rebind a pointer here).
+  /// A declaration records the bindings of its pointer variables; the walk
+  /// does not enter its initializers.
   void collectStmt(const Stmt *S) {
     if (const auto *DS = dyn_cast<DeclStmt>(S)) {
       for (const VarDecl *VD : DS->decls())

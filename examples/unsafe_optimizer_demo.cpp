@@ -34,7 +34,7 @@ static void show(const char *Label, driver::CompileMode Mode,
   std::printf("%-34s output=%-12s collections=%-4llu freed-object "
               "accesses=%llu\n",
               Label, R.Ok ? R.Output.substr(0, 9).c_str() : R.Error.c_str(),
-              static_cast<unsigned long long>(R.Collections),
+              static_cast<unsigned long long>(R.Gc.Collections),
               static_cast<unsigned long long>(R.FreedAccesses));
 }
 

@@ -146,15 +146,13 @@ private:
     forEachChild(E, [&](const Expr *Child) { collectExpr(Child); });
   }
 
-  /// A declaration records the bindings of its pointer variables; the walk
-  /// does not enter its initializers.
+  /// A declaration records the bindings of its pointer variables, then
+  /// the walk enters its initializers like any other expression.
   void collectStmt(const Stmt *S) {
-    if (const auto *DS = dyn_cast<DeclStmt>(S)) {
+    if (const auto *DS = dyn_cast<DeclStmt>(S))
       for (const VarDecl *VD : DS->decls())
         if (VD->init() && VD->isPossibleHeapPointer())
           recordBinding(VD, VD->init());
-      return;
-    }
     forEachChild(S, [&](const Stmt *Sub) { collectStmt(Sub); },
                  [&](const Expr *E) { collectExpr(E); });
   }

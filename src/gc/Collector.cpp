@@ -524,11 +524,9 @@ void Collector::collect() {
   Stats.MarkedObjects += CurEvent.MarkedObjects;
   Stats.InteriorPointerHits += CurEvent.InteriorHits;
   Stats.FalseRetentionCandidates += CurEvent.FalseRetentionCandidates;
-  if (Config.EventLimit) {
-    if (Stats.Events.size() >= Config.EventLimit)
-      Stats.Events.pop_front();
-    Stats.Events.push_back(CurEvent);
-  }
+  if (Stats.Events.size() >= CollectorStats::MaxEvents)
+    Stats.Events.pop_front();
+  Stats.Events.push_back(CurEvent);
 
   ++Stats.Collections;
   BytesSinceGC = 0;

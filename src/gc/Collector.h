@@ -124,10 +124,6 @@ struct CollectorConfig {
   /// the stack bottom recorded at construction (or via setStackBottom).
   bool ScanMachineStack = false;
 
-  /// Keep per-collection event records for the most recent this-many
-  /// collections (0 disables recording; cumulative counters still update).
-  size_t EventLimit = 256;
-
   /// Optional event sink: every collection records cat="gc" spans
   /// (mark, sweep, collect), and the OOM ladder and heap audits record
   /// oom.* / audit.* events.
@@ -198,8 +194,10 @@ struct CollectionEvent {
 
 /// Counters exposed for tests and benchmarks. The *Ns / *Scanned / *Hits
 /// fields are cumulative over all collections; Events holds the most
-/// recent CollectorConfig::EventLimit per-collection records.
+/// recent MaxEvents per-collection records.
 struct CollectorStats {
+  static constexpr size_t MaxEvents = 256;
+
   size_t Collections = 0;
   size_t AllocationCount = 0;
   size_t BytesRequested = 0;      ///< Cumulative user-requested bytes.

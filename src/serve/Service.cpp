@@ -492,37 +492,42 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   }
 
   // A miss: only now does the request get its private state and a
-  // frontend. The only shared pieces are content-keyed.
-  driver::RequestOptions Opts2 = Request;
-  Opts2.Memo = &Memo;
-  clampWatchdogs(Opts2, DeadlineAtNs);
-  driver::RequestContext Ctx(std::move(Opts2),
-                             Opts.StitchTraces ? &Flight : nullptr);
-
+  // frontend. Under Opts.Isolate the frontend runs only in the sandbox,
+  // so a frontend crash costs the sandbox, never the daemon.
   ServeResult Result;
-  bool Parsed = Ctx.compilation().parse();
+  bool Parsed = true;
   if (Opts.Isolate) {
     uint64_t IsoStartNs = support::monotonicNowNs();
-    Result = isolatedCompile(Request, DeadlineAtNs, TraceId);
+    Result = isolatedCompile(Request, DeadlineAtNs, TraceId, Parsed);
     stage(HistIsolate, "isolate", IsoStartNs, support::monotonicNowNs());
-  } else if (injectFault("serve.worker.crash")) {
-    // An in-process worker cannot survive a real SIGSEGV, so without
-    // Opts.Isolate the crash failpoint models the *disposition* instead:
-    // the same typed result, telemetry and flight dump as a sandboxed
-    // crash whose retries ran out. The payoff is determinism — a leader
-    // can be killed between its election and its publish without a fork,
-    // which is how tests/test_race.cpp drives single-flight re-election.
-    Flight.emit("serve", "worker.crash");
-    if (!Opts.FlightDir.empty())
-      Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
-                            fsSafeId(Request.RequestId) + ".json",
-                        "crash", Request.RequestId, TraceId, 0);
-    Result = typedResult("crashed", support::ExitWorkerCrash,
-                         "worker crash injected (serve.worker.crash)");
   } else {
-    uint64_t ExecStartNs = support::monotonicNowNs();
-    Result = resultFromOutcome(Ctx.execute());
-    stage(HistCompile, "compile", ExecStartNs, support::monotonicNowNs());
+    // The only shared pieces are content-keyed.
+    driver::RequestOptions Opts2 = Request;
+    Opts2.Memo = &Memo;
+    clampWatchdogs(Opts2, DeadlineAtNs);
+    driver::RequestContext Ctx(std::move(Opts2),
+                               Opts.StitchTraces ? &Flight : nullptr);
+    Parsed = Ctx.compilation().parse();
+    if (injectFault("serve.worker.crash")) {
+      // An in-process worker cannot survive a real SIGSEGV, so without
+      // Opts.Isolate the crash failpoint models the *disposition*
+      // instead: the same typed result, telemetry and flight dump as a
+      // sandboxed crash whose retries ran out. The payoff is determinism
+      // — a leader can be killed between its election and its publish
+      // without a fork, which is how tests/test_race.cpp drives
+      // single-flight re-election.
+      Flight.emit("serve", "worker.crash");
+      if (!Opts.FlightDir.empty())
+        Flight.dumpToFile(Opts.FlightDir + "/flightrec-" +
+                              fsSafeId(Request.RequestId) + ".json",
+                          "crash", Request.RequestId, TraceId, 0);
+      Result = typedResult("crashed", support::ExitWorkerCrash,
+                           "worker crash injected (serve.worker.crash)");
+    } else {
+      uint64_t ExecStartNs = support::monotonicNowNs();
+      Result = resultFromOutcome(Ctx.execute());
+      stage(HistCompile, "compile", ExecStartNs, support::monotonicNowNs());
+    }
   }
 
   // The service-side deadline guard: whatever the request was doing when
@@ -573,7 +578,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
 ServeResult
 CompileService::isolatedCompile(const driver::RequestOptions &Request,
                                 uint64_t DeadlineAtNs,
-                                const std::string &TraceId) {
+                                const std::string &TraceId, bool &Parsed) {
   driver::OptRung Rung = Request.StartRung;
   std::vector<SandboxAttempt> Attempts;
   // Every return below carries the sandbox record. Terminal "crashed"
@@ -619,23 +624,34 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
       ChildOpts.StartRung = Rung;
     }
 
+    // The payload is one parse-verdict byte ('1' parsed, '0' did not),
+    // written before anything can crash, then the result's JSON.
     driver::SandboxOutcome Out = driver::runInSandbox(
         [&ChildOpts, InjectCrash](int Fd) -> int {
+          auto Send = [Fd](const std::string &Bytes) {
+            size_t Off = 0;
+            while (Off < Bytes.size()) {
+              ssize_t W = write(Fd, Bytes.data() + Off, Bytes.size() - Off);
+              if (W <= 0)
+                return false;
+              Off += static_cast<size_t>(W);
+            }
+            return true;
+          };
+          driver::RequestContext Ctx(std::move(ChildOpts));
+          if (!Send(Ctx.compilation().parse() ? "1" : "0"))
+            return support::ExitError;
           if (InjectCrash)
             raise(SIGSEGV);
-          driver::RequestContext Ctx(std::move(ChildOpts));
           ServeResult R = resultFromOutcome(Ctx.execute());
-          std::string Payload = serveResultToJson(R).dump(0);
-          size_t Off = 0;
-          while (Off < Payload.size()) {
-            ssize_t W = write(Fd, Payload.data() + Off, Payload.size() - Off);
-            if (W <= 0)
-              return support::ExitError;
-            Off += static_cast<size_t>(W);
-          }
-          return support::ExitSuccess;
+          return Send(serveResultToJson(R).dump(0)) ? support::ExitSuccess
+                                                    : support::ExitError;
         },
         TimeoutMs);
+    if (!Out.Payload.empty()) {
+      Parsed = Out.Payload[0] == '1';
+      Out.Payload.erase(0, 1);
+    }
 
     SandboxAttempt A;
     A.Rung = driver::optRungName(Rung);
@@ -713,8 +729,8 @@ support::Stats CompileService::statsSnapshot() const {
   S.set("serve.responses.degraded",
         ResponsesDegraded.load(std::memory_order_relaxed));
   // depth is a point-in-time sample, not a lifetime total: report it
-  // with Gauge kind so consumers (Stats::merge, --stats printing) never
-  // treat it as a monotonic counter. peak and shed stay true counters.
+  // with Gauge kind so consumers (--stats printing) never treat it as a
+  // monotonic counter. peak and shed stay true counters.
   // Both gauges are lock-free mirrors of the queue (written under
   // QueueMu, sampled here with acquire), so snapshotting never blocks
   // admission.

@@ -263,10 +263,12 @@ private:
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
   /// SIGKILL deadline, crash retries one rung lower, one Attempts record
   /// per sandbox. TraceId stamps the crash telemetry; a final "crashed"
-  /// result dumps the event ring.
+  /// result dumps the event ring. The frontend runs only in the sandbox:
+  /// \p Parsed is cleared when a sandbox reports that the source does not
+  /// parse, and left alone when none lived to say.
   ServeResult isolatedCompile(const driver::RequestOptions &Request,
                               uint64_t DeadlineAtNs,
-                              const std::string &TraceId);
+                              const std::string &TraceId, bool &Parsed);
   void countResult(const ServeResult &R);
   /// One serving stage from StartNs to EndNs: its histogram sample and
   /// its span in the ring.

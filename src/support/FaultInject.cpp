@@ -2,8 +2,6 @@
 
 #include "support/FaultInject.h"
 
-#include "support/Stats.h"
-
 #include <cstdlib>
 
 using namespace gcsafe;
@@ -106,15 +104,6 @@ uint64_t FaultInjector::totalHits() const {
   for (const Site &S : Sites)
     N += S.Hits;
   return N;
-}
-
-void FaultInjector::report(Stats &S) const {
-  for (const Site &Si : Sites) {
-    if (!Si.Hits)
-      continue;
-    S.set("fault." + Si.Name + ".hits", Si.Hits);
-    S.set("fault." + Si.Name + ".fires", Si.Fires);
-  }
 }
 
 bool FaultInjector::parse(const std::string &Text, FaultInjector &Out,

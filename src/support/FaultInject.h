@@ -85,8 +85,6 @@
 namespace gcsafe {
 namespace support {
 
-class Stats;
-
 /// How an armed site decides to fire. At most one of Probability / NthHit /
 /// Every is active per arm() call.
 struct FaultSpec {
@@ -140,10 +138,6 @@ public:
   std::vector<SiteCounters> counters() const;
   uint64_t totalFires() const;
   uint64_t totalHits() const;
-
-  /// Writes fault.<site>.hits / fault.<site>.fires for every site that was
-  /// hit at least once.
-  void report(Stats &S) const;
 
 private:
   struct Site {

@@ -28,8 +28,6 @@ const char *gcsafe::support::lockRankName(LockRank R) {
     return "serve.store";
   case LockRank::DriverVerifyMemo:
     return "driver.verify_memo";
-  case LockRank::SupportStats:
-    return "support.stats";
   case LockRank::NumRanks:
     break;
   }

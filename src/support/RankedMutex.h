@@ -70,7 +70,6 @@ enum class LockRank : uint8_t {
   ServeStore,      ///< serve::Store durable-cache counters (never held
                    ///< across IO or callbacks).
   DriverVerifyMemo, ///< driver::VerifyMemo shared verification memo.
-  SupportStats,    ///< support::Stats registry (leaf; everything may nest it).
   NumRanks
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -377,21 +378,6 @@ bool Json::parse(const std::string &Text, Json &Out, std::string &Error) {
 // Stats
 //===----------------------------------------------------------------------===//
 
-Stats::Stats(const Stats &Other) {
-  RankedGuard Lock(Other.Mu);
-  Entries = Other.Entries;
-}
-
-Stats &Stats::operator=(const Stats &Other) {
-  if (this == &Other)
-    return *this;
-  // Same-rank locks are never nested: snapshot the source, then lock self.
-  std::vector<Entry> Copy = Other.snapshotEntries();
-  RankedGuard Lock(Mu);
-  Entries = std::move(Copy);
-  return *this;
-}
-
 Stats::Entry &Stats::lookup(const std::string &Path) {
   for (Entry &E : Entries)
     if (E.Path == Path)
@@ -401,35 +387,30 @@ Stats::Entry &Stats::lookup(const std::string &Path) {
 }
 
 void Stats::add(const std::string &Path, uint64_t Delta) {
-  RankedGuard Lock(Mu);
   Entry &E = lookup(Path);
   E.K = Entry::Kind::Counter;
   E.Count += Delta;
 }
 
 void Stats::set(const std::string &Path, uint64_t Value) {
-  RankedGuard Lock(Mu);
   Entry &E = lookup(Path);
   E.K = Entry::Kind::Counter;
   E.Count = Value;
 }
 
 void Stats::setFloat(const std::string &Path, double Value) {
-  RankedGuard Lock(Mu);
   Entry &E = lookup(Path);
   E.K = Entry::Kind::Gauge;
   E.Gauge = Value;
 }
 
 void Stats::setString(const std::string &Path, std::string Value) {
-  RankedGuard Lock(Mu);
   Entry &E = lookup(Path);
   E.K = Entry::Kind::Label;
   E.Label = std::move(Value);
 }
 
 uint64_t Stats::get(const std::string &Path) const {
-  RankedGuard Lock(Mu);
   for (const Entry &E : Entries)
     if (E.Path == Path)
       return E.K == Entry::Kind::Gauge ? static_cast<uint64_t>(E.Gauge)
@@ -438,56 +419,13 @@ uint64_t Stats::get(const std::string &Path) const {
 }
 
 bool Stats::has(const std::string &Path) const {
-  RankedGuard Lock(Mu);
   for (const Entry &E : Entries)
     if (E.Path == Path)
       return true;
   return false;
 }
 
-bool Stats::empty() const {
-  RankedGuard Lock(Mu);
-  return Entries.empty();
-}
-
-void Stats::clear() {
-  RankedGuard Lock(Mu);
-  Entries.clear();
-}
-
-std::vector<Stats::Entry> Stats::snapshotEntries() const {
-  RankedGuard Lock(Mu);
-  return Entries;
-}
-
-void Stats::merge(const Stats &Other) {
-  // Snapshot first (Other's lock), apply second (ours): merging never
-  // holds two support.stats-rank locks at once, so the rank lint stays
-  // quiet and self-merge cannot deadlock.
-  std::vector<Entry> Src =
-      this == &Other ? snapshotEntries() : Other.snapshotEntries();
-  RankedGuard Lock(Mu);
-  for (const Entry &E : Src) {
-    Entry &Dst = lookup(E.Path);
-    switch (E.K) {
-    case Entry::Kind::Counter:
-      Dst.K = Entry::Kind::Counter;
-      Dst.Count += E.Count;
-      break;
-    case Entry::Kind::Gauge:
-      Dst.K = Entry::Kind::Gauge;
-      Dst.Gauge = E.Gauge;
-      break;
-    case Entry::Kind::Label:
-      Dst.K = Entry::Kind::Label;
-      Dst.Label = E.Label;
-      break;
-    }
-  }
-}
-
 Json Stats::toJson() const {
-  RankedGuard Lock(Mu);
   Json Root = Json::object();
   for (const Entry &E : Entries) {
     Json *Node = &Root;

@@ -26,12 +26,7 @@
 #ifndef GCSAFE_SUPPORT_STATS_H
 #define GCSAFE_SUPPORT_STATS_H
 
-#include "support/RankedMutex.h"
-#include "support/ThreadSafety.h"
-
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,18 +149,11 @@ std::string jsonEscape(const std::string &S);
 /// ("gc.collections"); each leaf is an integer counter, a float gauge, or
 /// a string label. Insertion order is preserved in the JSON output.
 ///
-/// Thread-safe: every mutation and read takes an internal ranked mutex
-/// (rank support.stats — the leaf of the lock order, so any subsystem may
-/// update its counters while holding its own locks). The registry is hit
-/// at pass/request granularity, never per-instruction, so an uncontended
-/// futex is noise here. Copying is safe against concurrent writers of the
-/// source; entries() is the one documented quiescent-only escape hatch.
+/// A plain value with a single owner: a CompileResult's registry, or the
+/// fresh snapshot CompileService::statsSnapshot() builds. It takes no
+/// lock; copies and moves are the defaulted member-wise ones.
 class Stats {
 public:
-  Stats() = default;
-  Stats(const Stats &Other);
-  Stats &operator=(const Stats &Other);
-
   /// Adds \p Delta to the counter at \p Path (creating it at zero).
   void add(const std::string &Path, uint64_t Delta = 1);
   /// Sets the counter at \p Path.
@@ -176,15 +164,6 @@ public:
   /// Reads a counter; 0 when absent.
   uint64_t get(const std::string &Path) const;
   bool has(const std::string &Path) const;
-
-  bool empty() const;
-  void clear();
-
-  /// Merges \p Other into this registry (counters add; gauges and labels
-  /// overwrite). Safe against a concurrently-written \p Other: its
-  /// entries are snapshotted first, then applied — the two same-rank
-  /// locks are never nested.
-  void merge(const Stats &Other);
 
   /// Nests dotted paths into a JSON object tree.
   Json toJson() const;
@@ -197,21 +176,11 @@ public:
     double Gauge = 0.0;
     std::string Label;
   };
-
-  /// Borrowing view of the entries — no lock can outlive the call, so
-  /// this is only safe on a quiesced registry (a snapshot copy, or a
-  /// single-threaded phase). Concurrent readers use snapshotEntries().
-  const std::vector<Entry> &entries() const GCSAFE_NO_THREAD_SAFETY_ANALYSIS {
-    return Entries;
-  }
-
-  /// Copy of the entries under the lock, for concurrent readers.
-  std::vector<Entry> snapshotEntries() const;
+  const std::vector<Entry> &entries() const { return Entries; }
 
 private:
-  Entry &lookup(const std::string &Path) GCSAFE_REQUIRES(Mu);
-  mutable RankedMutex Mu{LockRank::SupportStats, "support.stats"};
-  std::vector<Entry> Entries GCSAFE_GUARDED_BY(Mu);
+  Entry &lookup(const std::string &Path);
+  std::vector<Entry> Entries;
 };
 
 //===----------------------------------------------------------------------===//
@@ -260,30 +229,6 @@ private:
 /// Monotonic nanosecond clock used by every timer and trace event, so all
 /// timestamps in one process share an epoch.
 uint64_t monotonicNowNs();
-
-/// RAII timer: adds the elapsed nanoseconds to \p Path on destruction.
-class ScopedTimer {
-public:
-  ScopedTimer(Stats &S, std::string Path)
-      : S(&S), Path(std::move(Path)), StartNs(monotonicNowNs()) {}
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-  ~ScopedTimer() {
-    if (S)
-      S->add(Path, monotonicNowNs() - StartNs);
-  }
-  /// Stops early and records; subsequent destruction is a no-op.
-  void stop() {
-    if (S)
-      S->add(Path, monotonicNowNs() - StartNs);
-    S = nullptr;
-  }
-
-private:
-  Stats *S;
-  std::string Path;
-  uint64_t StartNs;
-};
 
 } // namespace support
 } // namespace gcsafe

@@ -256,7 +256,6 @@ VM::VM(const Module &MIn, VMOptions Options) : M(MIn), Opts(std::move(Options)) 
   gc::CollectorConfig GC;
   GC.AllocCountTrigger = Opts.GcAllocTrigger;
   GC.AllInteriorPointers = Opts.AllInteriorPointers;
-  GC.EventLimit = Opts.GcEventLimit;
   GC.Trace = Opts.Trace;
   GC.Oom = Opts.GcOomPolicy;
   GC.OomRetries = Opts.GcOomRetries;
@@ -600,8 +599,6 @@ void VM::runBuiltin(const Code &Fn, const DInst &I, uint64_t *R) {
       Old = Size;
       Size = Arg(1);
     }
-    ++Result.AllocCount;
-    Result.AllocBytes += Size;
     tagAllocSite(Fn, I, Site);
     // Exhaustion is a structured run error, never a crash: the typed
     // allocation surface turns a failed request into RunResult::Error.
@@ -1115,7 +1112,6 @@ Stop:
   Result.KillsExecuted = Kills;
   Result.KeepLiveExecuted = KeepLives;
   Result.KeepLiveCycles = KeepLiveCycles;
-  Result.Collections = C->stats().Collections;
   Result.ChecksPerformed = Check->checkCount();
   Result.CheckViolations = Check->violationCount();
   Result.Gc = C->stats();

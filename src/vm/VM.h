@@ -108,8 +108,6 @@ struct VMOptions {
   /// Stop execution at the first checked-mode violation.
   bool HaltOnCheckViolation = false;
 
-  /// Per-collection event records kept by the collector (0 = off).
-  size_t GcEventLimit = 256;
   /// Optional event sink shared with the collector: GC phase events plus
   /// a cat="vm" run summary are emitted here.
   support::TraceBuffer *Trace = nullptr;
@@ -159,10 +157,6 @@ struct RunResult {
   uint64_t KillsExecuted = 0;    ///< Register-death Kill pseudo-ops.
   uint64_t CheckCycles = 0;      ///< GC_same_obj / GC_*_incr checking.
   uint64_t AllocatorCycles = 0;  ///< Allocation entry points.
-
-  uint64_t Collections = 0;
-  uint64_t AllocCount = 0;
-  uint64_t AllocBytes = 0;
 
   uint64_t ChecksPerformed = 0;
   uint64_t CheckViolations = 0;

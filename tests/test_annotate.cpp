@@ -403,6 +403,31 @@ TEST(Annotator, SlowBaseNotUsedWhenSourceReassigned) {
   }
 }
 
+TEST(Annotator, SlowBaseSeesReassignmentInsideADeclaration) {
+  // s is reassigned inside t's initializer, so p's derivation from s no
+  // longer holds: the returned p + 1 keeps p live, as it does when the
+  // same assignment is a statement of its own.
+  for (const char *Reassign : {"{ char *t = (s = o); }", "{ s = o; }"}) {
+    std::string Src = std::string("char *g(char *s, char *o) {\n"
+                                  "  char *p;\n"
+                                  "  p = s + 1;\n  ") +
+                      Reassign + "\n  return p + 1;\n}\n";
+    Annot A(Src);
+    ASSERT_TRUE(A.Ok) << Src;
+    AnnotatorOptions O;
+    O.PreferSlowBases = true;
+    AnnotationMap M = A.Comp.annotate(O);
+    const Expr *Ret = A.returnExpr("g")->ignoreParensAndImplicitCasts();
+    const VarDecl *Base = nullptr;
+    for (const Annotation &An : M.all())
+      if (An.Target->ignoreParensAndImplicitCasts() == Ret &&
+          An.Base.Kind == BaseKind::Var)
+        Base = An.Base.Var;
+    ASSERT_NE(Base, nullptr) << Src;
+    EXPECT_EQ(Base->name(), "p") << Src;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Textual rendering
 //===----------------------------------------------------------------------===//

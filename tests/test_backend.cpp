@@ -619,12 +619,12 @@ TEST(Pipeline, ExecutionIsFullyDeterministic) {
     if (Run == 0) {
       Cycles = R.Cycles;
       Insts = R.InstructionsExecuted;
-      Colls = R.Collections;
+      Colls = R.Gc.Collections;
       Output = R.Output;
     } else {
       EXPECT_EQ(R.Cycles, Cycles);
       EXPECT_EQ(R.InstructionsExecuted, Insts);
-      EXPECT_EQ(R.Collections, Colls);
+      EXPECT_EQ(R.Gc.Collections, Colls);
       EXPECT_EQ(R.Output, Output);
     }
   }

@@ -297,7 +297,7 @@ TEST(StrengthReduction, SafeModeStillCorrectUnderPressure) {
     ASSERT_TRUE(R.Ok) << R.Error;
     EXPECT_EQ(R.Output, "1275") << compileModeName(Mode);
     EXPECT_EQ(R.FreedAccesses, 0u);
-    EXPECT_GT(R.Collections, 10u);
+    EXPECT_GT(R.Gc.Collections, 10u);
   }
 }
 
@@ -385,7 +385,7 @@ TEST(UltraAdversarial, SafeModesSurviveCollectionEveryInstruction) {
     ASSERT_TRUE(R.Ok) << compileModeName(Mode) << ": " << R.Error;
     EXPECT_EQ(R.Output, "780") << compileModeName(Mode);
     EXPECT_EQ(R.FreedAccesses, 0u) << compileModeName(Mode);
-    EXPECT_GT(R.Collections, 100u);
+    EXPECT_GT(R.Gc.Collections, 100u);
   }
 }
 
@@ -767,7 +767,7 @@ TEST(Opt4, AtCallsOnlyAnnotationSafeUnderCallSiteCollection) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Output, Reference.Output);
   EXPECT_EQ(R.FreedAccesses, 0u);
-  EXPECT_GT(R.Collections, 1000u);
+  EXPECT_GT(R.Gc.Collections, 1000u);
 }
 
 TEST(Opt4, AtCallsOnlyAnnotationUnsafeUnderAsyncCollection) {

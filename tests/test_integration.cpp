@@ -50,7 +50,7 @@ TEST(Safety, OptimizedUnsafeCodeAccessesFreedMemory) {
   auto Unsafe = compileAndRun(W.Name, W.Source, CompileMode::O2,
                               adversarial());
   ASSERT_TRUE(Unsafe.Ok) << Unsafe.Error;
-  EXPECT_GT(Unsafe.Collections, 0u);
+  EXPECT_GT(Unsafe.Gc.Collections, 0u);
   bool ObservedFailure =
       Unsafe.FreedAccesses > 0 || Unsafe.Output != Clean.Output;
   EXPECT_TRUE(ObservedFailure)
@@ -64,7 +64,7 @@ TEST(Safety, KeepLiveAnnotationRestoresSafety) {
   for (auto Mode : {CompileMode::O2Safe, CompileMode::O2SafePost}) {
     auto R = compileAndRun(W.Name, W.Source, Mode, adversarial());
     ASSERT_TRUE(R.Ok) << compileModeName(Mode) << ": " << R.Error;
-    EXPECT_GT(R.Collections, 0u);
+    EXPECT_GT(R.Gc.Collections, 0u);
     EXPECT_EQ(R.FreedAccesses, 0u) << compileModeName(Mode);
     EXPECT_EQ(R.Output, Clean.Output) << compileModeName(Mode);
   }
@@ -77,7 +77,7 @@ TEST(Safety, DebuggableCodeIsInherentlySafe) {
   auto Clean = compileAndRun(W.Name, W.Source, CompileMode::O2, {});
   auto R = compileAndRun(W.Name, W.Source, CompileMode::Debug, adversarial());
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GT(R.Collections, 0u);
+  EXPECT_GT(R.Gc.Collections, 0u);
   EXPECT_EQ(R.FreedAccesses, 0u);
   EXPECT_EQ(R.Output, Clean.Output);
 }
@@ -154,7 +154,7 @@ TEST_P(WorkloadModes, AllSafeModesAgreeUnderAdversarialGC) {
         << W->Name << " " << compileModeName(Mode);
     EXPECT_EQ(R.FreedAccesses, 0u)
         << W->Name << " " << compileModeName(Mode);
-    EXPECT_GT(R.Collections, 0u) << "adversarial GC must actually run";
+    EXPECT_GT(R.Gc.Collections, 0u) << "adversarial GC must actually run";
   }
 }
 

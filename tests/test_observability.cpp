@@ -142,18 +142,6 @@ TEST(Stats, CountersAndNesting) {
   EXPECT_EQ(J.get("meta")->get("mode")->asString(), "safe");
 }
 
-TEST(Stats, Merge) {
-  Stats A, B;
-  A.add("x", 1);
-  A.add("only_a", 2);
-  B.add("x", 10);
-  B.add("only_b", 20);
-  A.merge(B);
-  EXPECT_EQ(A.get("x"), 11u);
-  EXPECT_EQ(A.get("only_a"), 2u);
-  EXPECT_EQ(A.get("only_b"), 20u);
-}
-
 //===----------------------------------------------------------------------===//
 // Histogram (docs/OBSERVABILITY.md §8)
 //===----------------------------------------------------------------------===//
@@ -343,9 +331,9 @@ TEST(Observability, RunCountersAreDeterministic) {
 
   // 51 allocations (50 nodes + the VM's output buffer-free program still
   // allocates only the nodes here) at trigger 10 → a fixed collection count.
-  EXPECT_EQ(A.Run.Collections, B.Run.Collections);
-  EXPECT_GT(A.Run.Collections, 0u);
-  EXPECT_EQ(A.Run.Gc.Events.size(), A.Run.Collections);
+  EXPECT_EQ(A.Run.Gc.Collections, B.Run.Gc.Collections);
+  EXPECT_GT(A.Run.Gc.Collections, 0u);
+  EXPECT_EQ(A.Run.Gc.Events.size(), A.Run.Gc.Collections);
 
   // Marking-accuracy counters match too (heap layout is deterministic).
   EXPECT_EQ(A.Run.Gc.WordsScanned, B.Run.Gc.WordsScanned);
@@ -369,30 +357,33 @@ TEST(Observability, CollectionEventsRecorded) {
   EXPECT_EQ(A.Run.Gc.MarkedObjects, CumulativeMarked);
 }
 
-TEST(Observability, EventLimitBoundsRecords) {
-  driver::Compilation C("list", ListProgram);
+TEST(Observability, EventsAreBoundedAtMaxEvents) {
+  // A collection after every one of 300 allocations: more collections
+  // than the collector keeps records of.
+  const char *Src = R"(
+int main(void) {
+  long i;
+  for (i = 0; i < 300; i = i + 1)
+    gc_malloc(16);
+  return 0;
+}
+)";
+  driver::Compilation C("many", Src);
   driver::CompileOptions CO;
   CO.Mode = driver::CompileMode::O2Safe;
   driver::CompileResult CR = C.compile(CO);
   ASSERT_TRUE(CR.Ok);
   vm::VMOptions VO;
-  VO.GcAllocTrigger = 5;
-  VO.GcEventLimit = 2;
+  VO.GcAllocTrigger = 1;
   vm::VM Machine(CR.Module, VO);
   vm::RunResult Run = Machine.run();
   ASSERT_TRUE(Run.Ok);
-  EXPECT_GT(Run.Collections, 2u);
-  // Only the most recent records are kept; cumulatives still cover all.
-  ASSERT_EQ(Run.Gc.Events.size(), 2u);
-  EXPECT_EQ(Run.Gc.Events.back().Index, Run.Collections - 1);
-
-  // At limit 3 the kept records are the last three collections, in order.
-  VO.GcEventLimit = 3;
-  vm::VM Again(CR.Module, VO);
-  Run = Again.run();
-  ASSERT_TRUE(Run.Ok);
-  ASSERT_EQ(Run.Gc.Events.size(), 3u);
-  uint64_t Want = Run.Collections - 3;
+  constexpr size_t Max = gc::CollectorStats::MaxEvents;
+  ASSERT_GT(Run.Gc.Collections, Max);
+  // Only the most recent records are kept, in order; cumulatives still
+  // cover every collection.
+  ASSERT_EQ(Run.Gc.Events.size(), Max);
+  uint64_t Want = Run.Gc.Collections - Max;
   for (const gc::CollectionEvent &E : Run.Gc.Events)
     EXPECT_EQ(E.Index, Want++);
 }

@@ -207,7 +207,7 @@ TEST(Profile, SiteAttributionAndRetention) {
   ASSERT_TRUE(A.CR.Ok) << A.CR.Errors;
   ASSERT_TRUE(A.Run.Ok) << A.Run.Error;
   EXPECT_EQ(A.Run.ExitCode, 40 * 39 / 2 + 1);
-  ASSERT_GT(A.Run.Collections, 0u);
+  ASSERT_GT(A.Run.Gc.Collections, 0u);
 
   const HeapProfile &H = Prof.Heap;
   // Two gc_malloc call sites in main, both tagged.
@@ -247,7 +247,7 @@ TEST(Profile, LiveBytesSumMatchesCollector) {
   ProfiledRun A = runProfiled(&Prof);
   ASSERT_TRUE(A.Run.Ok) << A.Run.Error;
   ASSERT_GT(Prof.Heap.snapshots(), 0u);
-  EXPECT_EQ(Prof.Heap.snapshots(), A.Run.Collections);
+  EXPECT_EQ(Prof.Heap.snapshots(), A.Run.Gc.Collections);
 
   uint64_t SiteSum = 0;
   for (size_t Id = 0; Id < Prof.Heap.siteCount(); ++Id)

@@ -371,44 +371,8 @@ TEST(RankLint, LegalNestingRecordsForwardEdgesOnly) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stats and queue gauges under concurrency
+// Queue gauges under concurrency
 //===----------------------------------------------------------------------===//
-
-TEST(StatsRace, ConcurrentIncrementsAreExact) {
-  support::Stats S;
-  constexpr int Threads = 4, PerThread = 25000;
-  std::vector<std::thread> Pool;
-  for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back([&] {
-      for (int I = 0; I < PerThread; ++I)
-        S.add("race.counter");
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  EXPECT_EQ(S.get("race.counter"), uint64_t(Threads) * PerThread);
-}
-
-TEST(StatsRace, SnapshotsDuringWritesAreCoherent) {
-  support::Stats S;
-  S.add("race.a"); // pre-seed: the writer thread may never win a timeslice
-  std::atomic<bool> Stop{false};
-  std::thread Writer([&] {
-    uint64_t I = 0;
-    while (!Stop.load(std::memory_order_acquire)) {
-      S.add("race.a");
-      S.setFloat("race.gauge", double(++I));
-      S.setString("race.label", "v" + std::to_string(I));
-    }
-  });
-  for (int I = 0; I < 200; ++I) {
-    support::Stats Copy = S; // locked copy
-    (void)Copy.toJson();
-    S.merge(Copy); // counters double-add; must not deadlock or tear
-  }
-  Stop.store(true, std::memory_order_release);
-  Writer.join();
-  EXPECT_TRUE(S.has("race.a"));
-}
 
 TEST(ServeGaugesRace, LockFreeSnapshotsStayConsistent) {
   ServiceOptions SO;

@@ -1121,33 +1121,38 @@ TEST(ServeHitPath, SpliceIsByteExactForEveryOutcomeShape) {
 
 // A source that fails to parse answers with an empty key and inserts
 // nothing, however often it is asked — also when identical requests queue
-// up behind one another's single-flight leases.
+// up behind one another's single-flight leases, and also when only the
+// sandbox parses it (Isolate).
 TEST(ServeHitPath, ParseFailureIsNeverCached) {
-  ServiceOptions SO;
-  SO.Workers = 4;
-  CompileService Svc(SO);
-  driver::RequestOptions R = listRequest();
-  R.Source = "int main(void) { return 0;";
-  for (int I = 0; I < 2; ++I) {
-    ServeResult Res = Svc.compile(R);
-    EXPECT_FALSE(Res.Ok);
-    EXPECT_EQ(Res.ExitCode, support::ExitError);
-    EXPECT_FALSE(Res.Cached);
-    EXPECT_TRUE(Res.CacheKey.empty());
-    EXPECT_NE(renderCompileResponse("p", Res).find("\"cache_key\":\"\""),
-              std::string::npos);
+  for (bool Isolate : {false, true}) {
+    SCOPED_TRACE(Isolate ? "isolate" : "in-process");
+    ServiceOptions SO;
+    SO.Workers = 4;
+    SO.Isolate = Isolate;
+    CompileService Svc(SO);
+    driver::RequestOptions R = listRequest();
+    R.Source = "int main(void) { return 0;";
+    for (int I = 0; I < 2; ++I) {
+      ServeResult Res = Svc.compile(R);
+      EXPECT_FALSE(Res.Ok);
+      EXPECT_EQ(Res.ExitCode, support::ExitError);
+      EXPECT_FALSE(Res.Cached);
+      EXPECT_TRUE(Res.CacheKey.empty());
+      EXPECT_NE(renderCompileResponse("p", Res).find("\"cache_key\":\"\""),
+                std::string::npos);
+    }
+    std::vector<std::future<ServeResult>> Futures;
+    for (int I = 0; I < 4; ++I)
+      Futures.push_back(Svc.submit(R));
+    for (std::future<ServeResult> &F : Futures) {
+      ServeResult Res = F.get();
+      EXPECT_FALSE(Res.Cached);
+      EXPECT_TRUE(Res.CacheKey.empty());
+    }
+    CacheStats C = Svc.cache().stats();
+    EXPECT_EQ(C.Insertions, 0u);
+    EXPECT_EQ(C.Entries, 0u);
   }
-  std::vector<std::future<ServeResult>> Futures;
-  for (int I = 0; I < 4; ++I)
-    Futures.push_back(Svc.submit(R));
-  for (std::future<ServeResult> &F : Futures) {
-    ServeResult Res = F.get();
-    EXPECT_FALSE(Res.Cached);
-    EXPECT_TRUE(Res.CacheKey.empty());
-  }
-  CacheStats C = Svc.cache().stats();
-  EXPECT_EQ(C.Insertions, 0u);
-  EXPECT_EQ(C.Entries, 0u);
 }
 
 // The key is the source as received: a comment-only change compiles to

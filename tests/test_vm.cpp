@@ -286,8 +286,10 @@ std::string everyCounter(const vm::RunResult &R) {
   std::ostringstream OS;
   OS << summary(R) << " exit=" << R.ExitCode << " out=" << fnv1a(R.Output)
      << " keep_live_cycles=" << R.KeepLiveCycles
-     << " collections=" << R.Collections << " allocs=" << R.AllocCount
-     << " alloc_bytes=" << R.AllocBytes << " checks=" << R.ChecksPerformed
+     << " collections=" << R.Gc.Collections
+     << " allocs=" << R.Gc.AllocationCount
+     << " alloc_bytes=" << R.Gc.BytesRequested
+     << " checks=" << R.ChecksPerformed
      << " violations=" << R.CheckViolations
      << " words_scanned=" << R.Gc.WordsScanned
      << " pointer_hits=" << R.Gc.PointerHits
@@ -456,7 +458,7 @@ TEST(FreedAccessProbe, NeverAllocatedSlotCountsWithoutAnyCollection) {
       "}\n",
       CompileMode::O2);
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Collections, 0u);
+  EXPECT_EQ(R.Gc.Collections, 0u);
   EXPECT_EQ(R.FreedAccesses, 1u);
 }
 

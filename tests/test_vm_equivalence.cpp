@@ -49,10 +49,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 using namespace gcsafe;
@@ -93,8 +95,8 @@ std::string describe(const vm::RunResult &R) {
      << " keep_live_cycles=" << R.KeepLiveCycles
      << " kills=" << R.KillsExecuted << " check_cycles=" << R.CheckCycles
      << " alloc_cycles=" << R.AllocatorCycles
-     << " collections=" << R.Collections << " allocs=" << R.AllocCount
-     << " alloc_bytes=" << R.AllocBytes << " checks=" << R.ChecksPerformed
+     << " collections=" << G.Collections << " allocs=" << G.AllocationCount
+     << " alloc_bytes=" << G.BytesRequested << " checks=" << R.ChecksPerformed
      << " violations=" << R.CheckViolations << " freed=" << R.FreedAccesses
      << " words_scanned=" << G.WordsScanned
      << " pointer_hits=" << G.PointerHits
@@ -248,82 +250,107 @@ std::string renderDiags(const char *Label,
   return Out;
 }
 
-/// Every mutant of analysis::enumerateMutations over the paper workloads
-/// in the safe modes, verified twice: final (layers 1 and 2 on the
-/// mutated function), and each-pass, where a pass mutator applies the
-/// mutant at the first pass whose output is the function's final IR. A
-/// mutant the structural IR verifier rejects (a hoisted kill ahead of a
-/// read) is verified final only: a build with assertions checks every
-/// compiled module against that verifier.
+/// Every mutant of analysis::enumerateMutations over workload \p W in
+/// \p Mode, verified twice: final (layers 1 and 2 on the mutated
+/// function), and each-pass, where a pass mutator applies the mutant at
+/// the first pass whose output equals the function's final IR. A mutant
+/// the structural IR verifier rejects (a hoisted kill ahead of a read) is
+/// verified final only: a build with assertions checks every compiled
+/// module against that verifier.
 /// Since insert_kills is the last pass, that checkpoint is the only one
 /// before (final); so each function's mutants after the first pass are
 /// swept each-pass as well, and every later pass that leaves the unsafe
 /// IR alone reports it again.
-std::string runSafetyDiagSweep() {
+std::string sweepSafetyDiags(const workloads::Workload &W, CompileMode Mode,
+                             VerifyMemo &Memo) {
   std::string Out;
-  for (const workloads::Workload *W : workloads::benchmarkSuite()) {
-    Compilation C(W->Name, W->Source);
-    for (CompileMode Mode : {CompileMode::O2Safe, CompileMode::O2SafePost}) {
-      std::string Prefix = std::string(W->Name) + " " + compileModeName(Mode);
-      CompileOptions CO;
-      CO.Mode = Mode;
-      CompileResult Clean = C.compile(CO);
-      EXPECT_TRUE(Clean.Ok) << Prefix << ": " << Clean.Errors;
-      for (const analysis::Mutation &Mu :
-           analysis::enumerateMutations(Clean.Module)) {
-        Out += Prefix + " " + Mu.Description + "\n";
-        const ir::Function &Target = Clean.Module.Functions[Mu.FunctionIndex];
-        ir::Function Mutant = Target;
-        EXPECT_TRUE(analysis::applyMutation(Mutant, Mu)) << Mu.Description;
-        std::vector<analysis::SafetyDiag> Final;
-        analysis::verifyFunctionSafety(Mutant, {}, Final);
-        Out += renderDiags("final", Final);
-        std::vector<std::string> IRErrors;
-        if (!ir::verifyFunction(Mutant, IRErrors)) {
-          Out += "  each-pass: not compiled, ill-formed IR\n";
-          continue;
+  Compilation C(W.Name, W.Source);
+  std::string Prefix = std::string(W.Name) + " " + compileModeName(Mode);
+  CompileOptions CO;
+  CO.Mode = Mode;
+  CompileResult Clean = C.compile(CO);
+  EXPECT_TRUE(Clean.Ok) << Prefix << ": " << Clean.Errors;
+  for (const analysis::Mutation &Mu :
+       analysis::enumerateMutations(Clean.Module)) {
+    Out += Prefix + " " + Mu.Description + "\n";
+    const ir::Function &Target = Clean.Module.Functions[Mu.FunctionIndex];
+    ir::Function Mutant = Target;
+    EXPECT_TRUE(analysis::applyMutation(Mutant, Mu)) << Mu.Description;
+    std::vector<analysis::SafetyDiag> Final;
+    analysis::verifyFunctionSafety(Mutant, {}, Final);
+    Out += renderDiags("final", Final);
+    std::vector<std::string> IRErrors;
+    if (!ir::verifyFunction(Mutant, IRErrors)) {
+      Out += "  each-pass: not compiled, ill-formed IR\n";
+      continue;
+    }
+
+    bool Applied = false;
+    CompileOptions EO = CO;
+    EO.Verify = SafetyVerify::EachPass;
+    EO.Memo = &Memo;
+    EO.PassMutator = [&](const char *, ir::Function &F) {
+      if (!Applied && F == Target)
+        Applied = analysis::applyMutation(F, Mu);
+    };
+    CompileResult CR = C.compile(EO);
+    EXPECT_TRUE(Applied) << Prefix << ": " << Mu.Description;
+    Out += renderDiags("each-pass", CR.SafetyDiags);
+  }
+
+  // The functions as the first pass leaves them, and their mutants.
+  std::vector<ir::Function> Entry;
+  CO.PassMutator = [&](const char *, ir::Function &F) {
+    if (Entry.empty() || Entry.back().Name != F.Name)
+      Entry.push_back(F);
+  };
+  C.compile(CO);
+  for (const ir::Function &Target : Entry) {
+    for (const analysis::Mutation &Mu :
+         analysis::enumerateFunctionMutations(Target)) {
+      Out += Prefix + " entry " + Mu.Description + "\n";
+      bool Seen = false;
+      CompileOptions EO = CO;
+      EO.Verify = SafetyVerify::EachPass;
+      EO.Memo = &Memo;
+      EO.PassMutator = [&](const char *, ir::Function &F) {
+        if (!Seen && F.Name == Target.Name) {
+          Seen = true;
+          EXPECT_TRUE(analysis::applyMutation(F, Mu)) << Mu.Description;
         }
-
-        std::string TargetIR = ir::printFunction(Target);
-        bool Applied = false;
-        CompileOptions EO = CO;
-        EO.Verify = SafetyVerify::EachPass;
-        EO.PassMutator = [&](const char *, ir::Function &F) {
-          if (!Applied && F.Name == Target.Name &&
-              ir::printFunction(F) == TargetIR)
-            Applied = analysis::applyMutation(F, Mu);
-        };
-        CompileResult CR = C.compile(EO);
-        EXPECT_TRUE(Applied) << Prefix << ": " << Mu.Description;
-        Out += renderDiags("each-pass", CR.SafetyDiags);
-      }
-
-      // The functions as the first pass leaves them, and their mutants.
-      std::vector<ir::Function> Entry;
-      CO.PassMutator = [&](const char *, ir::Function &F) {
-        if (Entry.empty() || Entry.back().Name != F.Name)
-          Entry.push_back(F);
       };
-      C.compile(CO);
-      for (const ir::Function &Target : Entry) {
-        for (const analysis::Mutation &Mu :
-             analysis::enumerateFunctionMutations(Target)) {
-          Out += Prefix + " entry " + Mu.Description + "\n";
-          bool Seen = false;
-          CompileOptions EO = CO;
-          EO.Verify = SafetyVerify::EachPass;
-          EO.PassMutator = [&](const char *, ir::Function &F) {
-            if (!Seen && F.Name == Target.Name) {
-              Seen = true;
-              EXPECT_TRUE(analysis::applyMutation(F, Mu)) << Mu.Description;
-            }
-          };
-          CompileResult CR = C.compile(EO);
-          Out += renderDiags("each-pass", CR.SafetyDiags);
-        }
-      }
+      CompileResult CR = C.compile(EO);
+      Out += renderDiags("each-pass", CR.SafetyDiags);
     }
   }
+  return Out;
+}
+
+/// The sweep over the paper workloads in the safe modes. The (workload,
+/// mode) slices are independent: four threads take them in turn, and
+/// their outputs are joined in suite order. The each-pass compiles
+/// share one verification memo: a mutant changes one function, so the
+/// other functions' checkpoints replay verdicts an earlier compile
+/// recorded, as a daemon's would.
+std::string runSafetyDiagSweep() {
+  std::vector<std::pair<const workloads::Workload *, CompileMode>> Slices;
+  for (const workloads::Workload *W : workloads::benchmarkSuite())
+    for (CompileMode Mode : {CompileMode::O2Safe, CompileMode::O2SafePost})
+      Slices.emplace_back(W, Mode);
+  std::vector<std::string> Outs(Slices.size());
+  VerifyMemo Memo;
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < 4; ++T)
+    Pool.emplace_back([&] {
+      for (size_t I; (I = Next.fetch_add(1)) < Slices.size();)
+        Outs[I] = sweepSafetyDiags(*Slices[I].first, Slices[I].second, Memo);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  std::string Out;
+  for (const std::string &O : Outs)
+    Out += O;
   return Out;
 }
 

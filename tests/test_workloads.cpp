@@ -67,8 +67,8 @@ TEST(Workloads, AreAllocationIntensive) {
   for (const Workload *W : benchmarkSuite()) {
     auto R = compileAndRun(W->Name, W->Source, CompileMode::O2, {});
     ASSERT_TRUE(R.Ok) << W->Name;
-    EXPECT_GT(R.AllocCount, 300u) << W->Name;
-    EXPECT_GT(R.AllocBytes, 10000u) << W->Name;
+    EXPECT_GT(R.Gc.AllocationCount, 300u) << W->Name;
+    EXPECT_GT(R.Gc.BytesRequested, 10000u) << W->Name;
   }
 }
 

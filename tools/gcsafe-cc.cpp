@@ -447,7 +447,7 @@ int main(int argc, char **argv) {
                  driver::compileModeName(Opts.Mode), Machine.Name.c_str(),
                  static_cast<unsigned long long>(R.Cycles),
                  static_cast<unsigned long long>(R.InstructionsExecuted),
-                 static_cast<unsigned long long>(R.Collections),
+                 static_cast<unsigned long long>(R.Gc.Collections),
                  static_cast<unsigned long long>(R.ChecksPerformed),
                  static_cast<unsigned long long>(R.CheckViolations),
                  static_cast<unsigned long long>(R.FreedAccesses),

@@ -212,11 +212,12 @@ const char *buildContentHash();
 } // namespace gcsafe::driver
 
 const std::string &gcsafe::driver::keyFingerprint() {
-  // "gcsafe-key-v2" names the key format itself: the raw source plus
-  // serve::canonicalFlagString. Bump it on any key-format change; the
-  // build hash covers every behavior change.
+  // "gcsafe-key-v3" names the key format itself: the raw source plus
+  // serve::canonicalFlagString, digested by support::ContentHasher. Bump
+  // it on any change to either; the build hash covers every behavior
+  // change.
   static const std::string FP =
-      std::string("gcsafe-key-v2;build=") + buildContentHash();
+      std::string("gcsafe-key-v3;build=") + buildContentHash();
   return FP;
 }
 

@@ -201,7 +201,7 @@ private:
 
 /// The build's cache-key fingerprint: the key-format version plus a
 /// content hash of every file under src/ taken at build time, e.g.
-/// "gcsafe-key-v2;build=<32hex>". Seeded into every ContentHasher that
+/// "gcsafe-key-v3;build=<32hex>". Seeded into every ContentHasher that
 /// computes a cache key (serve::CompileService) and stamped into every
 /// serve::Store record, so a binary built from any other sources — a
 /// changed annotator, pass, VM cost model, collector or report layout —

@@ -241,22 +241,22 @@ void CompileService::workerLoop() {
 
 std::future<ServeResult>
 CompileService::submit(driver::RequestOptions Request, bool UseCache) {
-  // The deadline clock starts at submission: time spent queued counts
-  // against the request's budget — so does the queue-wait histogram.
-  uint64_t SubmitNs = support::monotonicNowNs();
-  uint64_t DeadlineAtNs = Request.DeadlineNs ? SubmitNs + Request.DeadlineNs : 0;
   bool Injected = injectFault("serve.queue.full");
-  std::string TraceId = assignRequestId(Request);
-  std::string Rid = Request.RequestId;
-  // The raw key costs microseconds, so it is derived here and
-  // single-flight leadership is taken below under the queue lock: in
-  // admission order, the order the FIFO queue hands requests out.
-  std::string Key = requestKey(Request);
-  bool Lead = UseCache && Opts.CacheEnabled;
+  // The raw key costs microseconds, so it is derived here, outside the
+  // queue lock; the first probe and single-flight leadership are taken
+  // below under it: in admission order, the order the FIFO queue hands
+  // requests out.
+  Admission A = admit(std::move(Request), UseCache);
+  // Everything this thread records for the request carries its trace id.
+  support::TraceScope Scope(A.TraceId);
 
   std::future<ServeResult> F;
   const char *Shed = nullptr;
   std::string Why;
+  bool Hit = false;
+  // The first probe's span, recorded once the queue lock is released (a
+  // miss's admission has moved into its task by then).
+  uint64_t ProbeStartNs = 0, ProbeEndNs = 0;
   {
     support::RankedGuard Lock(QueueMu);
     if (Stopping.load(std::memory_order_relaxed)) {
@@ -273,42 +273,49 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
       Why = "the submit queue is full (" + std::to_string(Opts.QueueMax) +
             " requests deep)";
     } else {
-      std::packaged_task<ServeResult()> Task(
-          [this, Request = std::move(Request), UseCache, Key,
-           Lease = Lead ? tryLead(Key) : FlightLease(), DeadlineAtNs,
-           SubmitNs, TraceId]() mutable {
-            return compileAt(Request, UseCache, Key, std::move(Lease),
-                             DeadlineAtNs, SubmitNs, TraceId);
-          });
-      F = Task.get_future();
-      Queue.push_back(std::move(Task));
-      size_t Depth = Queue.size();
-      // The gauges shadow Queue under QueueMu; peak's read-modify-write
-      // is safe because every writer holds the lock — the atomics exist
-      // for the lock-free snapshot readers.
-      QueueDepth.store(Depth, std::memory_order_release);
-      if (Depth > QueuePeak.load(std::memory_order_relaxed))
-        QueuePeak.store(Depth, std::memory_order_release);
+      probeAndLead(A);
+      ProbeStartNs = A.ProbeStartNs;
+      ProbeEndNs = A.ProbeEndNs;
+      // A hit is answered below, on this thread; only a miss is queued.
+      Hit = A.Hit != nullptr;
+      if (!Hit) {
+        std::packaged_task<ServeResult()> Task(
+            [this, A = std::move(A)]() mutable {
+              return compileAt(std::move(A));
+            });
+        F = Task.get_future();
+        Queue.push_back(std::move(Task));
+        size_t Depth = Queue.size();
+        // The gauges shadow Queue under QueueMu; peak's read-modify-write
+        // is safe because every writer holds the lock — the atomics exist
+        // for the lock-free snapshot readers.
+        QueueDepth.store(Depth, std::memory_order_release);
+        if (Depth > QueuePeak.load(std::memory_order_relaxed))
+          QueuePeak.store(Depth, std::memory_order_release);
+      }
     }
   }
-  if (!Shed) {
+  if (ProbeEndNs)
+    stage(HistCacheLookup, "cache.lookup", ProbeStartNs, ProbeEndNs);
+  if (!Shed && !Hit) {
     QueueCv.notifyOne();
     return F;
   }
 
-  // Shed: resolve the caller's future immediately with a typed result.
-  // No task was queued and no lease taken; the request never counts as
-  // executed (serve.requests counts work, serve.queue.shed counts
-  // refusals).
-  QueueShed.fetch_add(1, std::memory_order_relaxed);
-  {
-    support::TraceScope Scope(TraceId);
-    Flight.emit("serve", "queue.shed");
-  }
   std::promise<ServeResult> P;
+  if (Hit) {
+    P.set_value(answerHit(A, A.Hit, /*AtAdmission=*/true));
+    return P.get_future();
+  }
+  // Shed: resolve the caller's future immediately with a typed result.
+  // No probe was made, no task queued and no lease taken; the request
+  // never counts as executed (serve.requests counts work,
+  // serve.queue.shed counts refusals).
+  QueueShed.fetch_add(1, std::memory_order_relaxed);
+  Flight.emit("serve", "queue.shed");
   ServeResult R =
       typedResult(Shed, support::ExitOverloaded, "request shed: " + Why);
-  R.RequestId = Rid;
+  R.RequestId = A.Request.RequestId;
   P.set_value(std::move(R));
   return P.get_future();
 }
@@ -322,12 +329,37 @@ void CompileService::LeaseRelease::operator()(const std::string *Key) const {
   delete Key;
 }
 
-CompileService::FlightLease
-CompileService::tryLead(const std::string &Key) {
+CompileService::Admission
+CompileService::admit(driver::RequestOptions Request, bool UseCache) {
+  Admission A;
+  // The deadline clock starts at admission: time spent queued counts
+  // against the request's budget — so does the queue-wait histogram.
+  A.SubmitNs = support::monotonicNowNs();
+  A.DeadlineAtNs = Request.DeadlineNs ? A.SubmitNs + Request.DeadlineNs : 0;
+  A.TraceId = assignRequestId(Request);
+  A.Key = requestKey(Request);
+  A.WantCache = UseCache && Opts.CacheEnabled;
+  A.Request = std::move(Request);
+  return A;
+}
+
+void CompileService::probeAndLead(Admission &A) {
+  if (!A.WantCache)
+    return;
   support::RankedGuard L(InFlightMu);
-  if (!InFlight.insert(Key).second)
-    return FlightLease();
-  return FlightLease(new std::string(Key), LeaseRelease{this});
+  // Behind a leader, the first probe is left to the worker, after the
+  // leader has had its chance to publish.
+  if (InFlight.count(A.Key))
+    return;
+  A.ProbeStartNs = support::monotonicNowNs();
+  bool Hit = Cache.lookup(A.Key, A.Hit);
+  A.ProbeEndNs = support::monotonicNowNs();
+  // A leader inserts its entry before its lease's release takes this
+  // lock, so this miss stays a miss for as long as the lease is held.
+  if (!Hit) {
+    InFlight.insert(A.Key);
+    A.Lease = FlightLease(new std::string(A.Key), LeaseRelease{this});
+  }
 }
 
 std::string CompileService::assignRequestId(driver::RequestOptions &Request) {
@@ -355,79 +387,86 @@ void CompileService::countResult(const ServeResult &R) {
     ResponsesDegraded.fetch_add(1, std::memory_order_relaxed);
 }
 
-ServeResult CompileService::compile(const driver::RequestOptions &Request,
-                                    bool UseCache) {
-  driver::RequestOptions Req = Request;
-  uint64_t SubmitNs = support::monotonicNowNs();
-  uint64_t DeadlineAtNs = Req.DeadlineNs ? SubmitNs + Req.DeadlineNs : 0;
-  std::string TraceId = assignRequestId(Req);
-  std::string Key = requestKey(Req);
-  FlightLease Lease =
-      UseCache && Opts.CacheEnabled ? tryLead(Key) : FlightLease();
-  return compileAt(Req, UseCache, Key, std::move(Lease), DeadlineAtNs,
-                   SubmitNs, TraceId);
-}
-
-ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
-                                      bool UseCache, const std::string &Key,
-                                      FlightLease Lease,
-                                      uint64_t DeadlineAtNs,
-                                      uint64_t SubmitNs,
-                                      const std::string &TraceId) {
-  // Every event this thread records until return — the service's and,
-  // when stitched, the compiler's — carries the request's trace id.
-  support::TraceScope Scope(TraceId);
-  uint64_t BeginNs = support::monotonicNowNs();
+void CompileService::beginRequest(uint64_t SubmitNs, uint64_t BeginNs) {
   Requests.fetch_add(1, std::memory_order_relaxed);
   stage(HistQueueWait, "queue.wait", std::min(SubmitNs, BeginNs), BeginNs);
   Flight.emit("serve", "request.begin");
+}
 
-  // Every exit path below funnels through this: the echoed request id,
-  // the response counters, the end-to-end histogram (its count therefore
-  // equals serve.requests exactly — the chaos harness asserts this), and
-  // the request.end markers.
-  auto Finish = [&](ServeResult R) {
-    R.RequestId = Request.RequestId;
-    countResult(R);
-    stage(HistE2E, "e2e", SubmitNs, support::monotonicNowNs());
-    Flight.emit("serve", "request.end", uint64_t(R.ExitCode));
-    return R;
-  };
+ServeResult CompileService::finishRequest(const Admission &A, ServeResult R) {
+  R.RequestId = A.Request.RequestId;
+  countResult(R);
+  stage(HistE2E, "e2e", A.SubmitNs, support::monotonicNowNs());
+  Flight.emit("serve", "request.end", uint64_t(R.ExitCode));
+  return R;
+}
+
+ServeResult CompileService::answerHit(const Admission &A, CacheEntryPtr Entry,
+                                      bool AtAdmission) {
+  // Never queued: the request begins where its first probe ended.
+  if (AtAdmission)
+    beginRequest(A.ProbeEndNs, A.ProbeEndNs);
+  Flight.emit("serve", "cache.hit");
+  return finishRequest(A, hitResult(A.Key, std::move(Entry)));
+}
+
+ServeResult CompileService::compile(const driver::RequestOptions &Request,
+                                    bool UseCache) {
+  Admission A = admit(Request, UseCache);
+  support::TraceScope Scope(A.TraceId);
+  probeAndLead(A);
+  if (A.ProbeEndNs)
+    stage(HistCacheLookup, "cache.lookup", A.ProbeStartNs, A.ProbeEndNs);
+  if (A.Hit)
+    return answerHit(A, A.Hit, /*AtAdmission=*/true);
+  return compileAt(std::move(A));
+}
+
+ServeResult CompileService::compileAt(Admission A) {
+  // Every event this thread records until return — the service's and,
+  // when stitched, the compiler's — carries the request's trace id.
+  support::TraceScope Scope(A.TraceId);
+  const driver::RequestOptions &Request = A.Request;
+  const std::string &Key = A.Key, &TraceId = A.TraceId;
+  uint64_t DeadlineAtNs = A.DeadlineAtNs;
+  beginRequest(A.SubmitNs, support::monotonicNowNs());
 
   // A request that expired while queued never starts — and never gets a
   // chance to insert anything into the cache or the memo.
   if (DeadlineAtNs && support::monotonicNowNs() > DeadlineAtNs) {
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
     Flight.emit("serve", "request.deadline");
-    return Finish(typedResult("deadline", support::ExitWatchdogTimeout,
-                              "deadline expired before the compile started"));
+    return finishRequest(A, typedResult("deadline",
+                                        support::ExitWatchdogTimeout,
+                                        "deadline expired before the "
+                                        "compile started"));
   }
 
-  bool WantCache = UseCache && Opts.CacheEnabled;
-  if (WantCache) {
+  if (A.WantCache) {
     // Lookup / single-flight loop: hit → splice the entry; miss while
-    // holding the lease taken at admission → compile; miss while another
-    // request leads this key → wait and re-check (the leader's insert
-    // turns the re-check into a hit, so concurrent identical requests
-    // cost one compile, not N). A leader whose result was uncacheable
-    // wakes the waiters into electing the next leader here, so progress
-    // is guaranteed.
-    bool LookupTimed = false;
+    // holding the lease → compile; miss while another request leads this
+    // key → wait and re-check (the leader's insert turns the re-check into
+    // a hit, so concurrent identical requests cost one compile, not N). A
+    // leader whose result was uncacheable wakes the waiters into electing
+    // the next leader here, so progress is guaranteed. A lease taken at
+    // admission came with the request's first probe, a miss that nothing
+    // can have published over since, so its holder starts at the store.
+    bool Timed = static_cast<bool>(A.Lease), Probe = !Timed;
     bool StoreProbed = false;
-    for (;;) {
-      CacheEntryPtr Entry;
-      uint64_t LookupStartNs = support::monotonicNowNs();
-      bool Hit = Cache.lookup(Key, Entry);
-      if (!LookupTimed) {
-        // Only the first probe counts: re-checks after waiting out a
-        // single-flight leader measure the leader, not the cache.
-        LookupTimed = true;
-        stage(HistCacheLookup, "cache.lookup", LookupStartNs,
-              support::monotonicNowNs());
-      }
-      if (Hit) {
-        Flight.emit("serve", "cache.hit");
-        return Finish(hitResult(Key, std::move(Entry)));
+    for (;; Probe = true) {
+      if (Probe) {
+        CacheEntryPtr Entry;
+        uint64_t LookupStartNs = support::monotonicNowNs();
+        bool Hit = Cache.lookup(Key, Entry);
+        if (!Timed) {
+          // Only the first probe counts: re-checks after waiting out a
+          // single-flight leader measure the leader, not the cache.
+          Timed = true;
+          stage(HistCacheLookup, "cache.lookup", LookupStartNs,
+                support::monotonicNowNs());
+        }
+        if (Hit)
+          return answerHit(A, std::move(Entry), /*AtAdmission=*/false);
       }
       // Memory miss: read through to the durable store (once — a re-loop
       // after a store hit or a single-flight wait consults memory only).
@@ -449,11 +488,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
           continue;
         }
       }
-      if (Lease)
+      if (A.Lease)
         break;
       support::RankedLock L(InFlightMu);
       if (InFlight.insert(Key).second) {
-        Lease = FlightLease(new std::string(Key), LeaseRelease{this});
+        A.Lease = FlightLease(new std::string(Key), LeaseRelease{this});
         break;
       }
       // Counted by the hook while the lock is still held, so "observed
@@ -477,7 +516,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                           "deadline expired while waiting for an "
                           "in-flight identical compile");
           R.CacheKey = Key;
-          return Finish(std::move(R));
+          return finishRequest(A, std::move(R));
         }
       } else {
         InFlightCv.wait(L);
@@ -554,7 +593,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   // poison the cache for the identical request asked with more budget.
   // The entry is rendered before RequestId is stamped on the result, so
   // warm replays stay byte-identical across requests.
-  bool Cacheable = WantCache && Parsed && Result.Status.empty() &&
+  bool Cacheable = A.WantCache && Parsed && Result.Status.empty() &&
                    !(DeadlineAtNs &&
                      Result.ExitCode == support::ExitWatchdogTimeout);
   if (Cacheable) {
@@ -572,7 +611,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.publish");
   }
 
-  return Finish(std::move(Result));
+  return finishRequest(A, std::move(Result));
 }
 
 ServeResult

@@ -16,11 +16,12 @@
 /// Every request is keyed as received — build fingerprint, raw source and
 /// canonical flags — before any frontend work: a cache hit never builds
 /// a RequestContext, it splices the entry's pre-rendered bytes into its
-/// response. Only a miss gets a fresh RequestContext — fault injector,
-/// self-heal ladder and quarantine set are all request-private — so
-/// nothing a request degrades leaks into the next one. The only
-/// cross-request state is deliberately shareable: the response cache and
-/// the verify memo, both keyed purely on content.
+/// response, and a memory hit is answered at admission on the submitting
+/// thread without queueing. Only a miss gets a fresh RequestContext —
+/// fault injector, self-heal ladder and quarantine set are all
+/// request-private — so nothing a request degrades leaks into the next
+/// one. The only cross-request state is deliberately shareable: the
+/// response cache and the verify memo, both keyed purely on content.
 ///
 /// Overload behavior (docs/SERVING.md §"Operating under load"): submit()
 /// is admission-controlled — past QueueMax queued requests (or once the
@@ -184,11 +185,13 @@ public:
   ServeResult compile(const driver::RequestOptions &Request,
                       bool UseCache = true);
 
-  /// Enqueues one request for the worker pool. Admission-controlled: on
-  /// a full queue — or a draining or stopped service — the returned
-  /// future is already resolved to a typed shed result (Status
-  /// "overloaded"/"draining"/"shutdown", exit code ExitOverloaded)
-  /// instead of enqueueing work that would never run.
+  /// Admits one request. Admission-controlled: on a full queue — or a
+  /// draining or stopped service — the returned future is already
+  /// resolved to a typed shed result (Status "overloaded"/"draining"/
+  /// "shutdown", exit code ExitOverloaded) instead of enqueueing work
+  /// that would never run. Otherwise a memory-cache hit is answered on
+  /// the calling thread (the future is ready on return) and a miss is
+  /// enqueued for the worker pool.
   std::future<ServeResult> submit(driver::RequestOptions Request,
                                   bool UseCache = true);
 
@@ -241,25 +244,59 @@ private:
   /// a typed early return, a crash, an uncacheable result, or a queued
   /// task destroyed unrun.
   struct LeaseRelease {
-    CompileService *Svc = nullptr;
+    CompileService *Svc; // value-initialized (null) in an empty lease
     void operator()(const std::string *Key) const;
   };
   using FlightLease = std::unique_ptr<const std::string, LeaseRelease>;
 
-  /// Leadership of \p Key when no request holds it; an empty lease
-  /// otherwise.
-  FlightLease tryLead(const std::string &Key) GCSAFE_EXCLUDES(InFlightMu);
+  /// One admitted request: its ids, clocks and cache key, and what its
+  /// admission probe (probeAndLead) found.
+  struct Admission {
+    driver::RequestOptions Request; ///< RequestId assigned.
+    std::string TraceId, Key;
+    /// Admission time (the queue-wait, end-to-end and deadline clocks
+    /// start here) and the absolute monotonic expiry (0 = none).
+    uint64_t SubmitNs = 0, DeadlineAtNs = 0;
+    bool WantCache = false;
+    /// The admission probe's span; both 0 when none was made.
+    uint64_t ProbeStartNs = 0, ProbeEndNs = 0;
+    CacheEntryPtr Hit; ///< The admission probe's entry on a hit.
+    FlightLease Lease; ///< Taken on an admission miss.
+  };
 
-  /// The compile body shared by compile() and the pool: cache lookup
-  /// (as \p Lease's holder or a waiter behind one), deadline bookkeeping,
-  /// then — on a miss only — the frontend, in-process or sandboxed
-  /// execution, and the cache insert. DeadlineAtNs is the absolute
-  /// monotonic expiry (0 = none); SubmitNs is when the request was
-  /// admitted — the queue-wait and end-to-end histograms measure from it.
-  ServeResult compileAt(const driver::RequestOptions &Request, bool UseCache,
-                        const std::string &Key, FlightLease Lease,
-                        uint64_t DeadlineAtNs, uint64_t SubmitNs,
-                        const std::string &TraceId);
+  /// The admission step shared by compile() and submit(): stamps the
+  /// request's ids and clocks and derives its cache key.
+  Admission admit(driver::RequestOptions Request, bool UseCache);
+  /// When the request consults the cache and no request leads its key:
+  /// its first memory probe and, on a miss, its single-flight lease, both
+  /// under InFlightMu — a leader inserts before its release needs that
+  /// lock, so the lease holder never has to probe again before it
+  /// compiles. Behind a leader it does neither; the worker probes after
+  /// the leader. submit() calls it under QueueMu, so leadership is taken
+  /// in queue order.
+  void probeAndLead(Admission &A) GCSAFE_EXCLUDES(InFlightMu);
+  /// The one path that answers a cache hit: its result and all of its
+  /// telemetry after the first probe's cache.lookup span (recorded where
+  /// that probe was made). \p AtAdmission: the hit is the admission
+  /// probe's, answered on the admitting thread, so this also opens the
+  /// request (serve.requests, a zero-length queue.wait, request.begin);
+  /// otherwise compileAt already did.
+  ServeResult answerHit(const Admission &A, CacheEntryPtr Entry,
+                        bool AtAdmission);
+  /// Opens a request's telemetry: serve.requests, its queue.wait span
+  /// and request.begin.
+  void beginRequest(uint64_t SubmitNs, uint64_t BeginNs);
+  /// Every exit path of a request funnels through this: the echoed
+  /// request id, the response counters, the end-to-end histogram (its
+  /// count therefore equals serve.requests exactly — the chaos harness
+  /// asserts this), and the request.end marker.
+  ServeResult finishRequest(const Admission &A, ServeResult R);
+
+  /// The worker side of a request not answered at admission: cache lookup
+  /// and store read-through (as \p A's lease holder or a waiter behind
+  /// one), deadline bookkeeping, then — on a miss only — the frontend,
+  /// in-process or sandboxed execution, and the cache insert.
+  ServeResult compileAt(Admission A);
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
   /// SIGKILL deadline, crash retries one rung lower, one Attempts record
   /// per sandbox. TraceId stamps the crash telemetry; a final "crashed"
@@ -320,7 +357,7 @@ private:
 
   /// Single-flight: cache keys a request leads. Leadership is taken at
   /// admission, in queue order (submit() holds QueueMu while it calls
-  /// tryLead), so a waiter is never dequeued before its leader and
+  /// probeAndLead), so a waiter is never dequeued before its leader and
   /// pipelined "cold then warm" is deterministic. A same-key miss waits
   /// for the leader and replays its entry instead of duplicating the
   /// compile, which also keeps a thundering herd of identical requests

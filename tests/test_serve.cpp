@@ -27,6 +27,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace gcsafe;
@@ -783,30 +784,42 @@ TEST(ServeTelemetry, DuplicateClientIdsAreUniquifiedInTraces) {
 }
 
 TEST(ServeTelemetry, MetricsSnapshotCountsEveryStage) {
-  CompileService Svc;
-  Svc.compile(listRequest()); // cold: compile runs
-  Svc.compile(listRequest()); // warm: cache hit, no compile
-  support::Json M = Svc.metricsSnapshot();
-  EXPECT_EQ(M.get("schema")->asString(), "gcsafe-metrics-v1");
-  EXPECT_GT(M.get("uptime_ns")->asInt(), 0);
-  EXPECT_EQ(M.get("requests")->asInt(), 2);
-  const support::Json *Stages = M.get("stages");
-  ASSERT_TRUE(Stages);
-  auto Count = [&](const char *Stage) {
-    return Stages->get(Stage)->get("count")->asInt();
-  };
-  // Every request is accounted for end-to-end; only the cold one
-  // compiled; both waited in the queue and probed the cache; nothing
-  // was isolated.
-  EXPECT_EQ(Count("e2e"), 2);
-  EXPECT_EQ(Count("queue_wait"), 2);
-  EXPECT_EQ(Count("cache_lookup"), 2);
-  EXPECT_EQ(Count("compile"), 1);
-  EXPECT_EQ(Count("isolate"), 0);
-  const support::Json *Queue = M.get("queue");
-  ASSERT_TRUE(Queue);
-  EXPECT_EQ(Queue->get("depth")->asInt(), 0);
-  EXPECT_EQ(Queue->get("shed")->asInt(), 0);
+  // In-process on the calling thread, then through the pool, where the
+  // warm request is answered at admission.
+  for (bool Pool : {false, true}) {
+    SCOPED_TRACE(Pool ? "submit" : "compile");
+    CompileService Svc;
+    auto Run = [&] {
+      return Pool ? Svc.submit(listRequest()).get()
+                  : Svc.compile(listRequest());
+    };
+    Run(); // cold: compile runs
+    Run(); // warm: cache hit, no compile
+    support::Json M = Svc.metricsSnapshot();
+    EXPECT_EQ(M.get("schema")->asString(), "gcsafe-metrics-v1");
+    EXPECT_GT(M.get("uptime_ns")->asInt(), 0);
+    EXPECT_EQ(M.get("requests")->asInt(), 2);
+    const support::Json *Stages = M.get("stages");
+    ASSERT_TRUE(Stages);
+    auto Count = [&](const char *Stage) {
+      return Stages->get(Stage)->get("count")->asInt();
+    };
+    // Every request is accounted for end-to-end; only the cold one
+    // compiled; both recorded a queue wait and probed the cache once;
+    // nothing was isolated.
+    EXPECT_EQ(Count("e2e"), 2);
+    EXPECT_EQ(Count("queue_wait"), 2);
+    EXPECT_EQ(Count("cache_lookup"), 2);
+    EXPECT_EQ(Count("compile"), 1);
+    EXPECT_EQ(Count("isolate"), 0);
+    support::Stats S = Svc.statsSnapshot();
+    EXPECT_EQ(S.get("serve.cache.hits"), 1u);
+    EXPECT_EQ(S.get("serve.cache.misses"), 1u);
+    const support::Json *Queue = M.get("queue");
+    ASSERT_TRUE(Queue);
+    EXPECT_EQ(Queue->get("depth")->asInt(), 0);
+    EXPECT_EQ(Queue->get("shed")->asInt(), 0);
+  }
 }
 
 /// Checks one Chrome trace_event document — thread-name metadata first,
@@ -1181,6 +1194,67 @@ TEST(ServeHitPath, PipelinedColdThenWarmIsDeterministic) {
     EXPECT_FALSE(Cold.get().Cached) << "run " << Run;
     EXPECT_TRUE(Warm.get().Cached) << "run " << Run;
   }
+}
+
+// Keeps its one list live while collecting after every allocation
+// (GcAllocTrigger=1): a cold compile-and-run that holds a worker for tens
+// of milliseconds.
+const char *kBusySource = R"(
+struct node {
+  struct node *next;
+  long value;
+};
+
+int main(void) {
+  struct node *head;
+  struct node *n;
+  long i;
+  head = 0;
+  for (i = 0; i < 4000; i++) {
+    n = (struct node *)gc_malloc(sizeof(struct node));
+    n->value = i;
+    n->next = head;
+    head = n;
+  }
+  print_int(head->value);
+  print_char(10);
+  return 0;
+}
+)";
+
+// A memory hit is answered at admission, on the submitting thread: with
+// the only worker held by a slow cold request (the overload_shed set-up
+// of bench/bench_serve.cpp), a primed hit's future is ready the moment
+// submit() returns, and its line is its cold twin's bytes.
+TEST(ServeHitPath, HitIsAnsweredWhileEveryWorkerIsBusy) {
+  ServiceOptions SO;
+  SO.Workers = 1;
+  CompileService Svc(SO);
+  driver::RequestOptions Twin = listRequest();
+  Twin.RequestId = "cold";
+  ServeResult Cold = Svc.submit(Twin).get();
+  ASSERT_TRUE(Cold.Ok);
+  ASSERT_FALSE(Cold.Cached);
+
+  driver::RequestOptions Busy = listRequest();
+  Busy.Name = "busy";
+  Busy.Source = kBusySource;
+  Busy.GcAllocTrigger = 1;
+  std::future<ServeResult> Running = Svc.submit(Busy);
+  while (Svc.health().QueueDepth != 0) // the worker has taken it
+    std::this_thread::yield();
+
+  Twin.RequestId = "warm";
+  std::future<ServeResult> F = Svc.submit(Twin);
+  ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  // The set-up held: the worker is still on the cold request.
+  EXPECT_EQ(Running.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  ServeResult Warm = F.get();
+  EXPECT_TRUE(Warm.Cached);
+  EXPECT_EQ(renderCompileResponse("w", Warm),
+            expectedWarmLine("w", Cold, "warm"));
+  EXPECT_TRUE(Running.get().Ok);
 }
 
 // A store hit is rendered once when promoted into memory; the replayed

@@ -302,9 +302,49 @@ TEST(Fingerprint, DistinctFingerprintsNeverCollideOnIdenticalContent) {
   }
 }
 
+// The digest is pinned: a change to the hash must be deliberate, and
+// bumps the key format in driver::keyFingerprint. The answers follow from
+// the bytes alone — words load little-endian — so they hold on any host.
+TEST(Fingerprint, ContentHashKnownAnswers) {
+  auto Digest = [](const std::string &S) {
+    support::ContentHasher H;
+    H.update(S.data(), S.size());
+    return H.hex();
+  };
+  EXPECT_EQ(Digest(""), "691f3eeaad8b3466509da16732ad630d");
+  EXPECT_EQ(Digest("gcsafe"), "c5b16a363bb27cedf02d804beac82a56");
+  // Five whole words and a three-byte tail.
+  EXPECT_EQ(Digest("Simple Garbage-Collector-Safety (PLDI 1996)"),
+            "81a0175ee17b73eea7b25648c980fe63");
+  // update(std::string) appends the length as a little-endian word.
+  EXPECT_EQ(support::contentHash("gcsafe"),
+            "00cdde31a2d59ddb6d8e9ceddf42649a");
+}
+
+// Bytes short of a word carry into the next update(), so every way of
+// splitting one byte stream across calls gives its digest.
+TEST(Fingerprint, ContentHashIsSplitInvariant) {
+  const std::string S = "Simple Garbage-Collector-Safety (PLDI 1996)";
+  support::ContentHasher Whole;
+  Whole.update(S.data(), S.size());
+  for (size_t I = 0; I <= S.size(); ++I) {
+    support::ContentHasher Two;
+    Two.update(S.data(), I);
+    Two.update(S.data() + I, S.size() - I);
+    EXPECT_EQ(Two.hex(), Whole.hex()) << "split at " << I;
+    for (size_t J = I; J <= S.size(); ++J) {
+      support::ContentHasher Three;
+      Three.update(S.data(), I);
+      Three.update(S.data() + I, J - I);
+      Three.update(S.data() + J, S.size() - J);
+      EXPECT_EQ(Three.hex(), Whole.hex()) << "split at " << I << ", " << J;
+    }
+  }
+}
+
 TEST(Fingerprint, BuildFingerprintNamesTheKeySchemaAndBuildHash) {
   const std::string &FP = driver::keyFingerprint();
-  const char *Prefix = "gcsafe-key-v2;build=";
+  const char *Prefix = "gcsafe-key-v3;build=";
   EXPECT_EQ(FP.find(Prefix), 0u);
   // The build hash is 32 lowercase hex digits over every file under
   // src/; any source change retires every existing cache entry at once.

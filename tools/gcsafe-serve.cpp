@@ -382,6 +382,10 @@ int runDaemon(serve::CompileService &Svc, const std::string &SocketPath,
     }
   };
 
+  // Each connection thread records into the ring under its own worker
+  // index, after the pool's 1..N: it answers memory hits at admission,
+  // and one index per thread keeps each index's events in end order.
+  uint32_t NextTrack = Svc.options().Workers + 1;
   while (!State.Stop.load()) {
     int Fd = accept(ListenFd, nullptr, nullptr);
     if (Fd < 0) {
@@ -394,7 +398,9 @@ int runDaemon(serve::CompileService &Svc, const std::string &SocketPath,
     auto Done = std::make_shared<std::atomic<bool>>(false);
     Conn C;
     C.Done = Done;
-    C.T = std::thread([&Svc, &DO, &State, ListenFd, Fd, Done] {
+    C.T = std::thread([&Svc, &DO, &State, ListenFd, Fd, Done,
+                       Track = NextTrack++] {
+      support::setTraceWorker(Track);
       State.ActiveConns.fetch_add(1);
       serveConnection(Svc, Fd, DO, State);
       close(Fd);

@@ -167,6 +167,27 @@ def check_session(responses):
     return 0
 
 
+def check_socket_counts(responses):
+    """The socket session's counters, exactly. Its warm compile arrives
+    after the cold one has answered, so it is a memory hit answered at
+    admission: the one probe each compile makes gives one miss and one
+    hit, both compiles record a queue wait and an end-to-end sample, and
+    only the cold one compiles."""
+    by_id = {r.get("id"): r for r in responses}
+    serve = by_id["stats-1"]["serve"]
+    stages = by_id["metrics-1"]["metrics"]["stages"]
+    got = {"requests": serve["requests"],
+           "cache.hits": serve["cache"]["hits"],
+           "cache.misses": serve["cache"]["misses"],
+           "e2e": stages["e2e"]["count"],
+           "queue_wait": stages["queue_wait"]["count"],
+           "compile": stages["compile"]["count"]}
+    want = {"requests": 2, "cache.hits": 1, "cache.misses": 1, "e2e": 2,
+            "queue_wait": 2, "compile": 1}
+    if got != want:
+        fail(f"socket session counters {got}, expected {want}")
+
+
 def check_warm_bytes(lines):
     """The raw warm line is the cold line with only the head's id,
     request_id and cached values changed: a hit splices its own head onto
@@ -391,6 +412,8 @@ def main():
         if args.repeat > 1:
             print(f"serve_client_test: session {run}/{args.repeat}")
         check_session(responses)
+        if not args.once:
+            check_socket_counts(responses)
         check_warm_bytes(lines)
     transport_name = "--once" if args.once else "--socket"
     print(f"serve_client_test: ok ({transport_name}, {args.repeat} "
